@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race test-race check check-obs check-chaos check-stream check-multipat check-banded check-store check-server check-tune bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
+.PHONY: all build test test-race check bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
 
 all: build test
 
@@ -11,126 +11,25 @@ build:
 test:
 	go test ./...
 
-race:
+# Race-detector lane over every package: the goroutine-bearing internal
+# packages (Pool.For barriers, the recursive limiter, stream-group
+# fan-out, the engine and its store), the sharded serving tier, and the
+# CLI and loadgen end-to-end tests. The zero-alloc guards only compile
+# without -race, so they run in `go test ./...` instead.
+test-race:
 	go test -race ./...
 
-# Race-detector lane over the packages that spawn goroutines (Pool.For
-# barriers, the recursive limiter, block-parallel bit operations) plus
-# the oracle-driven differential tests that exercise them.
-test-race:
-	go test -race ./internal/...
-
-# The full pre-merge gate: static checks, build, the whole test suite,
-# and the race lane. CI runs exactly this.
+# The one pre-merge gate: static checks, build, the whole test suite
+# (alloc guards included), the race lane, and the bench module's tests
+# (bench/ is its own Go module, compiled against the engine, stream and
+# obs APIs, so a break there surfaces nowhere else). CI runs exactly
+# this, plus fuzz-smoke and bench-smoke.
 check:
 	go vet ./...
 	go build ./...
 	go test ./...
 	$(MAKE) test-race
-
-# Observability lane, focused: metrics/trace goldens, histogram and
-# counter property tests, and the zero-alloc guards for disabled
-# instrumentation (the alloc guards only compile without -race, so
-# they run in `go test ./...` above but not in test-race). A strict
-# subset of `check` — use for a fast loop while touching internal/obs.
-check-obs:
-	go test ./internal/obs ./internal/query ./internal/stats ./cmd/semilocal
-	go test -race ./internal/obs ./internal/query ./internal/stats
-	go test -run 'TestStageCoverage4096|TestSolveObservedMatchesSolve' ./internal/core
-
-# Chaos lane: the fault-injection harness and the hardened serving
-# path, under the race detector — deterministic-replay goldens, the
-# metamorphic oracle-identity suite, retry/shed/degradation semantics,
-# the goroutine-leak gates (TestShutdownNoLeaks and the abandoned-
-# flight reap regression), and the parallel-runtime edge cases (nested
-# For, panic propagation, limiter bounds). The zero-alloc guards for
-# disabled chaos and the hardening knobs only compile without -race,
-# so they run in a second, race-free pass. Well under 5 minutes.
-check-chaos:
-	go test -race ./internal/chaos ./internal/query ./internal/parallel ./internal/core ./cmd/semilocal
-	go test -run 'ZeroAllocs|AllocParity' ./internal/query ./internal/core
-
-# Streaming lane: the incremental-kernel subsystem end to end under
-# the race detector — the differential bit-identity suite against
-# from-scratch solves, the concurrent query-during-append soak, the
-# chaos metamorphic cases, the steady-ant workspace, the engine
-# wrapper's deadline/retry semantics, and the CLI -stream goldens. The
-# zero-alloc guards for the append hot path (leaf merges in the
-# retained arena) only compile without -race, so they run in a second,
-# race-free pass.
-check-stream:
-	go test -race ./internal/stream ./internal/steadyant ./internal/query ./cmd/semilocal
-	go test -run 'ZeroAllocs|Freelist|AllocParity' ./internal/stream ./internal/steadyant ./internal/query
-
-# Multi-pattern streaming lane: the session-group subsystem end to end
-# under the race detector — the group-differential wall (every pattern
-# bit-identical to an independent session and a from-scratch solve
-# across randomized chunkings and slides), the per-pattern composition
-# bound, relabeling-class leaf sharing and its key-exactness table, the
-# 8-goroutine concurrent-reader soak, the group chaos metamorphic
-# cases, the engine wrapper's lockstep retry/deadline semantics, the
-# /v1/stream group wire extension, and the CLI group-mode goldens. The
-# steady-state group-append alloc guards only compile without -race, so
-# they run in a second, race-free pass, followed by a fuzz smoke of the
-# group target.
-check-multipat:
-	go test -race -run 'Group' ./internal/stream ./internal/query ./internal/server ./cmd/semilocal
-	go test -run 'TestGroupScanZeroAllocs|TestGroupSteadyStateAppendAllocs' ./internal/stream
-	go test -fuzz FuzzStreamGroup -fuzztime 10s ./internal/stream
-
-# Banded fast-path lane: the differential wall (adversarial shapes,
-# 500+ randomized cases, collision stress under forced hash seeds, the
-# editdist cross-check, the DistanceAuto dispatch), the engine
-# dispatcher's metamorphic and counter-reconciliation suites plus the
-# mixed banded/kernel chaos soak under -race, the CLI flag-validation
-# table and banded goldens, a race-free pass for the zero-alloc guards
-# on the BFS hot loop and the routing probe, and a fuzz smoke of the
-# banded-vs-oracle target.
-check-banded:
-	go test -race ./internal/banded ./internal/editdist ./internal/query ./cmd/semilocal
-	go test -run 'ZeroAllocs' ./internal/banded
-	go test -fuzz FuzzBandedDistance -fuzztime 10s ./internal/banded
-
-# Persistent-store lane: the crash/corruption test wall of the on-disk
-# kernel store (truncation at every byte boundary, exhaustive bit-flip
-# detection, the all-configs differential pin of the content-only key),
-# the engine integration suite (warm restart under solve-killing chaos,
-# store-fault metamorphic degradation, the eviction-heavy concurrent
-# soak) and the CLI -store-dir warm-restart test — all under -race —
-# plus a race-free pass for the store alloc guards and kernel-codec
-# edge tests, and a fuzz smoke of the log-recovery target.
-check-store:
-	go test -race ./internal/store ./internal/query ./cmd/semilocal
-	go test -run 'TestStore|TestKernelIO' ./internal/store ./internal/query ./internal/core
-	go test -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
-
-# Serving-tier lane: the sharded HTTP serving tier end to end under
-# the race detector — the differential wall (HTTP answers bit-identical
-# to direct engine calls for every query family, including under
-# benign chaos), the consistent-hash ring property tests (balance,
-# minimal movement on add/remove), the shard-kill degradation drills,
-# tenant-quota admission, the 8-client live-server soak with quiescent
-# counter exactness, the CLI -serve-addr e2e and flag-rule tests, the
-# loadgen harness smoke, and a fuzz smoke of the request decoder.
-check-server:
-	go test -race ./internal/server ./internal/query ./cmd/semilocal ./cmd/loadgen
-	go test -fuzz FuzzServerRequest -fuzztime 10s ./internal/server
-
-# Calibration lane: the autotuning subsystem end to end under the race
-# detector — the grid-sweep differential wall (every tuning point the
-# calibrator can assemble solves bit-identically to the untuned build
-# and the quadratic oracle, including the fused bit-parallel schedule),
-# the profile persistence property tests (round-trip, torn-tail,
-# strict-decode rejection table, fallback counters), the real
-# calibrator on the tiny CI grid, the recycled-buffer pool suite, the
-# CLI -calibrate/-profile e2e and goldens against the checked-in
-# fixture profile (no live full-grid calibration in CI), a race-free
-# pass for the zero-alloc guards on the recycler and query hot paths,
-# and a fuzz smoke of the profile loader.
-check-tune:
-	go test -race ./internal/tune ./internal/recycle ./internal/core ./internal/query ./cmd/semilocal
-	go test -run 'ZeroAllocs' ./internal/recycle ./internal/query
-	go test -fuzz FuzzProfileLoad -fuzztime 10s ./internal/tune
+	cd bench && go test ./...
 
 bench:
 	go test -bench=. -benchmem ./...

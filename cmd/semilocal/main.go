@@ -677,7 +677,7 @@ func runBatch(path string, opts batchOptions, out io.Writer) error {
 	}
 	results := engine.BatchSolve(context.Background(), reqs)
 	for i, res := range results {
-		printResult(out, i, reqs[i].Kind, reqs[i].Width, res)
+		printResult(out, "#"+strconv.Itoa(i), reqs[i].Kind, reqs[i].Width, res)
 	}
 	fmt.Fprintf(out, "# engine: %s\n", engine.StatsLine())
 	if opts.traceStages {
@@ -691,17 +691,17 @@ func runBatch(path string, opts batchOptions, out io.Writer) error {
 
 // printResult renders one answered request as a numbered output line
 // (shared by the -serve-batch and -stream modes).
-func printResult(out io.Writer, i int, kind semilocal.QueryKind, width int, res semilocal.BatchResult) {
+func printResult(out io.Writer, label string, kind semilocal.QueryKind, width int, res semilocal.BatchResult) {
 	switch {
 	case res.Err != nil:
-		fmt.Fprintf(out, "#%d %s: error: %v\n", i, kind, res.Err)
+		fmt.Fprintf(out, "%s %s: error: %v\n", label, kind, res.Err)
 	case kind == semilocal.QueryWindows:
-		fmt.Fprintf(out, "#%d %s(%d) =%s\n", i, kind, width, joinInts(res.Windows))
+		fmt.Fprintf(out, "%s %s(%d) =%s\n", label, kind, width, joinInts(res.Windows))
 	case kind == semilocal.QueryBestWindow:
-		fmt.Fprintf(out, "#%d %s(%d) = b[%d:%d) score %d\n",
-			i, kind, width, res.From, res.From+width, res.Score)
+		fmt.Fprintf(out, "%s %s(%d) = b[%d:%d) score %d\n",
+			label, kind, width, res.From, res.From+width, res.Score)
 	default:
-		fmt.Fprintf(out, "#%d %s = %d\n", i, kind, res.Score)
+		fmt.Fprintf(out, "%s %s = %d\n", label, kind, res.Score)
 	}
 }
 
@@ -820,17 +820,17 @@ func parseStreamLine(line string) (streamOp, error) {
 	return streamOp{pat: pat, req: req}, nil
 }
 
-// runStream replays an op script against one streaming session opened
+// runStream replays an op script against one session group opened
 // through the engine, so mutations run under the engine's deadline and
 // retry policy and queries hit the per-generation session cache. Ops
 // run strictly in file order; a failed mutation prints its error and
 // leaves the window unchanged, so the remaining ops still answer
 // against a consistent generation.
 //
-// Scripts that open with `pattern <p>` lines run in group mode
-// instead: the -a-text pattern is pattern 0, each declaration adds the
-// next index, and one multi-pattern session group serves every query —
-// each chunk's text-side work is paid once across all patterns.
+// The -a-text pattern is pattern 0. Scripts that open with `pattern
+// <p>` lines add the next indices, and the group pays each chunk's
+// text-side work once across all patterns; a script without them runs
+// a group of one.
 func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -902,12 +902,7 @@ func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) er
 		defer ms.stop()
 		fmt.Fprintf(out, "# metrics: serving on http://%s/metrics\n", ms.addr())
 	}
-	if len(patterns) > 1 {
-		err = replayStreamGroup(engine, patterns, ops, out)
-	} else {
-		err = replayStream(engine, pattern, ops, out)
-	}
-	if err != nil {
+	if err := replayStreamGroup(engine, patterns, ops, out); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "# engine: %s\n", engine.StatsLine())
@@ -920,50 +915,23 @@ func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) er
 	return nil
 }
 
-// replayStream runs the parsed ops against one single-pattern stream.
-func replayStream(engine *semilocal.Engine, pattern []byte, ops []streamOp, out io.Writer) error {
-	stream, err := engine.OpenStream(pattern)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	for i, op := range ops {
-		switch {
-		case op.append != nil:
-			if err := stream.Append(ctx, op.append); err != nil {
-				fmt.Fprintf(out, "#%d append: error: %v\n", i, err)
-				continue
-			}
-			fmt.Fprintf(out, "#%d append %d bytes: gen=%d window=%d leaves=%d\n",
-				i, len(op.append), stream.Generation(), stream.Window(), stream.Leaves())
-		case op.isSlide:
-			if err := stream.Slide(ctx, op.slide); err != nil {
-				fmt.Fprintf(out, "#%d slide: error: %v\n", i, err)
-				continue
-			}
-			fmt.Fprintf(out, "#%d slide %d: gen=%d window=%d leaves=%d\n",
-				i, op.slide, stream.Generation(), stream.Window(), stream.Leaves())
-		default:
-			printResult(out, i, op.req.Kind, op.req.Width, stream.Query(op.req))
-		}
-	}
-	fmt.Fprintf(out, "# stream: gen=%d leaves=%d window=%d compositions=%d\n",
-		stream.Generation(), stream.Leaves(), stream.Window(), stream.Compositions())
-	return nil
-}
-
-// replayStreamGroup runs the parsed ops against one multi-pattern
-// session group: every append and slide mutates all pattern spines in
-// lockstep, queries address their `@<i>` pattern, and the summary line
-// accounts the sharing (leaf solves actually performed vs per-pattern
-// solves avoided by the shared text-side pass).
+// replayStreamGroup runs the parsed ops against one session group:
+// every append and slide mutates all pattern spines in lockstep and
+// queries address their `@<i>` pattern. A script that declares no
+// patterns runs a group of one and keeps the single-pattern output: no
+// `@i` prefix, and a `# stream:` summary line instead of the sharing
+// account (leaf solves actually performed vs per-pattern solves avoided
+// by the shared text-side pass).
 func replayStreamGroup(engine *semilocal.Engine, patterns [][]byte, ops []streamOp, out io.Writer) error {
 	sg, err := engine.OpenStreamGroup(patterns)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "# stream-group: %d patterns (%d distinct spines)\n",
-		sg.Patterns(), sg.DistinctPatterns())
+	single := len(patterns) == 1
+	if !single {
+		fmt.Fprintf(out, "# stream-group: %d patterns (%d distinct spines)\n",
+			sg.Patterns(), sg.DistinctPatterns())
+	}
 	ctx := context.Background()
 	for i, op := range ops {
 		switch {
@@ -982,20 +950,17 @@ func replayStreamGroup(engine *semilocal.Engine, patterns [][]byte, ops []stream
 			fmt.Fprintf(out, "#%d slide %d: gen=%d window=%d leaves=%d\n",
 				i, op.slide, sg.Generation(), sg.Window(), sg.Leaves())
 		default:
-			res := sg.Query(op.pat, op.req)
-			kind := op.req.Kind
-			switch {
-			case res.Err != nil:
-				fmt.Fprintf(out, "#%d @%d %s: error: %v\n", i, op.pat, kind, res.Err)
-			case kind == semilocal.QueryWindows:
-				fmt.Fprintf(out, "#%d @%d %s(%d) =%s\n", i, op.pat, kind, op.req.Width, joinInts(res.Windows))
-			case kind == semilocal.QueryBestWindow:
-				fmt.Fprintf(out, "#%d @%d %s(%d) = b[%d:%d) score %d\n",
-					i, op.pat, kind, op.req.Width, res.From, res.From+op.req.Width, res.Score)
-			default:
-				fmt.Fprintf(out, "#%d @%d %s = %d\n", i, op.pat, kind, res.Score)
+			label := fmt.Sprintf("#%d @%d", i, op.pat)
+			if single {
+				label = "#" + strconv.Itoa(i)
 			}
+			printResult(out, label, op.req.Kind, op.req.Width, sg.Query(op.pat, op.req))
 		}
+	}
+	if single {
+		fmt.Fprintf(out, "# stream: gen=%d leaves=%d window=%d compositions=%d\n",
+			sg.Generation(), sg.Leaves(), sg.Window(), sg.Compositions())
+		return nil
 	}
 	fmt.Fprintf(out, "# stream-group: gen=%d leaves=%d window=%d patterns=%d distinct=%d leaf_solves=%d leaf_shared=%d compositions=%d\n",
 		sg.Generation(), sg.Leaves(), sg.Window(), sg.Patterns(), sg.DistinctPatterns(),

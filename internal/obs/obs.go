@@ -111,7 +111,7 @@ const (
 	StageTuneProbe
 	// StageStreamGroupAppend is one multi-pattern group mutation end to
 	// end: the shared text-side pass (chunk scan, canonical relabeling
-	// keys, rolling hash) plus the per-pattern fan-out. It nests
+	// keys) plus the per-pattern fan-out. It nests
 	// StageStreamGroupFanout, StageSolve and StageStreamCompose spans.
 	StageStreamGroupAppend
 	// StageStreamGroupFanout is the fan-out phase of a group mutation:

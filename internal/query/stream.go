@@ -10,28 +10,33 @@ import (
 	"semilocal/internal/stream"
 )
 
-// Stream is the engine's serving handle over one streaming kernel
-// session (internal/stream): a fixed pattern against a chunked,
-// optionally sliding window of text. Mutations go through the engine's
-// hardening — the default per-request deadline bounds each append, and
-// transient failures (injected faults today, transport errors
-// tomorrow) retry under the engine's RetryPolicy with backoff. Reads
-// never block on mutations: Session caches one prepared query session
-// per published kernel generation, so repeated queries between appends
-// skip re-preprocessing.
+// StreamGroup is the engine's serving handle over one streaming session
+// group (internal/stream): P ≥ 1 fixed patterns against one shared,
+// chunked, optionally sliding window of text, all spines mutated in
+// lockstep with the chunk's text-side work shared across patterns. A
+// single-pattern stream is a group of one (see Stream).
 //
-// All methods are safe for concurrent use. A Stream has no resources
-// of its own to release; closing the engine fails subsequent
-// mutations with ErrEngineClosed while already-published generations
-// stay queryable.
-type Stream struct {
-	e  *Engine
-	ss *stream.Session
+// Mutations go through the engine's hardening — the default
+// per-request deadline bounds each mutation, and transient failures
+// (injected faults today, transport errors tomorrow) retry under the
+// engine's RetryPolicy with backoff (the group guarantees a failed
+// mutation touched no spine, so blind re-issue is correct for all P
+// patterns at once). Reads never block on mutations: Query caches one
+// prepared session per pattern per published generation, so repeated
+// queries between appends skip re-preprocessing.
+//
+// All methods are safe for concurrent use. Closing the engine fails
+// subsequent mutations with ErrEngineClosed while already-published
+// generations stay queryable.
+type StreamGroup struct {
+	e    *Engine
+	g    *stream.Group
+	what string // names the mutation in retry-exhausted errors
 
 	appends *stats.Counter
 	slides  *stats.Counter
 
-	cur atomic.Pointer[streamGen]
+	cur []atomic.Pointer[streamGen] // per-pattern prepared-session cache
 }
 
 // streamGen caches the prepared query session of one published kernel
@@ -41,17 +46,19 @@ type streamGen struct {
 	sess *Session
 }
 
-// OpenStream opens a streaming session for pattern a, wired to the
-// engine's observability, chaos injection, deadline, and retry
-// policy. Leaf chunks are combed with the sequential variant of the
-// engine's solve configuration: chunks are small relative to the
-// window, so intra-solve parallelism would pay pure overhead per
-// append.
+// OpenStreamGroup opens a streaming session group over the given
+// patterns, wired to the engine's observability, chaos injection,
+// worker pool, deadline, and retry policy. Leaf chunks are combed with
+// the sequential variant of the engine's solve configuration: chunks
+// are small relative to the window, so intra-solve parallelism would
+// pay pure overhead per append; the group fans per-pattern work out
+// across the engine's pool instead.
 //
-// The stream counters (streams_opened, stream_appends, stream_slides)
+// Every engine stream, whatever its pattern count, counts in the same
+// engine counters (streams_opened, stream_appends, stream_slides). They
 // register in the engine's stats on first use, so engines that never
 // stream report the same counter set as before.
-func (e *Engine) OpenStream(a []byte) (*Stream, error) {
+func (e *Engine) OpenStreamGroup(patterns [][]byte) (*StreamGroup, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
@@ -59,52 +66,64 @@ func (e *Engine) OpenStream(a []byte) (*Stream, error) {
 	if leafCfg == (core.Config{}) {
 		leafCfg = stream.DefaultSolveConfig()
 	}
-	ss, err := stream.New(a, stream.Config{Solve: &leafCfg, Obs: e.rec, Chaos: e.inj, Tuning: e.tn})
+	g, err := stream.NewGroup(patterns, stream.GroupConfig{
+		Solve:  &leafCfg,
+		Obs:    e.rec,
+		Chaos:  e.inj,
+		Tuning: e.tn,
+		Pool:   e.pool,
+	})
 	if err != nil {
 		return nil, err
 	}
+	what := "stream group mutation"
+	if g.Patterns() == 1 {
+		what = "stream mutation"
+	}
 	e.reg.Counter("streams_opened").Inc()
-	return &Stream{
+	return &StreamGroup{
 		e:       e,
-		ss:      ss,
+		g:       g,
+		what:    what,
 		appends: e.reg.Counter("stream_appends"),
 		slides:  e.reg.Counter("stream_slides"),
+		cur:     make([]atomic.Pointer[streamGen], g.Patterns()),
 	}, nil
 }
 
-// Append extends the window with one chunk under the engine's deadline
-// and retry policy. A failed append — transient budget exhausted,
-// deadline expired, window overflow — leaves the stream on its
-// previous generation; retrying the same chunk is always meaningful.
-func (st *Stream) Append(ctx context.Context, chunk []byte) error {
-	if st.e.closed.Load() {
+// Append extends the shared window with one chunk across every pattern,
+// under the engine's deadline and retry policy. A failed append —
+// transient budget exhausted, deadline expired, window overflow —
+// leaves every spine on its previous generation; retrying the same
+// chunk is always meaningful.
+func (sg *StreamGroup) Append(ctx context.Context, chunk []byte) error {
+	if sg.e.closed.Load() {
 		return ErrEngineClosed
 	}
-	st.appends.Inc()
-	return st.mutate(ctx, func() error { return st.ss.Append(chunk) })
+	sg.appends.Inc()
+	return sg.mutate(ctx, func() error { return sg.g.Append(chunk) })
 }
 
-// Slide drops the drop oldest chunks from the window, under the same
-// deadline and retry semantics as Append.
-func (st *Stream) Slide(ctx context.Context, drop int) error {
-	if st.e.closed.Load() {
+// Slide drops the drop oldest chunks from the shared window, in
+// lockstep across every pattern, under the same deadline and retry
+// semantics as Append.
+func (sg *StreamGroup) Slide(ctx context.Context, drop int) error {
+	if sg.e.closed.Load() {
 		return ErrEngineClosed
 	}
-	st.slides.Inc()
-	return st.mutate(ctx, func() error { return st.ss.Slide(drop) })
+	sg.slides.Inc()
+	return sg.mutate(ctx, func() error { return sg.g.Slide(drop) })
 }
 
-// mutate runs one streaming mutation under the engine's default
-// deadline and transient-retry policy. The underlying session
-// guarantees a failed mutation changed nothing, which is what makes
-// blind re-issue correct.
-func (st *Stream) mutate(ctx context.Context, op func() error) error {
-	if st.e.deadline > 0 {
+// mutate runs one group mutation under the engine's default deadline
+// and transient-retry policy.
+func (sg *StreamGroup) mutate(ctx context.Context, op func() error) error {
+	if sg.e.deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, st.e.deadline)
+		ctx, cancel = context.WithTimeout(ctx, sg.e.deadline)
 		defer cancel()
 	}
-	return st.e.retryTransient(ctx, "stream mutation", func() error {
+	return sg.e.retryTransient(ctx, sg.what, func() error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -112,52 +131,100 @@ func (st *Stream) mutate(ctx context.Context, op func() error) error {
 	})
 }
 
-// Session returns the prepared query session for the latest published
-// generation, building the dominance structure at most once per
-// generation (concurrent callers racing a fresh generation may build
-// twice; the kernel's internal sync.Once keeps that safe and the
-// last-stored cache wins).
-func (st *Stream) Session() *Session {
-	cur := st.ss.Current()
-	if g := st.cur.Load(); g != nil && g.gen == cur.Gen {
+// Session returns the prepared query session for pattern i's latest
+// published generation, building the dominance structure at most once
+// per pattern per generation (concurrent callers racing a fresh
+// generation may build twice; the kernel's internal sync.Once keeps
+// that safe and the last-stored cache wins).
+func (sg *StreamGroup) Session(i int) *Session {
+	cur := sg.g.Snapshot(i)
+	if g := sg.cur[i].Load(); g != nil && g.gen == cur.Gen {
 		return g.sess
 	}
 	sess := NewSession(cur.Kernel)
-	st.cur.Store(&streamGen{gen: cur.Gen, sess: sess})
+	sg.cur[i].Store(&streamGen{gen: cur.Gen, sess: sess})
 	return sess
 }
 
-// Query answers one request kind against the latest published
-// generation, validating ranges like BatchSolve does (errors instead
-// of panics). Request.A/B, Config and Timeout are ignored: the pair is
-// the stream's pattern and current window, and mutation — not query —
-// is where the deadline applies.
-func (st *Stream) Query(req Request) Result {
-	sess := st.Session()
+// Query answers one request kind against pattern i's latest published
+// generation, validating ranges like BatchSolve does (errors instead of
+// panics). Request.A/B, Config and Timeout are ignored: the pair is
+// pattern i and the shared window, and mutation — not query — is where
+// the deadline applies.
+func (sg *StreamGroup) Query(i int, req Request) Result {
+	sess := sg.Session(i)
 	if err := req.Kind.validate(req.From, req.To, req.Width, sess.M(), sess.N()); err != nil {
 		return Result{Err: err}
 	}
-	qsp := st.e.rec.Start(obs.StageQuery)
+	qsp := sg.e.rec.Start(obs.StageQuery)
 	res := answer(sess, req)
 	qsp.End()
 	return res
 }
 
-// State returns the latest published generation of the underlying
-// streaming session.
-func (st *Stream) State() stream.State { return st.ss.Current() }
+// Patterns returns the number of patterns the group serves.
+func (sg *StreamGroup) Patterns() int { return sg.g.Patterns() }
+
+// DistinctPatterns returns the number of spines the group actually
+// maintains (exact duplicate patterns share one).
+func (sg *StreamGroup) DistinctPatterns() int { return sg.g.DistinctPatterns() }
+
+// M returns the length of pattern i.
+func (sg *StreamGroup) M(i int) int { return sg.g.M(i) }
+
+// State returns pattern i's latest published generation.
+func (sg *StreamGroup) State(i int) stream.State { return sg.g.Snapshot(i) }
+
+// GroupState returns the latest published group-wide generation.
+func (sg *StreamGroup) GroupState() stream.GroupState { return sg.g.Current() }
+
+// Generation returns the latest published group generation number.
+func (sg *StreamGroup) Generation() uint64 { return sg.g.Generation() }
+
+// Window returns the published shared window length in bytes.
+func (sg *StreamGroup) Window() int { return sg.g.Window() }
+
+// Leaves returns the published number of chunks in the shared window.
+func (sg *StreamGroup) Leaves() int { return sg.g.Leaves() }
+
+// Compositions returns the total steady-ant compositions across all
+// member spines.
+func (sg *StreamGroup) Compositions() int64 { return sg.g.Compositions() }
+
+// LeafSolves returns the total leaf chunk solves performed — one per
+// relabeling class per append.
+func (sg *StreamGroup) LeafSolves() int64 { return sg.g.LeafSolves() }
+
+// LeafShares returns the total per-pattern leaf solves avoided by the
+// shared text-side pass.
+func (sg *StreamGroup) LeafShares() int64 { return sg.g.LeafShares() }
+
+// Stream is a one-pattern StreamGroup: a fixed pattern against a
+// chunked, optionally sliding window of text. It adds only the
+// pattern-free spellings of the per-pattern accessors; mutations,
+// counters and hardening are the group's.
+type Stream struct{ *StreamGroup }
+
+// OpenStream opens a streaming session for pattern a: a one-pattern
+// StreamGroup (see OpenStreamGroup).
+func (e *Engine) OpenStream(a []byte) (*Stream, error) {
+	sg, err := e.OpenStreamGroup([][]byte{a})
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{sg}, nil
+}
+
+// Session returns the prepared query session for the latest published
+// generation.
+func (st *Stream) Session() *Session { return st.StreamGroup.Session(0) }
+
+// Query answers one request kind against the latest published
+// generation.
+func (st *Stream) Query(req Request) Result { return st.StreamGroup.Query(0, req) }
+
+// State returns the latest published generation.
+func (st *Stream) State() stream.State { return st.StreamGroup.State(0) }
 
 // M returns the pattern length.
-func (st *Stream) M() int { return st.ss.M() }
-
-// Generation returns the latest published generation number.
-func (st *Stream) Generation() uint64 { return st.ss.Generation() }
-
-// Window returns the published window length in bytes.
-func (st *Stream) Window() int { return st.ss.Window() }
-
-// Leaves returns the published number of chunks in the window.
-func (st *Stream) Leaves() int { return st.ss.Leaves() }
-
-// Compositions returns the total steady-ant compositions performed.
-func (st *Stream) Compositions() int64 { return st.ss.Compositions() }
+func (st *Stream) M() int { return st.StreamGroup.M(0) }

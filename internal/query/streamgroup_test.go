@@ -63,10 +63,10 @@ func TestStreamGroupWrapperMatchesOracle(t *testing.T) {
 		t.Fatal("out-of-range query must report an error")
 	}
 	stats := e.Stats()
-	if stats["stream_groups_opened"] != 1 || stats["stream_group_patterns"] != 4 {
+	if stats["streams_opened"] != 1 {
 		t.Fatalf("group open counters off: %v", stats)
 	}
-	if stats["stream_group_appends"] != 5 || stats["stream_group_slides"] != 1 {
+	if stats["stream_appends"] != 5 || stats["stream_slides"] != 1 {
 		t.Fatalf("group mutation counters off: %v", stats)
 	}
 }

@@ -363,11 +363,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
 }
 
-// handleStream serves POST /v1/stream: the whole op script runs on the
-// shard owning the pattern's content hash, in order, against one
-// engine stream. A failed mutation reports in its slot and leaves the
-// window on the previous generation, so later ops still answer against
-// a consistent state — the same semantics as the CLI -stream mode.
+// handleStream serves POST /v1/stream: the pattern set — one pattern
+// (pattern/pattern64) or several (patterns/patterns64) — opens one
+// session group on the shard owning the set's content hash, and the
+// whole op script runs against it in order. A single pattern is a group
+// of one. A failed mutation reports in its slot and touched no spine, so
+// later ops still answer against a consistent generation — the same
+// semantics as the CLI -stream mode.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start(obs.StageServerRequest)
 	defer sp.End()
@@ -383,17 +385,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: script of %d ops exceeds limit %d", len(sr.Ops), s.maxBatch))
 		return
 	}
-	if len(sr.Patterns) > 0 || len(sr.Patterns64) > 0 {
-		s.handleStreamGroup(w, r, sr)
-		return
-	}
-	pattern, err := pairBytes(sr.Pattern, sr.Pattern64, "pattern")
+	patterns, err := s.streamPatterns(sr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(pattern) > s.maxPair {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: pattern %d bytes exceeds limit %d", len(pattern), s.maxPair))
 		return
 	}
 	n := len(sr.Ops)
@@ -411,12 +405,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tenants.release(sr.Tenant, n)
 
-	slot, err := s.route(pattern, nil)
+	slot, err := s.route(groupRouteKey(patterns), nil)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	st, err := slot.eng.OpenStream(pattern)
+	sg, err := slot.eng.OpenStreamGroup(patterns)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -424,30 +418,40 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	results := make([]StreamOpResult, n)
 	ctx := r.Context()
 	for i, op := range sr.Ops {
-		results[i] = s.streamOp(ctx, st, op)
+		results[i] = s.streamGroupOp(ctx, sg, op)
 	}
-	writeJSON(w, http.StatusOK, StreamResponse{Shard: slot.id, Results: results})
+	writeJSON(w, http.StatusOK, StreamResponse{
+		Shard:    slot.id,
+		Patterns: sg.Patterns(),
+		Distinct: sg.DistinctPatterns(),
+		Results:  results,
+	})
 }
 
-// groupPatterns resolves and validates the multi-pattern set of a
-// group stream request: one spelling only, at most maxBatch patterns,
-// and at most maxPair total pattern bytes (group leaf work per append
-// scales with the distinct pattern mass, so the wire bounds it like an
-// input pair).
-func (s *Server) groupPatterns(sr StreamRequest) ([][]byte, error) {
-	if sr.Pattern != "" || sr.Pattern64 != "" {
-		return nil, errors.New("server: both pattern and patterns set")
-	}
-	if len(sr.Patterns) > 0 && len(sr.Patterns64) > 0 {
-		return nil, errors.New("server: both patterns and patterns64 set")
-	}
+// streamPatterns resolves and validates the pattern set of a stream
+// request: one spelling only, at most maxBatch patterns, and at most
+// maxPair total pattern bytes (group leaf work per append scales with
+// the distinct pattern mass, so the wire bounds it like an input pair).
+// A lone pattern/pattern64 is the one-element set.
+func (s *Server) streamPatterns(sr StreamRequest) ([][]byte, error) {
 	var patterns [][]byte
-	if len(sr.Patterns) > 0 {
+	switch {
+	case len(sr.Patterns) == 0 && len(sr.Patterns64) == 0:
+		p, err := pairBytes(sr.Pattern, sr.Pattern64, "pattern")
+		if err != nil {
+			return nil, err
+		}
+		patterns = [][]byte{p}
+	case sr.Pattern != "" || sr.Pattern64 != "":
+		return nil, errors.New("server: both pattern and patterns set")
+	case len(sr.Patterns) > 0 && len(sr.Patterns64) > 0:
+		return nil, errors.New("server: both patterns and patterns64 set")
+	case len(sr.Patterns) > 0:
 		patterns = make([][]byte, len(sr.Patterns))
 		for i, p := range sr.Patterns {
 			patterns[i] = []byte(p)
 		}
-	} else {
+	default:
 		patterns = make([][]byte, len(sr.Patterns64))
 		for i, p64 := range sr.Patterns64 {
 			raw, err := base64.StdEncoding.DecodeString(p64)
@@ -480,54 +484,6 @@ func groupRouteKey(patterns [][]byte) []byte {
 		key = append(key, p...)
 	}
 	return key
-}
-
-// handleStreamGroup serves the multi-pattern form of POST /v1/stream:
-// the whole op script runs against one session group on the shard
-// owning the pattern set's content hash. Mutation semantics are the
-// group's — a failed append or slide touched no spine, so later ops
-// still answer against a consistent group-wide generation.
-func (s *Server) handleStreamGroup(w http.ResponseWriter, r *http.Request, sr StreamRequest) {
-	patterns, err := s.groupPatterns(sr)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	n := len(sr.Ops)
-	s.requests.Add(int64(n))
-	s.rec.Add(obs.CounterServerRequests, int64(n))
-
-	// All-or-nothing admission, as for single-pattern scripts.
-	if admitted := s.tenants.admit(sr.Tenant, n); admitted < n {
-		s.tenants.release(sr.Tenant, admitted)
-		s.rejects.Add(int64(n))
-		s.rec.Add(obs.CounterTenantRejects, int64(n))
-		httpError(w, http.StatusTooManyRequests, ErrTenantQuota.Error())
-		return
-	}
-	defer s.tenants.release(sr.Tenant, n)
-
-	slot, err := s.route(groupRouteKey(patterns), nil)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	sg, err := slot.eng.OpenStreamGroup(patterns)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	results := make([]StreamOpResult, n)
-	ctx := r.Context()
-	for i, op := range sr.Ops {
-		results[i] = s.streamGroupOp(ctx, sg, op)
-	}
-	writeJSON(w, http.StatusOK, StreamResponse{
-		Shard:    slot.id,
-		Patterns: sg.Patterns(),
-		Distinct: sg.DistinctPatterns(),
-		Results:  results,
-	})
 }
 
 // streamGroupOp executes one op against the session group.
@@ -572,49 +528,6 @@ func (s *Server) streamGroupOp(ctx context.Context, sg *query.StreamGroup, op Wi
 		return fail(fmt.Errorf("server: unknown op %q (want append, slide or query)", op.Op))
 	}
 	return StreamOpResult{Gen: sg.Generation(), Window: sg.Window(), Leaves: sg.Leaves()}
-}
-
-// streamOp executes one op against the stream.
-func (s *Server) streamOp(ctx context.Context, st *query.Stream, op WireOp) StreamOpResult {
-	fail := func(err error) StreamOpResult {
-		return StreamOpResult{Error: err.Error(), ErrorKind: errorKind(err)}
-	}
-	switch op.Op {
-	case "append":
-		chunk, err := pairBytes(op.Chunk, op.Chunk64, "chunk")
-		if err != nil {
-			return fail(err)
-		}
-		if len(chunk) > s.maxPair {
-			return fail(fmt.Errorf("server: chunk %d bytes exceeds limit %d: %w", len(chunk), s.maxPair, errPairTooLarge))
-		}
-		if err := st.Append(ctx, chunk); err != nil {
-			return fail(err)
-		}
-	case "slide":
-		if err := st.Slide(ctx, op.N); err != nil {
-			return fail(err)
-		}
-	case "query":
-		if op.Pat != 0 {
-			return fail(fmt.Errorf("server: pattern index %d on a single-pattern stream (use patterns for group mode)", op.Pat))
-		}
-		kind, err := query.ParseKind(op.Kind)
-		if err != nil {
-			return fail(err)
-		}
-		res := st.Query(query.Request{Kind: kind, From: op.From, To: op.To, Width: op.Width})
-		if res.Err != nil {
-			return fail(res.Err)
-		}
-		return StreamOpResult{
-			Score: res.Score, From: res.From, Windows: res.Windows,
-			Gen: st.Generation(), Window: st.Window(), Leaves: st.Leaves(),
-		}
-	default:
-		return fail(fmt.Errorf("server: unknown op %q (want append, slide or query)", op.Op))
-	}
-	return StreamOpResult{Gen: st.Generation(), Window: st.Window(), Leaves: st.Leaves()}
 }
 
 // handleMetrics serves the Prometheus text exposition: the shared

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -803,6 +804,44 @@ func TestServerStreamGroupErrors(t *testing.T) {
 	}
 	if sresp.Results[1].ErrorKind != "invalid" {
 		t.Errorf("pat on a single-pattern stream must fail typed: %+v", sresp.Results[1])
+	}
+}
+
+// TestServerStreamSpellingsOnePath: {"pattern": p} and {"patterns": [p]}
+// are one request — the same one-pattern group on the same shard, with
+// identical op results, including a failed op.
+func TestServerStreamSpellingsOnePath(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 4})
+	ops := []WireOp{
+		{Op: "append", Chunk: "the quick brown fox"},
+		{Op: "query", Kind: "score"},
+		{Op: "append", Chunk: " jumps over the lazy dog"},
+		{Op: "query", Kind: "best-window", Width: 5},
+		{Op: "slide", N: 1},
+		{Op: "query", Kind: "windows", Width: 4},
+		{Op: "query", Kind: "suffix-prefix", From: 1, To: 6},
+		{Op: "query", Kind: "score", Pat: 1},
+	}
+	for _, p := range []string{"gattaca", "quick", "lazy dog", "o", "", "semilocal-stream-pattern", "brown fox jumps"} {
+		var single, group StreamResponse
+		if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{Pattern: p, Ops: ops}, &single); code != http.StatusOK {
+			t.Fatalf("pattern %q: status = %d", p, code)
+		}
+		if code := postJSON(t, ts.URL+"/v1/stream", StreamRequest{Patterns: []string{p}, Ops: ops}, &group); code != http.StatusOK {
+			t.Fatalf("patterns [%q]: status = %d", p, code)
+		}
+		if single.Shard != group.Shard {
+			t.Errorf("pattern %q: shard %d, as a set of one shard %d", p, single.Shard, group.Shard)
+		}
+		if single.Patterns != 1 || single.Distinct != 1 {
+			t.Errorf("pattern %q: patterns=%d distinct=%d, want 1 and 1", p, single.Patterns, single.Distinct)
+		}
+		if last := single.Results[len(ops)-1]; last.ErrorKind != "invalid" {
+			t.Errorf("pattern %q: pat 1 on a one-pattern stream must fail typed: %+v", p, last)
+		}
+		if !reflect.DeepEqual(single, group) {
+			t.Errorf("pattern %q: spellings diverged:\n pattern:  %+v\n patterns: %+v", p, single, group)
+		}
 	}
 }
 

@@ -54,9 +54,9 @@ type WireRequest struct {
 
 // WireResult is one answered request.
 type WireResult struct {
-	Score   int    `json:"score"`
-	From    int    `json:"from,omitempty"`
-	Windows []int  `json:"windows,omitempty"`
+	Score   int   `json:"score"`
+	From    int   `json:"from,omitempty"`
+	Windows []int `json:"windows,omitempty"`
 	// Shard is the engine shard that answered (-1 when the request
 	// never reached a shard), exposed for operations and the test wall.
 	Shard int `json:"shard"`
@@ -72,16 +72,16 @@ type BatchResponse struct {
 }
 
 // StreamRequest is the body of POST /v1/stream: one op script executed
-// in order against a streaming session for Pattern, on the shard that
-// owns the pattern's content hash.
+// in order against a session group over the pattern set, on the shard
+// owning the length-framed patterns' content hash. Every append/slide
+// mutates all pattern spines in lockstep with the chunk's text-side
+// work shared across patterns, and query ops address a pattern by
+// index via WireOp.Pat.
 //
-// Setting Patterns (or Patterns64) instead runs the script against a
-// multi-pattern session group: every append/slide mutates all pattern
-// spines in lockstep with the chunk's text-side work shared across
-// patterns, query ops address a pattern by index via WireOp.Pat, and
-// the whole group lives on the shard owning the concatenated patterns'
-// content hash. Exactly one spelling of the pattern set may be used —
-// Pattern/Pattern64 and Patterns/Patterns64 are mutually exclusive.
+// The set is spelled Patterns (or Patterns64), or Pattern (or
+// Pattern64) for a set of one — {"pattern": p} and {"patterns": [p]}
+// are the same request. Exactly one spelling may be used: Pattern,
+// Pattern64, Patterns and Patterns64 are mutually exclusive.
 type StreamRequest struct {
 	Tenant    string   `json:"tenant,omitempty"`
 	Pattern   string   `json:"pattern,omitempty"`
@@ -94,9 +94,9 @@ type StreamRequest struct {
 }
 
 // WireOp is one stream operation: {"op":"append","chunk":...},
-// {"op":"slide","n":...}, or {"op":"query","kind":...,...}. In group
-// mode a query op answers for pattern index Pat (default 0); append
-// and slide always mutate the whole group.
+// {"op":"slide","n":...}, or {"op":"query","kind":...,...}. A query op
+// answers for pattern index Pat (default 0); append and slide always
+// mutate the whole group.
 type WireOp struct {
 	Op      string `json:"op"`
 	Chunk   string `json:"chunk,omitempty"`
@@ -110,8 +110,8 @@ type WireOp struct {
 }
 
 // StreamOpResult is one executed op: mutations report the published
-// generation, queries report their answer (echoing the group pattern
-// index in Pat), failures carry the error in place (later ops still
+// generation, queries report their answer (echoing the pattern index
+// in Pat), failures carry the error in place (later ops still
 // run against the last consistent generation).
 type StreamOpResult struct {
 	Gen       uint64 `json:"gen,omitempty"`
@@ -125,9 +125,9 @@ type StreamOpResult struct {
 	ErrorKind string `json:"error_kind,omitempty"`
 }
 
-// StreamResponse is the body of a successful /v1/stream call. Group
-// calls additionally report the pattern count and the number of
-// distinct spines actually maintained (duplicate patterns collapse).
+// StreamResponse is the body of a successful /v1/stream call. It
+// reports the pattern count and the number of distinct spines actually
+// maintained (duplicate patterns collapse).
 type StreamResponse struct {
 	Shard    int              `json:"shard"`
 	Patterns int              `json:"patterns,omitempty"`

@@ -35,11 +35,13 @@ func mults() map[string]oracle.Mult {
 // associativity check (which also compares each product against the
 // naive min-plus oracle) on random braid triples of varied orders.
 func TestAssociativityOnRandomTriples(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
 	for name, mult := range mults() {
 		name, mult := name, mult
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			// One source per parallel subtest: a shared *rand.Rand is a
+			// data race.
+			rng := rand.New(rand.NewSource(31))
 			for _, n := range []int{1, 2, 3, 5, 17, 48, 96} {
 				p := perm.Random(n, rng)
 				q := perm.Random(n, rng)

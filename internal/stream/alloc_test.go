@@ -14,8 +14,8 @@ import (
 // working order, a leaf merge — the steady-ant composition of two
 // adjacent spine buffers — performs zero heap allocations. This is the
 // benchkit.AssertMaxAllocs gate the bench lanes were missing: an arena
-// regression here fails check-stream instead of sailing through
-// bench-smoke unmeasured.
+// regression here fails `go test ./internal/stream` (part of make
+// check) instead of sailing through bench-smoke unmeasured.
 func TestStreamLeafMergeZeroAllocs(t *testing.T) {
 	a := bytes.Repeat([]byte("ab"), 16) // m = 32
 	s, err := New(a, Config{})

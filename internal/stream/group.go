@@ -7,14 +7,14 @@
 // nothing else. Relabeling the joint alphabet by any bijection
 // therefore leaves the kernel bit-identical. A Group exploits this by
 // scanning each arriving chunk once (distinct bytes in first-occurrence
-// order, rolling window hash) and then assigning every pattern a
-// canonical key: the pattern's bytes coded by first occurrence,
-// followed by the chunk's distinct bytes coded in the same joint
-// numbering. Two patterns with equal keys provably comb to the same
+// order) and then assigning every pattern a canonical key: the
+// pattern's bytes coded by first occurrence, followed by the chunk's
+// distinct bytes coded in the same joint numbering. Two patterns with equal keys provably comb to the same
 // leaf kernel, so the group solves each equivalence class once and
 // shares the immutable kernel slice across all member spines (leaf
 // kernels are never recycled, so sharing is safe). Exact duplicate
-// patterns collapse further, to a single spine at construction time.
+// patterns collapse further, to a single spine at construction time,
+// and a group with one spine skips the keying altogether.
 //
 // Mutations are group-wide and keep every pattern's spine in lockstep:
 // Append validates once, solves all deduplicated leaves before touching
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
@@ -61,7 +60,7 @@ type GroupConfig struct {
 	Pool *parallel.Pool
 }
 
-/// GroupState is one published group generation: an immutable snapshot
+// GroupState is one published group generation: an immutable snapshot
 // of the shared window's shape. Per-pattern kernels are read through
 // Snapshot.
 type GroupState struct {
@@ -75,26 +74,7 @@ type GroupState struct {
 	// Patterns is the number of patterns the group serves (duplicates
 	// included).
 	Patterns int
-	// TextHash is the rolling polynomial fingerprint of the window
-	// bytes, maintained incrementally across appends and slides. It
-	// identifies the window content (e.g. for cross-replica diagnostics)
-	// without the group retaining the text.
-	TextHash uint64
 }
-
-// groupLeaf is the per-chunk metadata the group retains for sliding:
-// enough to recompute the window hash and byte count after dropping a
-// prefix, without keeping the text itself.
-type groupLeaf struct {
-	n    int    // chunk length in bytes
-	hash uint64 // polynomial hash of the chunk
-	pow  uint64 // hashBase^n, for O(leaves) refolds after a slide
-}
-
-// hashBase is the odd multiplier of the rolling polynomial fingerprint
-// (wraparound arithmetic mod 2^64 — this is an identity fingerprint,
-// not a collision-resistant digest).
-const hashBase uint64 = 0x9E3779B97F4A7C15
 
 // Group maintains one chunked, sliding window of text against P fixed
 // patterns, one spine per distinct pattern, all mutated in lockstep.
@@ -114,9 +94,15 @@ type Group struct {
 
 	mu     sync.Mutex
 	window int
-	leaves []groupLeaf
+	leaves []int // byte length of each chunk in the window, oldest first
 	gen    uint64
-	hash   uint64
+
+	// Operands of the current mutation, read by the fan-out functions.
+	chunk []byte
+	drop  int
+	// The fan-out functions, bound once so no mutation allocates a
+	// closure: leaf solve of one class, append and slide of one spine.
+	solveFn, appendFn, dropFn func(i int)
 
 	// Retained text-side scratch: the chunk scan, the per-pattern
 	// canonical keys and the dedup tables all reuse these across
@@ -153,6 +139,7 @@ func NewGroup(patterns [][]byte, cfg GroupConfig) (*Group, error) {
 		pool:   cfg.Pool,
 		keyIdx: make(map[string]int),
 	}
+	g.solveFn, g.appendFn, g.dropFn = g.solveClass, g.appendSpine, g.dropSpine
 	g.cfg = DefaultSolveConfig()
 	if cfg.Solve != nil {
 		g.cfg = *cfg.Solve
@@ -221,9 +208,6 @@ func (g *Group) Window() int { return g.cur.Load().Window }
 // Leaves returns the published number of chunks in the window.
 func (g *Group) Leaves() int { return g.cur.Load().Leaves }
 
-// TextHash returns the published rolling fingerprint of the window.
-func (g *Group) TextHash() uint64 { return g.cur.Load().TextHash }
-
 // LeafSolves returns the total number of leaf chunk solves the group
 // has performed — one per relabeling class per append.
 func (g *Group) LeafSolves() int64 { return g.leafSolves.Load() }
@@ -248,28 +232,14 @@ func (g *Group) Compositions() int64 {
 // per append, exactly as for a standalone Session.
 func (g *Group) CompositionsOf(i int) int64 { return g.states[g.idx[i]].Compositions() }
 
-// fault consults the chaos stream point once for the whole group. It
-// runs before any state mutation, so an injected error leaves every
-// spine on its previous generation and retrying is meaningful.
-func (g *Group) fault() error {
-	if d := g.inj.At(chaos.PointStream); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			return chaos.Injected(chaos.PointStream)
-		}
-	}
-	return nil
-}
-
 // Append extends the shared window with one chunk: one chunk scan, one
 // leaf solve per relabeling class, and a lockstep spine append across
 // every pattern. An empty chunk is a no-op. On error (injected fault,
 // oversized window, failed leaf solve) no spine has been touched — the
 // whole group is unchanged and still serves its previous generations.
+// The stream injection point is consulted once for the whole group.
 func (g *Group) Append(chunk []byte) error {
-	if err := g.fault(); err != nil {
+	if err := fault(g.inj); err != nil {
 		return err
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
@@ -286,10 +256,8 @@ func (g *Group) Append(chunk []byte) error {
 			g.maxM+g.window+len(chunk), core.MaxOrder)
 	}
 
-	// Shared text-side pass: scan the chunk once (distinct bytes,
-	// rolling hash), then key every distinct pattern by the joint
-	// canonical relabeling and group equal keys into classes.
-	h, pow := g.scan.beginChunk(chunk)
+	g.chunk = chunk
+	defer func() { g.chunk = nil }() // never retain the caller's buffer
 	g.groupByKey()
 
 	// Solve one leaf kernel per class — before any spine mutation, so a
@@ -301,15 +269,7 @@ func (g *Group) Append(chunk []byte) error {
 		g.kerns = append(g.kerns, nil)
 		g.errs = append(g.errs, nil)
 	}
-	g.each(len(g.reps), func(j int) {
-		st := g.states[g.reps[j]]
-		k, err := core.SolveTuned(st.a, chunk, g.cfg, g.rec, g.tn)
-		if err != nil {
-			g.errs[j] = err
-			return
-		}
-		g.kerns[j] = k.Permutation().RowToCol()
-	})
+	g.each(len(g.reps), g.solveFn)
 	for _, err := range g.errs {
 		if err != nil {
 			fo.End()
@@ -322,17 +282,12 @@ func (g *Group) Append(chunk []byte) error {
 	g.rec.Add(obs.CounterStreamGroupShares, shares)
 
 	// Fan the infallible spine surgery out: every distinct pattern
-	// appends its class's kernel. Kernel slices shared across spines are
-	// immutable leaves and never enter a freelist.
-	n := len(chunk)
-	g.each(len(g.states), func(si int) {
-		g.states[si].appendLeaf(g.kerns[g.slot[si]], n)
-	})
+	// appends its class's kernel.
+	g.each(len(g.states), g.appendFn)
 	fo.End()
 
-	g.window += n
-	g.leaves = append(g.leaves, groupLeaf{n: n, hash: h, pow: pow})
-	g.hash = g.hash*pow + h
+	g.window += len(chunk)
+	g.leaves = append(g.leaves, len(chunk))
 	g.publishLocked()
 	return nil
 }
@@ -340,7 +295,7 @@ func (g *Group) Append(chunk []byte) error {
 // Slide drops the drop oldest chunks from the shared window, in
 // lockstep across every pattern's spine. Sliding by zero is a no-op.
 func (g *Group) Slide(drop int) error {
-	if err := g.fault(); err != nil {
+	if err := fault(g.inj); err != nil {
 		return err
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
@@ -356,18 +311,13 @@ func (g *Group) Slide(drop int) error {
 		return nil
 	}
 	fo := g.rec.Start(obs.StageStreamGroupFanout)
-	g.each(len(g.states), func(si int) {
-		g.states[si].dropLeaves(drop)
-	})
+	g.drop = drop
+	g.each(len(g.states), g.dropFn)
 	fo.End()
-	for i := 0; i < drop; i++ {
-		g.window -= g.leaves[i].n
+	for _, n := range g.leaves[:drop] {
+		g.window -= n
 	}
 	g.leaves = append(g.leaves[:0], g.leaves[drop:]...)
-	g.hash = 0
-	for _, lf := range g.leaves {
-		g.hash = g.hash*lf.pow + lf.hash
-	}
 	g.publishLocked()
 	return nil
 }
@@ -382,9 +332,28 @@ func (g *Group) publishLocked() {
 		Window:   g.window,
 		Leaves:   len(g.leaves),
 		Patterns: len(g.pats),
-		TextHash: g.hash,
 	})
 }
+
+// solveClass solves class j's leaf kernel against the current chunk.
+func (g *Group) solveClass(j int) {
+	k, err := core.SolveTuned(g.states[g.reps[j]].a, g.chunk, g.cfg, g.rec, g.tn)
+	if err != nil {
+		g.errs[j] = err
+		return
+	}
+	g.kerns[j] = k.Permutation().RowToCol()
+}
+
+// appendSpine appends the current chunk's class kernel to spine si.
+// Kernel slices shared across spines are immutable leaves and never
+// enter a freelist.
+func (g *Group) appendSpine(si int) {
+	g.states[si].appendLeaf(g.kerns[g.slot[si]], len(g.chunk))
+}
+
+// dropSpine drops the current slide's leaves from spine si.
+func (g *Group) dropSpine(si int) { g.states[si].dropLeaves(g.drop) }
 
 // each runs fn over [0, n), across the worker pool when the group has
 // one and the fan-out is wide enough to pay for the barrier.
@@ -398,16 +367,22 @@ func (g *Group) each(n int, fn func(i int)) {
 	}
 }
 
-// groupByKey assigns every distinct pattern its canonical relabeling
-// key against the scanned chunk and groups equal keys into classes:
-// slot[si] is session si's class, reps[j] the first session of class j.
-// All scratch is retained; only first-seen map keys allocate.
+// groupByKey is the shared text-side pass: it scans the current chunk
+// once, assigns every distinct pattern its canonical relabeling key
+// against it and groups equal keys into classes: slot[si] is session
+// si's class, reps[j] the first session of class j. One spine is one
+// class, so a one-spine group skips the scan and the keys. All scratch
+// is retained; only first-seen map keys allocate.
 func (g *Group) groupByKey() {
-	for k := range g.keyIdx {
-		delete(g.keyIdx, k)
-	}
 	g.slot = g.slot[:0]
 	g.reps = g.reps[:0]
+	if len(g.states) == 1 {
+		g.slot = append(g.slot, 0)
+		g.reps = append(g.reps, 0)
+		return
+	}
+	g.scan.beginChunk(g.chunk)
+	clear(g.keyIdx)
 	arena := g.arena[:0]
 	for si, st := range g.states {
 		start := len(arena)
@@ -450,23 +425,18 @@ func (sc *groupScan) bump() uint32 {
 	return sc.epoch
 }
 
-// beginChunk scans the chunk once: distinct bytes in first-occurrence
-// order and the polynomial (hash, base^len) pair for the rolling window
-// fingerprint. Zero-alloc in the steady state (the alloc guard pins
-// this).
-func (sc *groupScan) beginChunk(chunk []byte) (hash, pow uint64) {
+// beginChunk scans the chunk once for its distinct bytes in
+// first-occurrence order. Zero-alloc in the steady state (the alloc
+// guard pins this).
+func (sc *groupScan) beginChunk(chunk []byte) {
 	ep := sc.bump()
 	sc.distinct = sc.distinct[:0]
-	pow = 1
 	for _, c := range chunk {
-		hash = hash*hashBase + uint64(c) + 1
-		pow *= hashBase
 		if sc.seen[c] != ep {
 			sc.seen[c] = ep
 			sc.distinct = append(sc.distinct, c)
 		}
 	}
-	return hash, pow
 }
 
 // appendKey appends the joint canonical relabeling key of (pattern,

@@ -91,3 +91,56 @@ func TestGroupSteadyStateAppendAllocs(t *testing.T) {
 		t.Fatalf("steady-state group round allocates %.1f times for 8 shared patterns, want ≤ 100", allocs)
 	}
 }
+
+// TestGroupOnePatternRoundAllocs pins the P = 1 group round — the shape
+// every engine-served single-pattern stream runs — close to a bare
+// Session round: one leaf solve, one spine append, one published
+// generation. The group's own work (fan-out dispatch, class keying) must
+// add no per-round closures or map keys when there is one spine.
+func TestGroupOnePatternRoundAllocs(t *testing.T) {
+	a := bytes.Repeat([]byte("GATTACCA"), 8) // m = 64
+	chunk := bytes.Repeat([]byte("TACGATCAGGTACCAT"), 16)
+	const windowLeaves = 4
+	g, err := NewGroup([][]byte{a}, GroupConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(a, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < windowLeaves; i++ {
+		if err := g.Append(chunk); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	groupRound := func() {
+		if err := g.Slide(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Append(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sessionRound := func() {
+		if err := s.Slide(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Append(chunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*windowLeaves; i++ {
+		groupRound()
+		sessionRound()
+	}
+	group := testing.AllocsPerRun(20, groupRound)
+	session := testing.AllocsPerRun(20, sessionRound)
+	t.Logf("one-pattern round: group %.1f allocs, session %.1f allocs", group, session)
+	if group > 17 {
+		t.Fatalf("one-pattern group round allocates %.1f times (session round %.1f), want ≤ 17", group, session)
+	}
+}

@@ -186,11 +186,11 @@ func (s *Session) Leaves() int { return s.cur.Load().Leaves }
 // append.
 func (s *Session) Compositions() int64 { return s.comps.Load() }
 
-// fault consults the chaos stream point. It runs before any state
-// mutation, so an injected error leaves the session on its previous
-// generation and retrying the same mutation is meaningful.
-func (s *Session) fault() error {
-	if d := s.inj.At(chaos.PointStream); d.Fault != chaos.FaultNone {
+// fault consults the chaos stream point. Sessions and groups call it
+// before any state mutation, so an injected error leaves them on their
+// previous generation and retrying the same mutation is meaningful.
+func fault(inj *chaos.Injector) error {
+	if d := inj.At(chaos.PointStream); d.Fault != chaos.FaultNone {
 		switch d.Fault {
 		case chaos.FaultLatency:
 			time.Sleep(d.Latency)
@@ -207,7 +207,7 @@ func (s *Session) fault() error {
 // oversized window, failed leaf solve) the session is unchanged and
 // still serves its previous generation.
 func (s *Session) Append(chunk []byte) error {
-	if err := s.fault(); err != nil {
+	if err := fault(s.inj); err != nil {
 		return err
 	}
 	sp := s.rec.Start(obs.StageStreamAppend)
@@ -264,7 +264,7 @@ func (s *Session) appendLeaf(kern []int32, n int) {
 // front is then re-normalized (at most one extra merge restores the
 // ≥2× invariant). Sliding by zero is a no-op.
 func (s *Session) Slide(drop int) error {
-	if err := s.fault(); err != nil {
+	if err := fault(s.inj); err != nil {
 		return err
 	}
 	sp := s.rec.Start(obs.StageStreamAppend)

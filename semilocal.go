@@ -295,7 +295,8 @@ func NewStreamSession(a []byte, cfg StreamConfig) (*StreamSession, error) {
 	return stream.New(a, cfg)
 }
 
-// EngineStream is a streaming session served through an Engine:
+// EngineStream is a streaming session served through an Engine — a
+// one-pattern EngineStreamGroup with pattern-free query accessors:
 // mutations run under the engine's deadline and transient-retry
 // policy, and queries hit a per-generation prepared session cache.
 // Open one with Engine.OpenStream.
@@ -304,10 +305,10 @@ type EngineStream = query.Stream
 // Multi-pattern streaming: a session group holds P fixed patterns
 // against one shared chunked window and mutates every per-pattern
 // spine in lockstep. The text-side work of each mutation — the chunk
-// scan, relabeling tables and rolling window hash — runs once for the
-// whole group, patterns that induce the same relabeling class share
-// one leaf solve, and exact duplicate patterns collapse onto a single
-// spine. Per-pattern snapshots stay lock-free.
+// scan and relabeling tables — runs once for the whole group, patterns
+// that induce the same relabeling class share one leaf solve, and exact
+// duplicate patterns collapse onto a single spine. Per-pattern
+// snapshots stay lock-free.
 
 // StreamGroup maintains P pattern kernels over one shared sliding
 // window; see internal/stream.
@@ -329,8 +330,9 @@ func NewStreamGroup(patterns [][]byte, cfg StreamGroupConfig) (*StreamGroup, err
 	return stream.NewGroup(patterns, cfg)
 }
 
-// EngineStreamGroup is a session group served through an Engine:
-// group mutations run under the engine's deadline and transient-retry
+// EngineStreamGroup is a session group served through an Engine —
+// every engine stream is one, and EngineStream is the group of one.
+// Group mutations run under the engine's deadline and transient-retry
 // policy (a failed mutation touched no spine, so re-issue is safe for
 // all P patterns at once), and per-pattern queries hit a
 // per-generation prepared session cache. Open one with
