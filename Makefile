@@ -20,16 +20,16 @@ test-race:
 	go test -race ./...
 
 # The one pre-merge gate: static checks, build, the whole test suite
-# (alloc guards included), the race lane, and the bench module's tests
-# (bench/ is its own Go module, compiled against the engine, stream and
-# obs APIs, so a break there surfaces nowhere else). CI runs exactly
-# this, plus fuzz-smoke and bench-smoke.
+# (alloc guards included), the race lane, and the bench module's vet and
+# tests (bench/ is its own Go module, compiled against the engine,
+# server, stream and obs APIs, so a break there surfaces nowhere else).
+# CI runs exactly this, plus fuzz-smoke and bench-smoke.
 check:
 	go vet ./...
 	go build ./...
 	go test ./...
 	$(MAKE) test-race
-	cd bench && go test ./...
+	cd bench && go vet ./... && go test ./...
 
 bench:
 	go test -bench=. -benchmem ./...

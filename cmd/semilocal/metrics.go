@@ -10,7 +10,6 @@ import (
 
 	"semilocal"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 )
 
 // newMetricsMux wires the -serve-batch observability endpoints:
@@ -64,9 +63,7 @@ func installExpvar(f func() map[string]int64) {
 func obsVars(rec *semilocal.StageRecorder, engine *semilocal.Engine) func() map[string]int64 {
 	return func() map[string]int64 {
 		m := engine.Stats()
-		reg := stats.NewRegistry()
-		rec.Snapshot().PublishTo(reg)
-		for k, v := range reg.Snapshot() {
+		for k, v := range rec.Snapshot().Vars() {
 			m[k] = v
 		}
 		return m

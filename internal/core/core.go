@@ -109,8 +109,8 @@ func Solve(a, b []byte, cfg Config) (*Kernel, error) {
 // errors) and after it (errors that discard finished work). A nil
 // injector reproduces SolveObserved exactly — the two extra nil checks
 // are the entire disabled cost. Like the recorder, the injector is
-// threaded as an argument rather than stored in Config, which stays a
-// comparable cache key.
+// threaded as an argument rather than stored in Config, which only
+// names an algorithm and its parameters.
 func SolveInjected(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector) (*Kernel, error) {
 	return SolveInjectedTuned(a, b, cfg, rec, inj, nil)
 }
@@ -143,8 +143,8 @@ func SolveInjectedTuned(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.I
 
 // SolveObserved is Solve recording stage timings and work counters into
 // rec. The recorder is threaded through the algorithm layers rather
-// than stored in Config, which stays a comparable cache key. A nil rec
-// reproduces Solve exactly with zero instrumentation cost.
+// than stored in Config. A nil rec reproduces Solve exactly with zero
+// instrumentation cost.
 func SolveObserved(a, b []byte, cfg Config, rec *obs.Recorder) (*Kernel, error) {
 	return SolveTuned(a, b, cfg, rec, nil)
 }
@@ -153,11 +153,11 @@ func SolveObserved(a, b []byte, cfg Config, rec *obs.Recorder) (*Kernel, error) 
 // place of the built-in constants: the parallel-split chunk size, the
 // 16-bit strand-index threshold, the hybrid switch size and depth cap,
 // the steady-ant recursion cut-off, and the grid tile target. Like the
-// recorder and injector, the tuning is threaded as an argument so
-// Config stays a comparable cache key — sound because tuning never
-// changes the kernel, only which code path computes it (pinned
-// bit-identically by the grid-sweep differential wall in
-// internal/tune). A nil tn reproduces SolveObserved exactly.
+// recorder and injector, the tuning is threaded as an argument rather
+// than stored in Config. Tuning never changes the kernel, only which
+// code path computes it (pinned bit-identically by the grid-sweep
+// differential wall in internal/tune). A nil tn reproduces
+// SolveObserved exactly.
 func SolveTuned(a, b []byte, cfg Config, rec *obs.Recorder, tn *Tuning) (*Kernel, error) {
 	if len(a)+len(b) > MaxOrder {
 		return nil, fmt.Errorf("core: input order %d exceeds the int32 kernel limit %d", len(a)+len(b), MaxOrder)

@@ -9,10 +9,9 @@ const MaxPrecalcBase = steadyant.MaxBase
 // Tuning carries the per-machine calibrated parameters the solvers read
 // in place of their built-in constants. It is threaded through Solve as
 // an argument — like the obs recorder and the chaos injector — rather
-// than stored in Config, which must stay a comparable cache key; two
-// engines with different tunings still cache under the same key because
-// tuning never changes answers, only which code path produces them
-// (the grid-sweep differential wall pins this bit-identically).
+// than stored in Config. Tuning never changes answers, only which code
+// path produces them (the grid-sweep differential wall pins this
+// bit-identically).
 //
 // A nil *Tuning and the zero value both reproduce the untuned defaults
 // exactly. Each field's zero value means "use the built-in constant",

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"semilocal/internal/stats"
 )
 
 // TestShardedCounterConcurrentExactness: increments from many
@@ -153,19 +151,16 @@ func TestPublishTo(t *testing.T) {
 	r.Observe(StageSolve, 2*time.Millisecond)
 	r.Add(CounterComposes, 3)
 	r.RecordComposeDepth(5)
-	reg := stats.NewRegistry()
-	r.Snapshot().PublishTo(reg)
-	snap := reg.Snapshot()
+	snap := r.Snapshot().Vars()
 	if snap["obs_stage_solve_count"] != 1 || snap["obs_stage_solve_ns"] != int64(2*time.Millisecond) {
 		t.Fatalf("published stage values wrong: %v", snap)
 	}
 	if snap["obs_composes"] != 3 || snap["obs_compose_depth_max"] != 5 {
 		t.Fatalf("published counters wrong: %v", snap)
 	}
-	// Re-publishing a newer snapshot overwrites rather than accumulates.
+	// A newer snapshot carries absolute values, not deltas.
 	r.Add(CounterComposes, 1)
-	r.Snapshot().PublishTo(reg)
-	if got := reg.Snapshot()["obs_composes"]; got != 4 {
+	if got := r.Snapshot().Vars()["obs_composes"]; got != 4 {
 		t.Fatalf("re-publish = %d, want 4", got)
 	}
 }

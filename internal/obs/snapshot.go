@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"semilocal/internal/stats"
 )
 
 // Snapshot is a point-in-time copy of a Recorder: one histogram
@@ -108,29 +106,30 @@ func (s Snapshot) WriteBreakdown(w io.Writer) {
 	}
 }
 
-// PublishTo publishes the snapshot into a stats registry as absolute
-// gauge values: obs_stage_<stage>_count, obs_stage_<stage>_ns for every
-// stage with recorded spans, obs_<counter> for every nonzero counter,
-// and obs_compose_depth_max. Re-publishing a newer snapshot overwrites
-// the previous values.
-func (s Snapshot) PublishTo(reg *stats.Registry) {
+// Vars flattens the snapshot into absolute values by name:
+// obs_stage_<stage>_count and obs_stage_<stage>_ns for every stage with
+// recorded spans, obs_<counter> for every nonzero counter, and
+// obs_compose_depth_max once a composition recorded its depth.
+func (s Snapshot) Vars() map[string]int64 {
+	vars := make(map[string]int64)
 	for st := Stage(0); st < NumStages; st++ {
 		h := s.Stages[st]
 		if h.Count == 0 {
 			continue
 		}
-		reg.Set("obs_stage_"+st.String()+"_count", int64(h.Count))
-		reg.Set("obs_stage_"+st.String()+"_ns", h.Sum)
+		vars["obs_stage_"+st.String()+"_count"] = int64(h.Count)
+		vars["obs_stage_"+st.String()+"_ns"] = h.Sum
 	}
 	for c := CounterID(0); c < NumCounters; c++ {
 		if s.Counters[c] == 0 {
 			continue
 		}
-		reg.Set("obs_"+c.String(), s.Counters[c])
+		vars["obs_"+c.String()] = s.Counters[c]
 	}
 	if s.ComposeDepthMax > 0 {
-		reg.Set("obs_compose_depth_max", s.ComposeDepthMax)
+		vars["obs_compose_depth_max"] = s.ComposeDepthMax
 	}
+	return vars
 }
 
 // WriteMetrics renders the snapshot (plus optional extra counters, e.g.

@@ -9,9 +9,11 @@ package query
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
+	"semilocal/internal/benchkit"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
 )
@@ -100,6 +102,28 @@ func TestAcquireHitPathAllocParity(t *testing.T) {
 	if on != off {
 		t.Fatalf("traced hit path allocates %v per run vs %v untraced; tracing must add 0", on, off)
 	}
+}
+
+// TestAcquireHitCopiesNothing: a warmed hit hashes the pair and looks
+// it up; it never copies the pair (only a miss does, for its detached
+// solve). The one allocation allowed is the hash state.
+func TestAcquireHitCopiesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := make([]byte, 1024), make([]byte, 1024)
+	for i := range a {
+		a[i], b[i] = byte('a'+rng.Intn(4)), byte('a'+rng.Intn(4))
+	}
+	ctx := context.Background()
+	e := NewEngine(Options{})
+	defer e.Close()
+	if _, err := e.Acquire(ctx, a, b); err != nil { // warm the cache
+		t.Fatal(err)
+	}
+	benchkit.AssertMaxAllocs(t, "Engine.Acquire hit, 1 KiB + 1 KiB", 1, 200, func() {
+		if _, err := e.Acquire(ctx, a, b); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSolveInjectedDisabledAddsZeroAllocs: a nil injector must leave

@@ -1,34 +1,19 @@
 package query
 
 import (
+	"bytes"
 	"container/list"
 	"context"
-	"hash/fnv"
+	"encoding/binary"
+	"sync"
 	"time"
 
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
 	"semilocal/internal/stats"
-	"sync"
+	"semilocal/internal/store"
 )
-
-// cacheKey identifies one cached session. The full input strings are
-// kept (not just their hashes) so a hash collision can never serve the
-// wrong kernel; the hash is only used to pick a shard. core.Config is a
-// comparable struct, so the whole key is comparable.
-type cacheKey struct {
-	a, b string
-	cfg  core.Config
-}
-
-func (k cacheKey) shardOf(n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(k.a))
-	h.Write([]byte{0xff})
-	h.Write([]byte(k.b))
-	return int(h.Sum32()) % n
-}
 
 // flight is one in-progress solve that concurrent requests for the same
 // key attach to instead of solving again (singleflight).
@@ -40,7 +25,7 @@ type flight struct {
 
 // entry is one resident cached session.
 type entry struct {
-	key  cacheKey
+	key  store.Key
 	sess *Session
 }
 
@@ -48,13 +33,17 @@ type entry struct {
 // resident sessions plus the in-flight solve table.
 type shard struct {
 	mu       sync.Mutex
-	resident map[cacheKey]*list.Element // values are *entry
-	lru      *list.List                 // front = most recently used
-	inflight map[cacheKey]*flight
+	resident map[store.Key]*list.Element // values are *entry
+	lru      *list.List                  // front = most recently used
+	inflight map[store.Key]*flight
 	capacity int
 }
 
-// cache is the sharded LRU session cache with singleflight dedup.
+// cache is the sharded LRU session cache with singleflight dedup. It is
+// keyed by the pair's content hash (store.Key) alone — the identity the
+// store persists under and the server's ring routes on. The solve
+// configuration only decides how a miss is solved: every configuration
+// produces the same kernel, so a kernel cached under one serves all.
 // When a persistent store tier is attached, it sits under the LRU as a
 // write-through second tier: the singleflight spans both tiers, so at
 // most one goroutine per key reads the store or solves.
@@ -101,25 +90,29 @@ func newCache(shards, capacity int, reg *stats.Registry, rec *obs.Recorder, inj 
 	per := (capacity + shards - 1) / shards
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			resident: make(map[cacheKey]*list.Element),
+			resident: make(map[store.Key]*list.Element),
 			lru:      list.New(),
-			inflight: make(map[cacheKey]*flight),
+			inflight: make(map[store.Key]*flight),
 			capacity: per,
 		}
 	}
 	return c
 }
 
-// acquire returns the session for key, solving at most once per key no
-// matter how many goroutines ask concurrently. ctx bounds only this
-// caller's wait: the solve itself runs on its own goroutine and always
-// completes and caches its result, even if every waiter gives up
+// acquire returns the session for key, the content key of (a, b),
+// solving with cfg at most once per key no matter how many goroutines
+// ask concurrently. ctx bounds only this caller's wait: the solve
+// itself runs on its own goroutine and always completes and caches its
+// result, even if every waiter gives up
 // (kernel algorithms are not interruptible mid-DP, and finishing the
 // work keeps it amortizable). Detaching the solve from the caller is
 // also what makes acquire deadlock-free when callers are pool workers:
 // a worker blocked on a flight never holds up the solver it is waiting
 // for, because solvers do not need a worker slot.
-func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
+//
+// A hit copies nothing. A miss copies a and b once, because the detached
+// solve outlives a caller that may give up and reuse its buffers.
+func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg core.Config) (*Session, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -132,7 +125,7 @@ func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
 			// cancelled on entry: the typed error, no partial work.
 			return nil, context.Canceled
 		case chaos.FaultEvict:
-			c.evictAll(cacheKey{}, false)
+			c.evictAll(store.Key{}, false)
 		}
 	}
 	// cache_hit / cache_miss histograms split acquire latency by
@@ -144,7 +137,10 @@ func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
 	if traced {
 		t0 = time.Now()
 	}
-	sh := c.shards[key.shardOf(len(c.shards))]
+	// The shard pick reads key bytes the server's ring does not (it
+	// positions keys by key[:8]), so one server shard's keys still spread
+	// over all of its cache shards.
+	sh := c.shards[binary.LittleEndian.Uint64(key[8:16])%uint64(len(c.shards))]
 
 	sh.mu.Lock()
 	if el, ok := sh.resident[key]; ok {
@@ -166,7 +162,7 @@ func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
 		c.deduped.Inc()
 	} else {
 		c.misses.Inc()
-		go c.runFlight(sh, key, fl)
+		go c.runFlight(sh, key, bytes.Clone(a), bytes.Clone(b), cfg, fl)
 	}
 	select {
 	case <-fl.done:
@@ -182,19 +178,16 @@ func (c *cache) acquire(ctx context.Context, key cacheKey) (*Session, error) {
 // runFlight fills one flight — from the persistent store when it holds
 // the kernel, by solving otherwise — publishes the session into the
 // shard's LRU (evicting past capacity), and releases every waiter.
-// Kernels are config-invariant (every algorithm produces bit-identical
-// kernels; the store differential suite pins this), so a store hit is
-// valid for any key.cfg, and a solved kernel is published to the store
-// keyed by content alone.
-func (c *cache) runFlight(sh *shard, key cacheKey, fl *flight) {
-	k := c.tier.lookup(key.a, key.b)
+// The flight owns a and b.
+func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config, fl *flight) {
+	k := c.tier.lookup(key)
 	if k == nil {
 		var err error
-		k, err = c.solve([]byte(key.a), []byte(key.b), key.cfg)
+		k, err = c.solve(a, b, cfg)
 		if err != nil {
 			fl.err = err
 		} else {
-			c.tier.publish(key.a, key.b, k)
+			c.tier.publish(key, k)
 		}
 	}
 	if k != nil {
@@ -241,7 +234,7 @@ func (c *cache) runFlight(sh *shard, key cacheKey, fl *flight) {
 // haveKeep is set), counting each drop as an eviction. Shard locks are
 // taken one at a time, never nested. Evicted sessions stay valid for
 // holders; only future acquires re-solve.
-func (c *cache) evictAll(keep cacheKey, haveKeep bool) {
+func (c *cache) evictAll(keep store.Key, haveKeep bool) {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for el := sh.lru.Front(); el != nil; {

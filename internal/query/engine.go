@@ -50,8 +50,9 @@ func (p RetryPolicy) backoffAfter(attempt int) time.Duration {
 // Options configures an Engine. The zero value is usable: sequential
 // batches, the default solve configuration, and a small cache.
 type Options struct {
-	// Config is the kernel algorithm used when a request does not carry
-	// its own; the zero value is sequential row-major combing.
+	// Config chooses how a cache miss is solved; the zero value is
+	// sequential row-major combing. It is not part of the cache key:
+	// every configuration produces the same kernel.
 	Config core.Config
 	// Workers is the fan-out width of BatchSolve (values ≤ 1 process
 	// batches sequentially). This is independent of Config.Workers,
@@ -64,9 +65,6 @@ type Options struct {
 	// Shards is the lock-sharding factor of the cache; 0 means
 	// DefaultShards.
 	Shards int
-	// Stats receives the engine's counters; nil allocates a private
-	// registry, exposed by Engine.Stats.
-	Stats *stats.Registry
 	// Obs receives stage timings (queue wait, cache hit/miss latency,
 	// per-request end-to-end, solver stages) and work counters. nil (the
 	// default) disables tracing entirely: the hot paths run the
@@ -99,11 +97,9 @@ type Options struct {
 	Chaos *chaos.Injector
 	// Tuning supplies machine-calibrated solver parameters (see
 	// internal/tune); every solve the engine performs — batch, stream
-	// leaves, degraded fallbacks — reads tuned values through it. It is
-	// deliberately NOT part of the cache key: tuning changes how a
-	// kernel is computed, never the kernel itself, so sessions cached
-	// under one tuning serve requests under another. nil runs the
-	// built-in defaults.
+	// leaves, degraded fallbacks — reads tuned values through it. Like
+	// Config, tuning changes how a kernel is computed, never the kernel
+	// itself. nil runs the built-in defaults.
 	Tuning *core.Tuning
 	// Store, when non-nil, backs the cache with the persistent kernel
 	// store as a write-through second tier: cache misses consult the
@@ -167,10 +163,7 @@ type Engine struct {
 
 // NewEngine builds an engine; the caller owns it and must Close it.
 func NewEngine(opts Options) *Engine {
-	reg := opts.Stats
-	if reg == nil {
-		reg = stats.NewRegistry()
-	}
+	reg := stats.NewRegistry()
 	shards := opts.Shards
 	if shards == 0 {
 		shards = DefaultShards
@@ -235,25 +228,27 @@ func (e *Engine) StatsLine() string { return e.reg.String() }
 // CachedKernels reports the number of resident cached sessions.
 func (e *Engine) CachedKernels() int { return e.cache.len() }
 
-// Acquire returns the prepared session for (a, b) under the engine's
-// default configuration, solving the kernel only if no resident or
-// in-flight session exists. The session stays valid after eviction (it
-// is immutable); eviction only stops future Acquires from reusing it.
+// Acquire returns the prepared session for (a, b), solving the kernel
+// with the engine's configuration only if no resident or in-flight
+// session exists. The session stays valid after eviction (it is
+// immutable); eviction only stops future Acquires from reusing it. A
+// solve that outlives ctx works on its own copy of a and b.
 func (e *Engine) Acquire(ctx context.Context, a, b []byte) (*Session, error) {
-	return e.AcquireConfig(ctx, a, b, e.cfg)
+	return e.acquire(ctx, Request{A: a, B: b}.WithKey(), e.cfg)
 }
 
-// AcquireConfig is Acquire with an explicit solve configuration, which
-// participates in the cache key.
-func (e *Engine) AcquireConfig(ctx context.Context, a, b []byte, cfg core.Config) (*Session, error) {
+// acquire is Acquire for a keyed request; cfg only decides how a miss
+// is solved.
+func (e *Engine) acquire(ctx context.Context, req Request, cfg core.Config) (*Session, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
-	return e.cache.acquire(ctx, cacheKey{a: string(a), b: string(b), cfg: cfg})
+	return e.cache.acquire(ctx, req.key, req.A, req.B, cfg)
 }
 
 // Request is one unit of work for BatchSolve: an input pair, the query
-// to answer on its kernel, and an optional per-request deadline.
+// to answer on its kernel, and an optional per-request deadline. The
+// engine never writes into a caller's Request.
 type Request struct {
 	A, B []byte
 	// Kind selects the query family; see the Kind constants.
@@ -263,13 +258,30 @@ type Request struct {
 	From, To int
 	// Width is the window width of Windows and BestWindow.
 	Width int
-	// Config overrides the engine's default solve configuration when
-	// non-nil.
-	Config *core.Config
 	// Timeout bounds this request alone (0 = no extra bound); it is
 	// applied on top of the batch context.
 	Timeout time.Duration
+
+	// key is the content key of (A, B), valid once keyed is set; only
+	// WithKey sets it.
+	key   store.Key
+	keyed bool
 }
+
+// WithKey returns a copy of r carrying the content key of its pair,
+// store.KeyOf(A, B): the one kernel identity the engine caches,
+// deduplicates and persists under and the server routes on. Keying a
+// keyed request costs nothing, so a pair routed by its key is hashed
+// once. Key a request only once A and B are final.
+func (r Request) WithKey() Request {
+	if !r.keyed {
+		r.key, r.keyed = store.KeyOf(r.A, r.B), true
+	}
+	return r
+}
+
+// Key returns the content key of r's pair (see WithKey).
+func (r Request) Key() store.Key { return r.WithKey().key }
 
 // Result is the answer to one Request.
 type Result struct {
@@ -404,10 +416,6 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	cfg := e.cfg
-	if req.Config != nil {
-		cfg = *req.Config
-	}
 	if err := req.Kind.validate(req.From, req.To, req.Width, len(req.A), len(req.B)); err != nil {
 		return Result{Err: err}
 	}
@@ -424,6 +432,7 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 	// swaps an uncached parallel solve for the sequential variant —
 	// the answer is bit-identical (every algorithm produces the same
 	// kernel), only the solve strategy changes.
+	cfg := e.cfg
 	if stalled || e.deadlineNear(ctx) {
 		if seq, changed := degradeConfig(cfg); changed {
 			cfg = seq
@@ -431,7 +440,7 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 			e.rec.Add(obs.CounterDegradations, 1)
 		}
 	}
-	sess, err := e.acquireRetry(ctx, req.A, req.B, cfg)
+	sess, err := e.acquireRetry(ctx, req.WithKey(), cfg)
 	if err != nil {
 		return Result{Err: err}
 	}
@@ -470,8 +479,9 @@ func (e *Engine) deadlineNear(ctx context.Context) bool {
 // reporting whether anything changed: worker parallelism drops to 1,
 // and the multi-phase parallel algorithms (whose sequential runs pay
 // pure overhead) fall back to branchless anti-diagonal combing — the
-// paper's strongest sequential kernel. Degraded configs are ordinary
-// cache keys: a degraded solve is cached and reused like any other.
+// paper's strongest sequential kernel. The config never enters the
+// cache key, so a degraded request still hits a kernel cached under any
+// config, and a degraded solve serves every later request.
 func degradeConfig(cfg core.Config) (core.Config, bool) {
 	seq := cfg
 	seq.Workers = 0
@@ -485,17 +495,17 @@ func degradeConfig(cfg core.Config) (core.Config, bool) {
 	return seq, true
 }
 
-// acquireRetry is AcquireConfig under the engine's retry policy:
+// acquireRetry is acquire under the engine's retry policy:
 // transient solve failures (IsTransient — injected faults today,
 // retryable transport errors tomorrow) are re-attempted with
 // exponential backoff until the policy or the request's deadline runs
 // out. Non-transient errors and successes return immediately, so the
 // fault-free path costs one extra branch.
-func (e *Engine) acquireRetry(ctx context.Context, a, b []byte, cfg core.Config) (*Session, error) {
+func (e *Engine) acquireRetry(ctx context.Context, req Request, cfg core.Config) (*Session, error) {
 	var sess *Session
 	err := e.retryTransient(ctx, "solve", func() error {
 		var err error
-		sess, err = e.AcquireConfig(ctx, a, b, cfg)
+		sess, err = e.acquire(ctx, req, cfg)
 		return err
 	})
 	if err != nil {

@@ -48,22 +48,150 @@ func TestAcquireHitsAndMisses(t *testing.T) {
 	if got := solves.Load(); got != 1 {
 		t.Fatalf("solves = %d, want 1", got)
 	}
-	// A different config is a different cache key.
-	if _, err := e.AcquireConfig(ctx, a, b, core.Config{Algorithm: core.Antidiag}); err != nil {
+	// A different config is the same cache key: it only decides how a
+	// miss would be solved.
+	s3, err := e.acquire(ctx, Request{A: a, B: b}.WithKey(), core.Config{Algorithm: core.Antidiag})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := solves.Load(); got != 2 {
-		t.Fatalf("solves after config change = %d, want 2", got)
+	if s3 != s1 {
+		t.Fatal("a different config missed the cached session")
+	}
+	if got := solves.Load(); got != 1 {
+		t.Fatalf("solves after config change = %d, want 1", got)
 	}
 	snap := e.Stats()
-	if snap["cache_hits"] != 1 || snap["cache_misses"] != 2 {
-		t.Fatalf("stats = %v, want 1 hit / 2 misses", snap)
+	if snap["cache_hits"] != 2 || snap["cache_misses"] != 1 {
+		t.Fatalf("stats = %v, want 2 hits / 1 miss", snap)
 	}
-	if e.CachedKernels() != 2 {
-		t.Fatalf("CachedKernels = %d, want 2", e.CachedKernels())
+	if e.CachedKernels() != 1 {
+		t.Fatalf("CachedKernels = %d, want 1", e.CachedKernels())
 	}
 	if snap["cache_bytes"] <= 0 {
 		t.Fatalf("cache_bytes gauge = %d, want positive", snap["cache_bytes"])
+	}
+}
+
+// TestOneKernelAcrossConfigs: the cache key is the pair's content
+// alone, so acquiring one pair under each of the seven algorithms solves
+// once and every answer comes from that one kernel.
+func TestOneKernelAcrossConfigs(t *testing.T) {
+	e := NewEngine(Options{})
+	defer e.Close()
+	var solves atomic.Int64
+	inner := e.cache.solve
+	install(e, func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
+		solves.Add(1)
+		return inner(a, b, cfg)
+	})
+	a, b := []byte("gattacagattaca"), []byte("tacatacgattacata")
+	req := Request{A: a, B: b}.WithKey()
+	for _, cfg := range []core.Config{
+		{Algorithm: core.RowMajor},
+		{Algorithm: core.Antidiag, Workers: 2},
+		{Algorithm: core.AntidiagBranchless, Workers: 2},
+		{Algorithm: core.LoadBalanced, Workers: 2},
+		{Algorithm: core.Recursive},
+		{Algorithm: core.Hybrid, Workers: 2},
+		{Algorithm: core.GridReduction, Workers: 2},
+	} {
+		sess, err := e.acquire(context.Background(), req, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", cfg, err)
+		}
+		if got, want := sess.Score(), oracle.Score(a, b); got != want {
+			t.Fatalf("%v: Score = %d, oracle %d", cfg, got, want)
+		}
+		if got, want := sess.StringSubstring(3, 11), oracle.StringSubstring(a, b, 3, 11); got != want {
+			t.Fatalf("%v: StringSubstring = %d, oracle %d", cfg, got, want)
+		}
+	}
+	if got := solves.Load(); got != 1 {
+		t.Fatalf("solves = %d across seven configs, want 1", got)
+	}
+	if got := e.CachedKernels(); got != 1 {
+		t.Fatalf("CachedKernels = %d, want 1", got)
+	}
+}
+
+// TestDegradedRequestHitsWarmKernel: degradation only changes how a miss
+// is solved. A near-deadline request for a pair a normal request already
+// cached hits that kernel instead of solving the sequential variant.
+func TestDegradedRequestHitsWarmKernel(t *testing.T) {
+	e := NewEngine(Options{
+		Config:       core.Config{Algorithm: core.LoadBalanced, Workers: 2},
+		DegradeBelow: time.Hour,
+	})
+	defer e.Close()
+	a, b := []byte("gattacagattaca"), []byte("tacatacgattacata")
+	ctx := context.Background()
+	if res := e.BatchSolve(ctx, []Request{{A: a, B: b, Kind: Score}}); res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	warm := e.Stats()
+	res := e.BatchSolve(ctx, []Request{{A: a, B: b, Kind: Score, Timeout: time.Minute}})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	if want := oracle.Score(a, b); res[0].Score != want {
+		t.Fatalf("degraded Score = %d, oracle %d", res[0].Score, want)
+	}
+	snap := e.Stats()
+	if snap["requests_degraded"] != 1 {
+		t.Fatalf("requests_degraded = %d, want 1", snap["requests_degraded"])
+	}
+	if snap["cache_misses"] != 1 || snap["cache_hits"] != warm["cache_hits"]+1 {
+		t.Fatalf("stats = %v, want the degraded request to hit the one solved kernel", snap)
+	}
+}
+
+// TestAbandonedMissOwnsItsPair: a caller whose wait times out may reuse
+// its buffers at once; the detached solve must still cache the kernel of
+// the bytes it was asked about.
+func TestAbandonedMissOwnsItsPair(t *testing.T) {
+	e := NewEngine(Options{})
+	defer e.Close()
+	gate := make(chan struct{})
+	inner := e.cache.solve
+	install(e, func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
+		<-gate
+		return inner(a, b, cfg)
+	})
+	origA, origB := []byte("gattacagattaca"), []byte("tacatacgattacata")
+	a, b := append([]byte(nil), origA...), append([]byte(nil), origB...)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := e.Acquire(ctx, a, b); err != context.DeadlineExceeded {
+		t.Fatalf("Acquire = %v, want deadline exceeded", err)
+	}
+	for i := range a {
+		a[i] = 'x'
+	}
+	for i := range b {
+		b[i] = 'y'
+	}
+	close(gate)
+	deadline := time.Now().Add(10 * time.Second)
+	for e.CachedKernels() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned solve never published")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sess, err := e.Acquire(context.Background(), origA, origB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats()["cache_hits"] != 1 {
+		t.Fatalf("stats = %v, want the original pair to hit the abandoned solve", e.Stats())
+	}
+	n := len(origB)
+	for l := 0; l <= n; l++ {
+		for r := l; r <= n; r++ {
+			if got, want := sess.StringSubstring(l, r), oracle.StringSubstring(origA, origB, l, r); got != want {
+				t.Fatalf("StringSubstring(%d,%d) = %d, oracle %d", l, r, got, want)
+			}
+		}
 	}
 }
 

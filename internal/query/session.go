@@ -6,12 +6,13 @@
 // structure built eagerly, so every one of the four semi-local query
 // families costs O(log(m+n)) with no first-query construction spike,
 // and sliding-window sweeps cost O(1) amortized per window. An Engine
-// adds a sharded LRU cache of sessions keyed by the input pair and
-// solve configuration, with singleflight deduplication (concurrent
-// requests for the same pair trigger exactly one solve) and a batch
-// entry point that fans independent requests across a worker pool under
-// per-request context deadlines. Cache traffic is counted through a
-// stats.Registry for observability.
+// adds a sharded LRU cache of sessions keyed by the pair's content hash
+// (store.Key, the identity the persistent store and the server's ring
+// share), with singleflight deduplication (concurrent requests for the
+// same pair trigger exactly one solve) and a batch entry point that fans
+// independent requests across a worker pool under per-request context
+// deadlines. The solve configuration only decides how a miss is solved.
+// Engine.Stats reports the cache traffic counters.
 package query
 
 import (

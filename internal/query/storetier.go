@@ -46,8 +46,8 @@ type storeTier struct {
 }
 
 type tierAppend struct {
-	a, b string
-	k    *core.Kernel
+	key store.Key
+	k   *core.Kernel
 }
 
 // tierQueueDepth bounds kernels awaiting their background append. The
@@ -81,11 +81,11 @@ func newStoreTier(st *store.Store, reg *stats.Registry, rec *obs.Recorder, inj *
 	return t
 }
 
-// lookup consults the store for the kernel of (a, b), returning nil on
+// lookup consults the store for the kernel under key, returning nil on
 // any miss: absent key, corrupt record, injected fault, or closed
 // store. The caller falls through to an ordinary solve, so a failing
 // store degrades the serving path without changing any answer.
-func (t *storeTier) lookup(a, b string) *core.Kernel {
+func (t *storeTier) lookup(key store.Key) *core.Kernel {
 	if t == nil {
 		return nil
 	}
@@ -100,7 +100,7 @@ func (t *storeTier) lookup(a, b string) *core.Kernel {
 		}
 	}
 	sp := t.rec.Start(obs.StageStoreRead)
-	k, err := t.st.Get(store.KeyOf([]byte(a), []byte(b)))
+	k, err := t.st.Get(key)
 	sp.End()
 	if err == nil {
 		t.hits.Inc()
@@ -121,7 +121,7 @@ func (t *storeTier) lookup(a, b string) *core.Kernel {
 // silently drops the kernel when the tier is already closed — a
 // detached flight finishing after Engine.Close loses only warmth,
 // never correctness.
-func (t *storeTier) publish(a, b string, k *core.Kernel) {
+func (t *storeTier) publish(key store.Key, k *core.Kernel) {
 	if t == nil {
 		return
 	}
@@ -132,7 +132,7 @@ func (t *storeTier) publish(a, b string, k *core.Kernel) {
 	}
 	t.wg.Add(1)
 	t.mu.Unlock()
-	t.pending <- tierAppend{a: a, b: b, k: k}
+	t.pending <- tierAppend{key: key, k: k}
 }
 
 // run is the publisher goroutine: it drains the append queue, writing
@@ -156,7 +156,7 @@ func (t *storeTier) append(p tierAppend) {
 		}
 	}
 	sp := t.rec.Start(obs.StageStoreAppend)
-	err := t.st.Put(store.KeyOf([]byte(p.a), []byte(p.b)), p.k)
+	err := t.st.Put(p.key, p.k)
 	sp.End()
 	if err != nil {
 		return

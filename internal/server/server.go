@@ -9,7 +9,9 @@
 // throughput scale horizontally in one process: every shard owns its
 // own LRU session cache, worker pool, and counters, and a given input
 // pair always lands on the same shard (so the singleflight dedup and
-// cache locality of internal/query keep working per shard). Per-tenant
+// cache locality of internal/query keep working per shard). A batch
+// request's pair is hashed once: the key that routes it also keys the
+// shard's cache, singleflight and store. Per-tenant
 // quotas layer on top of the per-shard MaxQueue/Deadline/retry/shed
 // machinery: the engine bound protects the process, the tenant bound
 // protects tenants from each other.
@@ -31,6 +33,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +56,9 @@ type Config struct {
 	// Engine.MaxKernels applies per shard, so aggregate cache capacity
 	// is Shards × MaxKernels — the horizontal-scaling knob.
 	Shards int
-	// Engine is the per-shard engine template. Stats is overridden with
-	// a private per-shard registry (see ShardStats); Obs and Chaos are
-	// shared across shards and consulted by the router itself.
+	// Engine is the per-shard engine template. Every shard engine keeps
+	// its own counters (see ShardStats); Obs and Chaos are shared across
+	// shards and consulted by the router itself.
 	Engine query.Options
 	// TenantQuota bounds each tenant's outstanding requests across the
 	// whole tier; 0 disables per-tenant admission.
@@ -75,11 +78,10 @@ type Config struct {
 	Vnodes int
 }
 
-// shardSlot is one engine shard with its private counter registry.
+// shardSlot is one engine shard.
 type shardSlot struct {
 	id  int
 	eng *query.Engine
-	reg *stats.Registry
 }
 
 // Server is the sharded serving tier. Construct with New, expose
@@ -142,9 +144,7 @@ func New(cfg Config) (*Server, error) {
 	s.reroutes = s.reg.Counter("server_reroutes")
 	s.rejects = s.reg.Counter("tenant_rejects")
 	for i := 0; i < n; i++ {
-		opts := cfg.Engine
-		opts.Stats = stats.NewRegistry()
-		s.shards = append(s.shards, &shardSlot{id: i, eng: query.NewEngine(opts), reg: opts.Stats})
+		s.shards = append(s.shards, &shardSlot{id: i, eng: query.NewEngine(cfg.Engine)})
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
@@ -193,12 +193,12 @@ func (s *Server) healthyShards() int {
 }
 
 // Stats aggregates the tier's counters: the sum of every shard's
-// engine registry plus the tier-level server_requests /
+// engine counters plus the tier-level server_requests /
 // server_reroutes / tenant_rejects.
 func (s *Server) Stats() map[string]int64 {
 	out := s.reg.Snapshot()
 	for _, sh := range s.shards {
-		for k, v := range sh.reg.Snapshot() {
+		for k, v := range sh.eng.Stats() {
 			out[k] += v
 		}
 	}
@@ -211,7 +211,7 @@ func (s *Server) ShardStats(i int) map[string]int64 {
 	if i < 0 || i >= len(s.shards) {
 		return nil
 	}
-	return s.shards[i].reg.Snapshot()
+	return s.shards[i].eng.Stats()
 }
 
 // StatsLine renders the aggregate counters as a stable one-line
@@ -227,28 +227,16 @@ func (s *Server) StatsLine() string {
 	for i, name := range names {
 		parts[i] = fmt.Sprintf("%s=%d", name, snap[name])
 	}
-	return sortedJoin(parts)
+	return strings.Join(parts, " ")
 }
 
-func sortedJoin(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
-}
-
-// route picks the shard for input pair (a, b): the content hash's home
-// shard on the ring, or — when chaos killed it for this arrival or it
-// is marked down — the next healthy shard clockwise. The reroute is
-// the tier's degraded mode: colder cache, identical answers.
-func (s *Server) route(a, b []byte) (*shardSlot, error) {
+// route picks the shard for content key key: its home shard on the
+// ring, or — when chaos killed it for this arrival or it is marked down
+// — the next healthy shard clockwise. The reroute is the tier's
+// degraded mode: colder cache, identical answers.
+func (s *Server) route(key store.Key) (*shardSlot, error) {
 	rsp := s.rec.Start(obs.StageServerRoute)
 	defer rsp.End()
-	key := store.KeyOf(a, b)
 	killed := -1
 	if d := s.inj.At(chaos.PointShard); d.Fault != chaos.FaultNone {
 		switch d.Fault {
@@ -283,11 +271,14 @@ type routedReq struct {
 
 // solveRouted routes each request to its shard, runs the per-shard
 // sub-batches concurrently (shards are independent engines), and
-// scatters answers back into results by original index.
+// scatters answers back into results by original index. Each pair is
+// hashed once: the keyed request carries its content key on into the
+// shard's cache and store.
 func (s *Server) solveRouted(ctx context.Context, reqs []routedReq, results []WireResult) {
 	groups := make([][]routedReq, len(s.shards))
 	for _, rr := range reqs {
-		slot, err := s.route(rr.req.A, rr.req.B)
+		rr.req = rr.req.WithKey()
+		slot, err := s.route(rr.req.Key())
 		if err != nil {
 			results[rr.idx] = WireResult{Shard: -1, Error: err.Error(), ErrorKind: errorKind(err)}
 			continue
@@ -405,7 +396,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tenants.release(sr.Tenant, n)
 
-	slot, err := s.route(groupRouteKey(patterns), nil)
+	slot, err := s.route(store.KeyOf(groupRouteKey(patterns), nil))
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -549,7 +540,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP semilocal_shard_counter Per-shard engine counters.\n")
 	fmt.Fprintf(w, "# TYPE semilocal_shard_counter gauge\n")
 	for _, sh := range s.shards {
-		snap := sh.reg.Snapshot()
+		snap := sh.eng.Stats()
 		names := make([]string, 0, len(snap))
 		for name := range snap {
 			names = append(names, name)
