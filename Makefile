@@ -19,12 +19,14 @@ test:
 test-race:
 	go test -race ./...
 
-# The one pre-merge gate: static checks, build, the whole test suite
-# (alloc guards included), the race lane, and the bench module's vet and
-# tests (bench/ is its own Go module, compiled against the engine,
-# server, stream and obs APIs, so a break there surfaces nowhere else).
+# The one pre-merge gate: static checks (gofmt must list no file), build,
+# the whole test suite (alloc guards included), the race lane, and the
+# bench module's vet and tests (bench/ is its own Go module, compiled
+# against the engine, server, stream and obs APIs, so a break there
+# surfaces nowhere else).
 # CI runs exactly this, plus fuzz-smoke and bench-smoke.
 check:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
 	go test ./...

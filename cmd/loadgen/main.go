@@ -241,8 +241,9 @@ func drive(cfg config, base string, srv *semilocal.Server, out io.Writer) error 
 	if srv != nil {
 		stats := srv.Stats()
 		fmt.Fprintf(out, "tier: hits=%d misses=%d sheds=%d reroutes=%d tenant-rejects=%d\n",
-			stats["cache_hits"], stats["cache_misses"], stats["requests_shed"],
-			stats["server_reroutes"], stats["tenant_rejects"])
+			stats[obs.CounterCacheHits.String()], stats[obs.CounterCacheMisses.String()],
+			stats[obs.CounterSheds.String()], stats[obs.CounterServerReroutes.String()],
+			stats[obs.CounterTenantRejects.String()])
 	}
 	return nil
 }

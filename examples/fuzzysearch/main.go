@@ -118,7 +118,7 @@ func main() {
 			patterns[i], res.From, res.From+len(patterns[i]), res.Score, len(patterns[i]))
 	}
 	fmt.Printf("engine counters: %s\n", engine.StatsLine())
-	if misses := engine.Stats()["cache_misses"]; misses != 4 {
+	if misses := engine.Stats()[semilocal.CounterCacheMisses.String()]; misses != 4 {
 		log.Fatalf("expected 4 kernel solves for 4 distinct patterns, got %d", misses)
 	}
 

@@ -14,6 +14,15 @@ import (
 	"testing"
 )
 
+// TestHashBasesPerProcess: the bases in use are drawn at package init,
+// not the compile-time seed earlier builds used (which any client could
+// read and craft colliding inputs against).
+func TestHashBasesPerProcess(t *testing.T) {
+	if b1, b2 := seedBases(0x5eed5eed5eed5eed); hashBase1 == b1 && hashBase2 == b2 {
+		t.Fatal("hash bases are the fixed compile-time seed's")
+	}
+}
+
 func TestHashCollisionStress(t *testing.T) {
 	origB1, origB2 := hashBase1, hashBase2
 	defer func() { hashBase1, hashBase2 = origB1, origB2 }()

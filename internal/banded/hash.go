@@ -1,6 +1,9 @@
 package banded
 
-import "math/bits"
+import (
+	"math/bits"
+	"math/rand/v2"
+)
 
 // LCP jumps are what turn the diagonal BFS from Myers' O(nd) into
 // Landau–Vishkin's O(n + k²·log n): extending a frontier along a run of
@@ -24,12 +27,13 @@ import "math/bits"
 // mersenne61 is the modulus 2⁶¹−1 of both hash streams.
 const mersenne61 = (1 << 61) - 1
 
-// hashBase1/hashBase2 are the polynomial bases. They are package
-// variables (not constants) only so the collision-stress tests can
-// force degenerate seeds; production code never mutates them. Values
-// are splitmix64 outputs reduced into [256, p−1): full-avalanche,
-// deterministic, and independent of each other.
-var hashBase1, hashBase2 = seedBases(0x5eed5eed5eed5eed)
+// hashBase1/hashBase2 are the polynomial bases, drawn once per process
+// from a random seed so a client cannot craft inputs against known
+// bases. The collision-stress tests overwrite them with degenerate
+// seeds; production code never mutates them. Values are splitmix64
+// outputs reduced into [256, p−1): full-avalanche and independent of
+// each other.
+var hashBase1, hashBase2 = seedBases(rand.Uint64())
 
 // seedBases derives the two polynomial bases from one seed.
 func seedBases(seed uint64) (uint64, uint64) {

@@ -200,13 +200,13 @@ func TestInjectedErrorContract(t *testing.T) {
 // are out of range, instead of silently configuring dead chaos.
 func TestNewRejectsBadRules(t *testing.T) {
 	bad := []Rule{
-		{Point: NumPoints, Fault: FaultLatency, PerMille: 10},           // unknown point
-		{Point: PointSolveStart, Fault: FaultNone, PerMille: 10},        // no fault
-		{Point: PointSolveStart, Fault: FaultStall, PerMille: 10},       // stall outside worker
-		{Point: PointWorker, Fault: FaultError, PerMille: 10},           // error outside solve
-		{Point: PointSolveStart, Fault: FaultEvict, PerMille: 10},       // evict inside solve
-		{Point: PointSolveStart, Fault: FaultError, PerMille: 1001},     // probability > 1
-		{Point: PointSolveStart, Fault: FaultError, PerMille: -1},       // negative probability
+		{Point: NumPoints, Fault: FaultLatency, PerMille: 10},                        // unknown point
+		{Point: PointSolveStart, Fault: FaultNone, PerMille: 10},                     // no fault
+		{Point: PointSolveStart, Fault: FaultStall, PerMille: 10},                    // stall outside worker
+		{Point: PointWorker, Fault: FaultError, PerMille: 10},                        // error outside solve
+		{Point: PointSolveStart, Fault: FaultEvict, PerMille: 10},                    // evict inside solve
+		{Point: PointSolveStart, Fault: FaultError, PerMille: 1001},                  // probability > 1
+		{Point: PointSolveStart, Fault: FaultError, PerMille: -1},                    // negative probability
 		{Point: PointQuery, Fault: FaultLatency, PerMille: 1, Latency: -time.Second}, // negative latency
 	}
 	for i, r := range bad {

@@ -16,13 +16,13 @@ func TestFits16Boundary(t *testing.T) {
 		m, n int
 		want bool
 	}{
-		{half, half, true},         // 2n == Max16, the ablation gate's shape
-		{half, half + 1, false},    // one past the square boundary
-		{1, Max16 - 1, true},       // extreme aspect, exactly at the edge
-		{2, Max16 - 1, false},      // one strand too many
-		{0, Max16, true},           // degenerate but representable
-		{0, 0, true},               //
-		{Max16, Max16, false},      //
+		{half, half, true},      // 2n == Max16, the ablation gate's shape
+		{half, half + 1, false}, // one past the square boundary
+		{1, Max16 - 1, true},    // extreme aspect, exactly at the edge
+		{2, Max16 - 1, false},   // one strand too many
+		{0, Max16, true},        // degenerate but representable
+		{0, 0, true},            //
+		{Max16, Max16, false},   //
 	}
 	for _, c := range cases {
 		if got := Fits16(c.m, c.n); got != c.want {

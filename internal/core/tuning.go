@@ -90,4 +90,3 @@ func (t *Tuning) tiles(cfgTiles, workers int) int {
 	}
 	return w * t.TilesPerWorker
 }
-

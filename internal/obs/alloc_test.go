@@ -14,12 +14,15 @@ import (
 // TestDisabledRecorderZeroAllocs pins the core contract of the
 // instrumentation layer: a nil recorder adds zero allocations to any
 // hot path it is threaded through — spans, observations, counters and
-// gauges all no-op without touching the heap or the clock.
+// gauges all no-op without touching the heap or the clock, and an
+// always-on counter set with no recorder attached bumps one atomic.
 func TestDisabledRecorderZeroAllocs(t *testing.T) {
 	var r *Recorder
+	set := NewCounterSet(ScopeEngine, r)
 	if got := testing.AllocsPerRun(1000, func() {
 		sp := r.Start(StageSolve)
 		r.Add(CounterCombCells, 4096)
+		set.Add(CounterCacheHits, 1)
 		r.Observe(StageQueueWait, time.Microsecond)
 		r.RecordComposeDepth(12)
 		sp.End()
@@ -30,13 +33,15 @@ func TestDisabledRecorderZeroAllocs(t *testing.T) {
 
 // TestEnabledRecorderHotPathZeroAllocs: even when enabled, spans are
 // values and buckets are fixed arrays, so steady-state recording does
-// not allocate either (construction of the Recorder is the only
-// allocation the subsystem ever makes).
+// not allocate either (construction of the Recorder and of counter sets
+// are the only allocations the subsystem makes on the write side).
 func TestEnabledRecorderHotPathZeroAllocs(t *testing.T) {
 	r := New()
+	set := NewCounterSet(ScopeEngine, r)
 	if got := testing.AllocsPerRun(1000, func() {
 		sp := r.Start(StageSolve)
 		r.Add(CounterCombCells, 4096)
+		set.Add(CounterCacheHits, 1)
 		r.Observe(StageQueueWait, time.Microsecond)
 		r.RecordComposeDepth(12)
 		sp.End()

@@ -21,7 +21,10 @@
 // exact (see the concurrency tests).
 package obs
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Stage names one timed region of the solver or serving pipeline.
 type Stage uint8
@@ -148,7 +151,8 @@ func (s Stage) String() string {
 // the solve proper and is likewise excluded.
 var solveChildren = []Stage{StageCombRows, StageCombDiags, StageCombFinish, StageCompose, StageBitBlocks}
 
-// CounterID names one event counter.
+// CounterID names one event counter. Each counter is declared once:
+// its ID, its exported name and its Scope live in counterDefs.
 type CounterID uint8
 
 const (
@@ -253,29 +257,107 @@ const (
 	// host — rejected on platform mismatch, kept-but-flagged on a CPU
 	// count change.
 	CounterProfileStale
+	// CounterRequests counts batch requests accepted by an engine.
+	CounterRequests
+	// CounterRequestsInflight is a gauge: engine requests currently
+	// being processed.
+	CounterRequestsInflight
+	// CounterCacheHits counts acquires served by a resident session.
+	CounterCacheHits
+	// CounterCacheMisses counts acquires that started a solve (or a
+	// store read).
+	CounterCacheMisses
+	// CounterCacheDeduped counts acquires that joined another
+	// request's in-flight solve.
+	CounterCacheDeduped
+	// CounterCacheEvictions counts resident sessions dropped by LRU
+	// pressure or an eviction storm.
+	CounterCacheEvictions
+	// CounterCacheBytes is a gauge: the resident sessions' bytes.
+	CounterCacheBytes
+	// CounterStreamsOpened counts stream groups opened on an engine (a
+	// single-pattern stream is a group of one).
+	CounterStreamsOpened
+	// CounterStreamAppendOps counts engine stream Append calls.
+	CounterStreamAppendOps
+	// CounterStreamSlideOps counts engine stream Slide calls.
+	CounterStreamSlideOps
 	// NumCounters bounds the CounterID enum.
 	NumCounters
 )
 
-var counterNames = [NumCounters]string{
-	"comb_cells", "comb_diags", "composes", "compose_order",
-	"arena_bytes", "grid_tiles", "bit_blocks", "open_spans",
-	"retries", "sheds", "degradations", "faults_injected",
-	"appends_total", "compositions_total",
-	"requests_banded", "band_fallbacks",
-	"store_hits", "store_misses", "store_appends", "store_corrupt_records",
-	"server_requests", "server_reroutes", "tenant_rejects",
-	"profile_loads", "profile_fallbacks", "tune_probes",
-	"stream_group_appends", "stream_group_patterns", "stream_group_shares",
-	"profile_stale",
+// Scope says which counter set owns a counter.
+type Scope uint8
+
+const (
+	// ScopeRecorder counters are solver work counters: they live only
+	// in a Recorder and are off when it is nil.
+	ScopeRecorder Scope = iota
+	// ScopeEngine counters live in every query.Engine's CounterSet and
+	// are always on, whatever the engine's options.
+	ScopeEngine
+	// ScopeServer counters live in the server.Server's CounterSet and
+	// are always on.
+	ScopeServer
+)
+
+// counterDefs is the one declaration of every counter's exported name
+// and owning scope.
+var counterDefs = [NumCounters]struct {
+	name  string
+	scope Scope
+}{
+	CounterCombCells:           {"comb_cells", ScopeRecorder},
+	CounterCombDiags:           {"comb_diags", ScopeRecorder},
+	CounterComposes:            {"composes", ScopeRecorder},
+	CounterComposeOrder:        {"compose_order", ScopeRecorder},
+	CounterArenaBytes:          {"arena_bytes", ScopeRecorder},
+	CounterGridTiles:           {"grid_tiles", ScopeRecorder},
+	CounterBitBlocks:           {"bit_blocks", ScopeRecorder},
+	CounterOpenSpans:           {"open_spans", ScopeRecorder},
+	CounterRetries:             {"requests_retried", ScopeEngine},
+	CounterSheds:               {"requests_shed", ScopeEngine},
+	CounterDegradations:        {"requests_degraded", ScopeEngine},
+	CounterFaultsInjected:      {"faults_injected", ScopeRecorder},
+	CounterStreamAppends:       {"appends_total", ScopeRecorder},
+	CounterStreamComposes:      {"compositions_total", ScopeRecorder},
+	CounterBandedRequests:      {"requests_banded", ScopeEngine},
+	CounterBandFallbacks:       {"band_fallbacks", ScopeEngine},
+	CounterStoreHits:           {"store_hits", ScopeEngine},
+	CounterStoreMisses:         {"store_misses", ScopeEngine},
+	CounterStoreAppends:        {"store_appends", ScopeEngine},
+	CounterStoreCorrupt:        {"store_corrupt_records", ScopeEngine},
+	CounterServerRequests:      {"server_requests", ScopeServer},
+	CounterServerReroutes:      {"server_reroutes", ScopeServer},
+	CounterTenantRejects:       {"tenant_rejects", ScopeServer},
+	CounterProfileLoads:        {"profile_loads", ScopeRecorder},
+	CounterProfileFallbacks:    {"profile_fallbacks", ScopeRecorder},
+	CounterTuneProbes:          {"tune_probes", ScopeRecorder},
+	CounterStreamGroupAppends:  {"stream_group_appends", ScopeRecorder},
+	CounterStreamGroupPatterns: {"stream_group_patterns", ScopeRecorder},
+	CounterStreamGroupShares:   {"stream_group_shares", ScopeRecorder},
+	CounterProfileStale:        {"profile_stale", ScopeRecorder},
+	CounterRequests:            {"requests", ScopeEngine},
+	CounterRequestsInflight:    {"requests_inflight", ScopeEngine},
+	CounterCacheHits:           {"cache_hits", ScopeEngine},
+	CounterCacheMisses:         {"cache_misses", ScopeEngine},
+	CounterCacheDeduped:        {"cache_deduped", ScopeEngine},
+	CounterCacheEvictions:      {"cache_evictions", ScopeEngine},
+	CounterCacheBytes:          {"cache_bytes", ScopeEngine},
+	CounterStreamsOpened:       {"streams_opened", ScopeEngine},
+	CounterStreamAppendOps:     {"stream_appends", ScopeEngine},
+	CounterStreamSlideOps:      {"stream_slides", ScopeEngine},
 }
 
 func (c CounterID) String() string {
 	if c < NumCounters {
-		return counterNames[c]
+		return counterDefs[c].name
 	}
 	return "unknown"
 }
+
+// Scope returns the counter set that owns c.
+func (c CounterID) Scope() Scope { return counterDefs[c].scope }
 
 // ComposeSpanMinOrder is the smallest multiplication order for which
 // StageCompose records a timed span. Smaller products (the O(m+n) tiny
@@ -372,6 +454,42 @@ func (r *Recorder) Counter(c CounterID) int64 {
 		return 0
 	}
 	return r.ctr[c].Load()
+}
+
+// CounterSet is the always-on counter set of one engine or server: one
+// atomic per counter, exported whether or not a Recorder is attached.
+// Add forwards every event to the attached Recorder too, so a counter
+// reads the same in the set and in the recorder (summed over every set
+// that shares it). A CounterSet is safe for concurrent use.
+type CounterSet struct {
+	scope Scope
+	rec   *Recorder
+	v     [NumCounters]atomic.Int64
+}
+
+// NewCounterSet returns the zeroed set of scope's counters, forwarding
+// to rec (nil forwards nowhere).
+func NewCounterSet(scope Scope, rec *Recorder) *CounterSet {
+	return &CounterSet{scope: scope, rec: rec}
+}
+
+// Add adds d to counter c (negative deltas move gauges down) and to
+// the attached recorder.
+func (s *CounterSet) Add(c CounterID, d int64) {
+	s.v[c].Add(d)
+	s.rec.Add(c, d)
+}
+
+// Snapshot returns the current value of every counter of the set's
+// scope by name: always the same names, zero or not.
+func (s *CounterSet) Snapshot() map[string]int64 {
+	out := make(map[string]int64)
+	for c := CounterID(0); c < NumCounters; c++ {
+		if c.Scope() == s.scope {
+			out[c.String()] = s.v[c].Load()
+		}
+	}
+	return out
 }
 
 // Snapshot returns a point-in-time copy of everything the recorder has

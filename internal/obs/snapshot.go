@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -133,7 +134,7 @@ func (s Snapshot) Vars() map[string]int64 {
 }
 
 // WriteMetrics renders the snapshot (plus optional extra counters, e.g.
-// an engine's stats registry snapshot) in the Prometheus text
+// an engine's counter-set snapshot) in the Prometheus text
 // exposition format. Stage histograms appear only once they have
 // observations (so scrape output stays proportional to what actually
 // ran); counters and extras always appear, with a stable ordering
@@ -168,15 +169,30 @@ func WriteMetrics(w io.Writer, s Snapshot, extra map[string]int64) {
 	if extra != nil {
 		fmt.Fprintf(w, "# HELP semilocal_engine_counter Query engine counters.\n")
 		fmt.Fprintf(w, "# TYPE semilocal_engine_counter gauge\n")
-		names := make([]string, 0, len(extra))
-		for name := range extra {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range SortedNames(extra) {
 			fmt.Fprintf(w, "semilocal_engine_counter{name=%q} %d\n", name, extra[name])
 		}
 	}
+}
+
+// SortedNames returns the names of a counter map in sorted order.
+func SortedNames(m map[string]int64) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// StatsLine renders a counter map as "name=value" pairs in sorted-name
+// order: the one-line summary of Engine.StatsLine and Server.StatsLine.
+func StatsLine(m map[string]int64) string {
+	parts := make([]string, 0, len(m))
+	for _, name := range SortedNames(m) {
+		parts = append(parts, fmt.Sprintf("%s=%d", name, m[name]))
+	}
+	return strings.Join(parts, " ")
 }
 
 // formatSeconds renders a duration as decimal seconds the way

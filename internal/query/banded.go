@@ -29,8 +29,7 @@ import (
 // BandedConfig configures the engine's banded fast path.
 type BandedConfig struct {
 	// Enabled turns the dispatcher on. Off (the zero value), every
-	// request takes the kernel pipeline and the engine registers no
-	// banded counters.
+	// request takes the kernel pipeline and the banded counters stay 0.
 	Enabled bool
 	// MaxK is the edit-distance budget of the band: pairs within MaxK
 	// edits are answered by the BFS, pairs beyond it fall back to the
@@ -84,15 +83,13 @@ func (e *Engine) tryBanded(ctx context.Context, req Request) (Result, bool) {
 	if err := ctx.Err(); err != nil {
 		return Result{Err: err}, true
 	}
-	e.bandedReqs.Inc()
-	e.rec.Add(obs.CounterBandedRequests, 1)
+	e.ctr.Add(obs.CounterBandedRequests, 1)
 	return Result{Score: score}, true
 }
 
 // bandFallback counts one kernel fallback and returns the empty result
 // the dispatcher discards.
 func (e *Engine) bandFallback() Result {
-	e.bandFallbacks.Inc()
-	e.rec.Add(obs.CounterBandFallbacks, 1)
+	e.ctr.Add(obs.CounterBandFallbacks, 1)
 	return Result{}
 }

@@ -114,16 +114,33 @@ func TestBandedCountersMirrorObs(t *testing.T) {
 	}
 }
 
-// TestBandedDisabledRegistersNoCounters pins the lazy-registration
-// contract: an engine without the fast path exposes no banded counters,
-// so existing metrics output (and its goldens) cannot drift.
+// TestBandedDisabledRegistersNoCounters: turning the fast path off
+// neither adds nor drops a counter (the engine set is fixed), and a
+// disabled engine never moves the banded counters, however
+// banded-routable its Score requests are.
 func TestBandedDisabledRegistersNoCounters(t *testing.T) {
-	e := NewEngine(Options{})
-	defer e.Close()
-	snap := e.Stats()
+	reqs, _ := bandedWorkload(rand.New(rand.NewSource(24)))
+	off := NewEngine(Options{})
+	defer off.Close()
+	on := NewEngine(Options{Banded: BandedConfig{Enabled: true}})
+	defer on.Close()
+	for i, r := range off.BatchSolve(context.Background(), reqs) {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", i, r.Err)
+		}
+	}
+	snap, onSnap := off.Stats(), on.Stats()
+	if len(snap) != len(onSnap) {
+		t.Fatalf("disabled engine exports %d counters, enabled %d", len(snap), len(onSnap))
+	}
+	for name := range onSnap {
+		if _, ok := snap[name]; !ok {
+			t.Errorf("disabled engine lacks %q", name)
+		}
+	}
 	for _, key := range []string{"requests_banded", "band_fallbacks"} {
-		if _, ok := snap[key]; ok {
-			t.Errorf("disabled engine registered %q", key)
+		if v, ok := snap[key]; !ok || v != 0 {
+			t.Errorf("disabled engine %s = %d (exported %v), want 0", key, v, ok)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 	"semilocal/internal/store"
 )
 
@@ -53,15 +52,10 @@ type cache struct {
 	rec    *obs.Recorder
 	inj    *chaos.Injector
 	tier   *storeTier // nil when no persistent store is configured
-
-	hits      *stats.Counter // request served by a resident session
-	misses    *stats.Counter // request started a solve
-	deduped   *stats.Counter // request joined another request's solve
-	evictions *stats.Counter // resident session dropped by LRU pressure
-	bytes     *stats.Counter // resident session bytes (gauge)
+	ctr    *obs.CounterSet
 }
 
-func newCache(shards, capacity int, reg *stats.Registry, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
+func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
 	if shards < 1 {
 		shards = 1
 	}
@@ -71,16 +65,12 @@ func newCache(shards, capacity int, reg *stats.Registry, rec *obs.Recorder, inj 
 		capacity = shards
 	}
 	c := &cache{
-		shards:    make([]*shard, shards),
-		solve:     core.Solve,
-		rec:       rec,
-		inj:       inj,
-		tier:      tier,
-		hits:      reg.Counter("cache_hits"),
-		misses:    reg.Counter("cache_misses"),
-		deduped:   reg.Counter("cache_deduped"),
-		evictions: reg.Counter("cache_evictions"),
-		bytes:     reg.Counter("cache_bytes"),
+		shards: make([]*shard, shards),
+		solve:  core.Solve,
+		rec:    rec,
+		inj:    inj,
+		tier:   tier,
+		ctr:    ctr,
 	}
 	if rec != nil || inj != nil || tn != nil {
 		c.solve = func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
@@ -146,7 +136,7 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 	if el, ok := sh.resident[key]; ok {
 		sh.lru.MoveToFront(el)
 		sh.mu.Unlock()
-		c.hits.Inc()
+		c.ctr.Add(obs.CounterCacheHits, 1)
 		if traced {
 			c.rec.Observe(obs.StageCacheHit, time.Since(t0))
 		}
@@ -159,9 +149,9 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 	}
 	sh.mu.Unlock()
 	if joined {
-		c.deduped.Inc()
+		c.ctr.Add(obs.CounterCacheDeduped, 1)
 	} else {
-		c.misses.Inc()
+		c.ctr.Add(obs.CounterCacheMisses, 1)
 		go c.runFlight(sh, key, bytes.Clone(a), bytes.Clone(b), cfg, fl)
 	}
 	select {
@@ -210,14 +200,14 @@ func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config
 	delete(sh.inflight, key)
 	if fl.sess != nil {
 		sh.resident[key] = sh.lru.PushFront(&entry{key: key, sess: fl.sess})
-		c.bytes.Add(int64(fl.sess.MemoryBytes()))
+		c.ctr.Add(obs.CounterCacheBytes, int64(fl.sess.MemoryBytes()))
 		for sh.lru.Len() > sh.capacity {
 			oldest := sh.lru.Back()
 			e := oldest.Value.(*entry)
 			sh.lru.Remove(oldest)
 			delete(sh.resident, e.key)
-			c.bytes.Add(-int64(e.sess.MemoryBytes()))
-			c.evictions.Inc()
+			c.ctr.Add(obs.CounterCacheBytes, -int64(e.sess.MemoryBytes()))
+			c.ctr.Add(obs.CounterCacheEvictions, 1)
 		}
 	}
 	sh.mu.Unlock()
@@ -243,8 +233,8 @@ func (c *cache) evictAll(keep store.Key, haveKeep bool) {
 			if !haveKeep || e.key != keep {
 				sh.lru.Remove(el)
 				delete(sh.resident, e.key)
-				c.bytes.Add(-int64(e.sess.MemoryBytes()))
-				c.evictions.Inc()
+				c.ctr.Add(obs.CounterCacheBytes, -int64(e.sess.MemoryBytes()))
+				c.ctr.Add(obs.CounterCacheEvictions, 1)
 			}
 			el = next
 		}

@@ -11,7 +11,6 @@ import (
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
 	"semilocal/internal/parallel"
-	"semilocal/internal/stats"
 	"semilocal/internal/store"
 )
 
@@ -132,7 +131,7 @@ type Engine struct {
 	tier   *storeTier // nil without a persistent store
 	pool   *parallel.Pool
 	cfg    core.Config
-	reg    *stats.Registry
+	ctr    *obs.CounterSet
 	rec    *obs.Recorder
 	inj    *chaos.Injector
 	tn     *core.Tuning
@@ -146,24 +145,11 @@ type Engine struct {
 	pending      atomic.Int64 // admitted, not yet answered (≤ maxQueue)
 
 	banded BandedConfig
-
-	requests *stats.Counter // BatchSolve requests accepted
-	inflight *stats.Counter // requests currently being processed (gauge)
-	sheds    *stats.Counter // requests rejected by admission control
-	retried  *stats.Counter // extra solve attempts after transient failures
-	degraded *stats.Counter // requests downgraded to the sequential variant
-
-	// Registered only when the banded fast path is enabled, so engines
-	// that never dispatch keep their counter set (and metrics output)
-	// unchanged — the same lazy-registration contract the streaming
-	// counters follow.
-	bandedReqs    *stats.Counter // Score requests answered by the banded path
-	bandFallbacks *stats.Counter // banded-eligible requests routed to the kernel
 }
 
 // NewEngine builds an engine; the caller owns it and must Close it.
 func NewEngine(opts Options) *Engine {
-	reg := stats.NewRegistry()
+	ctr := obs.NewCounterSet(obs.ScopeEngine, opts.Obs)
 	shards := opts.Shards
 	if shards == 0 {
 		shards = DefaultShards
@@ -172,13 +158,13 @@ func NewEngine(opts Options) *Engine {
 	if maxKernels == 0 {
 		maxKernels = DefaultMaxKernels
 	}
-	tier := newStoreTier(opts.Store, reg, opts.Obs, opts.Chaos)
-	e := &Engine{
-		cache:        newCache(shards, maxKernels, reg, opts.Obs, opts.Chaos, opts.Tuning, tier),
+	tier := newStoreTier(opts.Store, ctr, opts.Obs, opts.Chaos)
+	return &Engine{
+		cache:        newCache(shards, maxKernels, ctr, opts.Obs, opts.Chaos, opts.Tuning, tier),
 		tier:         tier,
 		pool:         parallel.NewPool(opts.Workers),
 		cfg:          opts.Config,
-		reg:          reg,
+		ctr:          ctr,
 		rec:          opts.Obs,
 		inj:          opts.Chaos,
 		tn:           opts.Tuning,
@@ -187,17 +173,7 @@ func NewEngine(opts Options) *Engine {
 		deadline:     opts.Deadline,
 		degradeBelow: opts.DegradeBelow,
 		banded:       opts.Banded,
-		requests:     reg.Counter("requests"),
-		inflight:     reg.Counter("requests_inflight"),
-		sheds:        reg.Counter("requests_shed"),
-		retried:      reg.Counter("requests_retried"),
-		degraded:     reg.Counter("requests_degraded"),
 	}
-	if e.banded.Enabled {
-		e.bandedReqs = reg.Counter("requests_banded")
-		e.bandFallbacks = reg.Counter("band_fallbacks")
-	}
-	return e
 }
 
 // Recorder returns the engine's stage recorder (nil when tracing is
@@ -216,14 +192,15 @@ func (e *Engine) Close() {
 	e.tier.close()
 }
 
-// Stats returns a snapshot of the engine's counters: cache_hits,
-// cache_misses, cache_deduped, cache_evictions, cache_bytes, requests,
-// requests_inflight, requests_shed, requests_retried,
-// requests_degraded.
-func (e *Engine) Stats() map[string]int64 { return e.reg.Snapshot() }
+// Stats returns a snapshot of the engine's counters by name: every
+// obs.ScopeEngine counter (requests, requests_inflight, cache_*,
+// requests_shed/retried/degraded, requests_banded, band_fallbacks,
+// store_*, streams_opened, stream_appends, stream_slides), always the
+// same set whatever the options.
+func (e *Engine) Stats() map[string]int64 { return e.ctr.Snapshot() }
 
 // StatsLine renders the counters as a stable one-line summary.
-func (e *Engine) StatsLine() string { return e.reg.String() }
+func (e *Engine) StatsLine() string { return obs.StatsLine(e.Stats()) }
 
 // CachedKernels reports the number of resident cached sessions.
 func (e *Engine) CachedKernels() int { return e.cache.len() }
@@ -317,21 +294,19 @@ func (e *Engine) BatchSolve(ctx context.Context, reqs []Request) []Result {
 		}
 		return out
 	}
-	e.requests.Add(int64(len(reqs)))
+	e.ctr.Add(obs.CounterRequests, int64(len(reqs)))
 	admitted := e.admit(len(reqs))
 	if admitted < len(reqs) {
-		shed := int64(len(reqs) - admitted)
-		e.sheds.Add(shed)
-		e.rec.Add(obs.CounterSheds, shed)
+		e.ctr.Add(obs.CounterSheds, int64(len(reqs)-admitted))
 		for i := admitted; i < len(reqs); i++ {
 			out[i].Err = ErrShed
 		}
 	}
 	if !e.rec.Enabled() {
 		e.pool.Each(admitted, func(i int) {
-			e.inflight.Inc()
+			e.ctr.Add(obs.CounterRequestsInflight, 1)
 			out[i] = e.one(ctx, reqs[i], e.workerFault())
-			e.inflight.Add(-1)
+			e.ctr.Add(obs.CounterRequestsInflight, -1)
 			e.release()
 		})
 		return out
@@ -344,14 +319,14 @@ func (e *Engine) BatchSolve(ctx context.Context, reqs []Request) []Result {
 	// kind.
 	submit := time.Now()
 	e.pool.Each(admitted, func(i int) {
-		e.inflight.Inc()
+		e.ctr.Add(obs.CounterRequestsInflight, 1)
 		e.rec.Observe(obs.StageQueueWait, time.Since(submit))
 		stalled := e.workerFault()
 		pprof.Do(ctx, pprof.Labels("op", "batch_solve", "kind", reqs[i].Kind.String()), func(ctx context.Context) {
 			out[i] = e.one(ctx, reqs[i], stalled)
 		})
 		e.rec.Observe(obs.StageRequest, time.Since(submit))
-		e.inflight.Add(-1)
+		e.ctr.Add(obs.CounterRequestsInflight, -1)
 		e.release()
 	})
 	return out
@@ -436,8 +411,7 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 	if stalled || e.deadlineNear(ctx) {
 		if seq, changed := degradeConfig(cfg); changed {
 			cfg = seq
-			e.degraded.Inc()
-			e.rec.Add(obs.CounterDegradations, 1)
+			e.ctr.Add(obs.CounterDegradations, 1)
 		}
 	}
 	sess, err := e.acquireRetry(ctx, req.WithKey(), cfg)
@@ -539,8 +513,7 @@ func (e *Engine) retryTransient(ctx context.Context, what string, op func() erro
 			}
 			bsp.End()
 		}
-		e.retried.Inc()
-		e.rec.Add(obs.CounterRetries, 1)
+		e.ctr.Add(obs.CounterRetries, 1)
 		if err = op(); err == nil || !IsTransient(err) {
 			return err
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"semilocal/internal/core"
+	"semilocal/internal/obs"
 	"semilocal/internal/oracle"
 )
 
@@ -555,5 +556,43 @@ func TestEngineSoak(t *testing.T) {
 	touches := snap["cache_hits"] + snap["cache_misses"] + snap["cache_deduped"]
 	if touches > snap["requests"] {
 		t.Fatalf("cache touches %d exceed requests %d", touches, snap["requests"])
+	}
+}
+
+// TestEngineCounterSetFixed pins the fixed counter set: engines built
+// with the banded path, with a store, or with a stream opened report
+// the identical counter names as a default engine, and those are
+// exactly the obs.ScopeEngine counters.
+func TestEngineCounterSetFixed(t *testing.T) {
+	names := func(opts Options, stream bool) map[string]bool {
+		e := NewEngine(opts)
+		defer e.Close()
+		if stream {
+			if _, err := e.OpenStream([]byte("pattern")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := map[string]bool{}
+		for name := range e.Stats() {
+			got[name] = true
+		}
+		return got
+	}
+	want := names(Options{}, false)
+	st := openStoreT(t, t.TempDir())
+	defer st.Close()
+	for name, got := range map[string]map[string]bool{
+		"banded": names(Options{Banded: BandedConfig{Enabled: true}}, false),
+		"store":  names(Options{Store: st}, false),
+		"stream": names(Options{}, true),
+	} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s engine counters %v, default engine %v", name, got, want)
+		}
+	}
+	for c := obs.CounterID(0); c < obs.NumCounters; c++ {
+		if want[c.String()] != (c.Scope() == obs.ScopeEngine) {
+			t.Errorf("counter %s (scope %d): exported = %v", c, c.Scope(), want[c.String()])
+		}
 	}
 }

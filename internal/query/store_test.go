@@ -337,16 +337,34 @@ func TestStoreOpenScanCorruptionSeedsCounters(t *testing.T) {
 	}
 }
 
-// TestStoreDisabledKeepsCounterSetUnchanged pins the lazy-registration
-// contract: an engine without a store must not grow new counters (the
-// golden metrics output of store-less serving stays stable).
+// TestStoreDisabledKeepsCounterSetUnchanged: a store-less engine
+// exports the same counter names as a store-backed one, and serving a
+// miss without a store leaves every store counter at zero.
 func TestStoreDisabledKeepsCounterSetUnchanged(t *testing.T) {
+	st := openStoreT(t, t.TempDir())
+	defer st.Close()
+	with := NewEngine(Options{Store: st})
+	defer with.Close()
 	e := NewEngine(Options{})
 	defer e.Close()
-	for name := range e.Stats() {
-		switch name {
-		case "store_hits", "store_misses", "store_appends", "store_corrupt_records":
-			t.Fatalf("store counter %q registered on a store-less engine", name)
+	if _, err := e.Acquire(context.Background(), []byte("kitten"), []byte("sitting")); err != nil {
+		t.Fatal(err)
+	}
+	snap, withSnap := e.Stats(), with.Stats()
+	if len(snap) != len(withSnap) {
+		t.Fatalf("store-less engine exports %d counters, store-backed %d", len(snap), len(withSnap))
+	}
+	for name := range withSnap {
+		if _, ok := snap[name]; !ok {
+			t.Errorf("store-less engine lacks %q", name)
+		}
+	}
+	if snap["cache_misses"] != 1 {
+		t.Fatalf("cache_misses = %d, want 1: the miss was not served", snap["cache_misses"])
+	}
+	for _, name := range []string{"store_hits", "store_misses", "store_appends", "store_corrupt_records"} {
+		if v, ok := snap[name]; !ok || v != 0 {
+			t.Errorf("store-less engine %s = %d (exported %v), want 0", name, v, ok)
 		}
 	}
 }

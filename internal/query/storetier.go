@@ -7,7 +7,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 	"semilocal/internal/store"
 	"sync"
 )
@@ -26,17 +25,9 @@ import (
 // Engine.Close is durably on disk when Close returns.
 type storeTier struct {
 	st  *store.Store
+	ctr *obs.CounterSet
 	rec *obs.Recorder
 	inj *chaos.Injector
-
-	// Registered only when the store is enabled, so engines without
-	// one keep their counter set (and metrics output) unchanged — the
-	// same lazy-registration contract the banded and streaming
-	// counters follow.
-	hits    *stats.Counter // cache misses answered from the store
-	misses  *stats.Counter // store lookups that fell through to a solve
-	appends *stats.Counter // kernels durably appended
-	corrupt *stats.Counter // records that failed checksum/decode
 
 	mu      sync.Mutex
 	closed  bool
@@ -55,18 +46,15 @@ type tierAppend struct {
 // briefly rather than hold unbounded kernel memory alive.
 const tierQueueDepth = 128
 
-func newStoreTier(st *store.Store, reg *stats.Registry, rec *obs.Recorder, inj *chaos.Injector) *storeTier {
+func newStoreTier(st *store.Store, ctr *obs.CounterSet, rec *obs.Recorder, inj *chaos.Injector) *storeTier {
 	if st == nil {
 		return nil
 	}
 	t := &storeTier{
 		st:      st,
+		ctr:     ctr,
 		rec:     rec,
 		inj:     inj,
-		hits:    reg.Counter("store_hits"),
-		misses:  reg.Counter("store_misses"),
-		appends: reg.Counter("store_appends"),
-		corrupt: reg.Counter("store_corrupt_records"),
 		pending: make(chan tierAppend, tierQueueDepth),
 		done:    make(chan struct{}),
 	}
@@ -74,8 +62,7 @@ func newStoreTier(st *store.Store, reg *stats.Registry, rec *obs.Recorder, inj *
 	// operator needs to see, even though the reads happened before the
 	// engine existed.
 	if n := st.CorruptRecords(); n > 0 {
-		t.corrupt.Add(n)
-		rec.Add(obs.CounterStoreCorrupt, n)
+		ctr.Add(obs.CounterStoreCorrupt, n)
 	}
 	go t.run()
 	return t
@@ -94,8 +81,7 @@ func (t *storeTier) lookup(key store.Key) *core.Kernel {
 		case chaos.FaultLatency, chaos.FaultStall:
 			time.Sleep(d.Latency)
 		case chaos.FaultError:
-			t.misses.Inc()
-			t.rec.Add(obs.CounterStoreMisses, 1)
+			t.ctr.Add(obs.CounterStoreMisses, 1)
 			return nil
 		}
 	}
@@ -103,16 +89,13 @@ func (t *storeTier) lookup(key store.Key) *core.Kernel {
 	k, err := t.st.Get(key)
 	sp.End()
 	if err == nil {
-		t.hits.Inc()
-		t.rec.Add(obs.CounterStoreHits, 1)
+		t.ctr.Add(obs.CounterStoreHits, 1)
 		return k
 	}
 	if errors.Is(err, store.ErrCorrupt) {
-		t.corrupt.Inc()
-		t.rec.Add(obs.CounterStoreCorrupt, 1)
+		t.ctr.Add(obs.CounterStoreCorrupt, 1)
 	}
-	t.misses.Inc()
-	t.rec.Add(obs.CounterStoreMisses, 1)
+	t.ctr.Add(obs.CounterStoreMisses, 1)
 	return nil
 }
 
@@ -161,8 +144,7 @@ func (t *storeTier) append(p tierAppend) {
 	if err != nil {
 		return
 	}
-	t.appends.Inc()
-	t.rec.Add(obs.CounterStoreAppends, 1)
+	t.ctr.Add(obs.CounterStoreAppends, 1)
 	var t0 time.Time
 	traced := t.rec.Enabled()
 	if traced {

@@ -6,7 +6,6 @@ import (
 
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
-	"semilocal/internal/stats"
 	"semilocal/internal/stream"
 )
 
@@ -33,9 +32,6 @@ type StreamGroup struct {
 	g    *stream.Group
 	what string // names the mutation in retry-exhausted errors
 
-	appends *stats.Counter
-	slides  *stats.Counter
-
 	cur []atomic.Pointer[streamGen] // per-pattern prepared-session cache
 }
 
@@ -55,9 +51,7 @@ type streamGen struct {
 // across the engine's pool instead.
 //
 // Every engine stream, whatever its pattern count, counts in the same
-// engine counters (streams_opened, stream_appends, stream_slides). They
-// register in the engine's stats on first use, so engines that never
-// stream report the same counter set as before.
+// engine counters (streams_opened, stream_appends, stream_slides).
 func (e *Engine) OpenStreamGroup(patterns [][]byte) (*StreamGroup, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
@@ -80,14 +74,12 @@ func (e *Engine) OpenStreamGroup(patterns [][]byte) (*StreamGroup, error) {
 	if g.Patterns() == 1 {
 		what = "stream mutation"
 	}
-	e.reg.Counter("streams_opened").Inc()
+	e.ctr.Add(obs.CounterStreamsOpened, 1)
 	return &StreamGroup{
-		e:       e,
-		g:       g,
-		what:    what,
-		appends: e.reg.Counter("stream_appends"),
-		slides:  e.reg.Counter("stream_slides"),
-		cur:     make([]atomic.Pointer[streamGen], g.Patterns()),
+		e:    e,
+		g:    g,
+		what: what,
+		cur:  make([]atomic.Pointer[streamGen], g.Patterns()),
 	}, nil
 }
 
@@ -100,7 +92,7 @@ func (sg *StreamGroup) Append(ctx context.Context, chunk []byte) error {
 	if sg.e.closed.Load() {
 		return ErrEngineClosed
 	}
-	sg.appends.Inc()
+	sg.e.ctr.Add(obs.CounterStreamAppendOps, 1)
 	return sg.mutate(ctx, func() error { return sg.g.Append(chunk) })
 }
 
@@ -111,7 +103,7 @@ func (sg *StreamGroup) Slide(ctx context.Context, drop int) error {
 	if sg.e.closed.Load() {
 		return ErrEngineClosed
 	}
-	sg.slides.Inc()
+	sg.e.ctr.Add(obs.CounterStreamSlideOps, 1)
 	return sg.mutate(ctx, func() error { return sg.g.Slide(drop) })
 }
 

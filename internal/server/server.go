@@ -32,8 +32,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +39,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/obs"
 	"semilocal/internal/query"
-	"semilocal/internal/stats"
 	"semilocal/internal/store"
 )
 
@@ -93,7 +90,7 @@ type Server struct {
 	tenants *tenantTable
 	rec     *obs.Recorder
 	inj     *chaos.Injector
-	reg     *stats.Registry // tier-level counters
+	ctr     *obs.CounterSet // tier-level counters (obs.ScopeServer)
 	mux     *http.ServeMux
 	down    []atomic.Bool
 	closed  atomic.Bool
@@ -101,10 +98,6 @@ type Server struct {
 	maxBody  int64
 	maxBatch int
 	maxPair  int
-
-	requests *stats.Counter // requests accepted (batch requests + stream ops)
-	reroutes *stats.Counter // requests served away from their home shard
-	rejects  *stats.Counter // requests rejected by tenant quota
 }
 
 // New builds the tier: the shard engines, the ring, the quota table,
@@ -134,15 +127,12 @@ func New(cfg Config) (*Server, error) {
 		tenants:  newTenantTable(cfg.TenantQuota),
 		rec:      cfg.Engine.Obs,
 		inj:      cfg.Engine.Chaos,
-		reg:      stats.NewRegistry(),
+		ctr:      obs.NewCounterSet(obs.ScopeServer, cfg.Engine.Obs),
 		down:     make([]atomic.Bool, n),
 		maxBody:  maxBody,
 		maxBatch: maxBatch,
 		maxPair:  maxPair,
 	}
-	s.requests = s.reg.Counter("server_requests")
-	s.reroutes = s.reg.Counter("server_reroutes")
-	s.rejects = s.reg.Counter("tenant_rejects")
 	for i := 0; i < n; i++ {
 		s.shards = append(s.shards, &shardSlot{id: i, eng: query.NewEngine(cfg.Engine)})
 	}
@@ -196,7 +186,7 @@ func (s *Server) healthyShards() int {
 // engine counters plus the tier-level server_requests /
 // server_reroutes / tenant_rejects.
 func (s *Server) Stats() map[string]int64 {
-	out := s.reg.Snapshot()
+	out := s.ctr.Snapshot()
 	for _, sh := range s.shards {
 		for k, v := range sh.eng.Stats() {
 			out[k] += v
@@ -216,19 +206,7 @@ func (s *Server) ShardStats(i int) map[string]int64 {
 
 // StatsLine renders the aggregate counters as a stable one-line
 // summary (sorted names), mirroring Engine.StatsLine.
-func (s *Server) StatsLine() string {
-	snap := s.Stats()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, name := range names {
-		parts[i] = fmt.Sprintf("%s=%d", name, snap[name])
-	}
-	return strings.Join(parts, " ")
-}
+func (s *Server) StatsLine() string { return obs.StatsLine(s.Stats()) }
 
 // route picks the shard for content key key: its home shard on the
 // ring, or — when chaos killed it for this arrival or it is marked down
@@ -257,8 +235,7 @@ func (s *Server) route(key store.Key) (*shardSlot, error) {
 		return nil, errNoHealthyShard
 	}
 	if id != home {
-		s.reroutes.Inc()
-		s.rec.Add(obs.CounterServerReroutes, 1)
+		s.ctr.Add(obs.CounterServerReroutes, 1)
 	}
 	return s.shards[id], nil
 }
@@ -323,8 +300,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := len(br.Requests)
-	s.requests.Add(int64(n))
-	s.rec.Add(obs.CounterServerRequests, int64(n))
+	s.ctr.Add(obs.CounterServerRequests, int64(n))
 	results := make([]WireResult, n)
 
 	// Tenant admission at arrival, mirroring the engine's MaxQueue
@@ -333,9 +309,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	admitted := s.tenants.admit(br.Tenant, n)
 	defer s.tenants.release(br.Tenant, admitted)
 	if admitted < n {
-		rejected := int64(n - admitted)
-		s.rejects.Add(rejected)
-		s.rec.Add(obs.CounterTenantRejects, rejected)
+		s.ctr.Add(obs.CounterTenantRejects, int64(n-admitted))
 		for i := admitted; i < n; i++ {
 			results[i] = WireResult{Shard: -1, Error: ErrTenantQuota.Error(), ErrorKind: errorKind(ErrTenantQuota)}
 		}
@@ -382,15 +356,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := len(sr.Ops)
-	s.requests.Add(int64(n))
-	s.rec.Add(obs.CounterServerRequests, int64(n))
+	s.ctr.Add(obs.CounterServerRequests, int64(n))
 
 	// Stream scripts admit all-or-nothing: ops are stateful and ordered,
 	// so shedding a prefix would corrupt the meaning of the suffix.
 	if admitted := s.tenants.admit(sr.Tenant, n); admitted < n {
 		s.tenants.release(sr.Tenant, admitted)
-		s.rejects.Add(int64(n))
-		s.rec.Add(obs.CounterTenantRejects, int64(n))
+		s.ctr.Add(obs.CounterTenantRejects, int64(n))
 		httpError(w, http.StatusTooManyRequests, ErrTenantQuota.Error())
 		return
 	}
@@ -541,12 +513,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE semilocal_shard_counter gauge\n")
 	for _, sh := range s.shards {
 		snap := sh.eng.Stats()
-		names := make([]string, 0, len(snap))
-		for name := range snap {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range obs.SortedNames(snap) {
 			fmt.Fprintf(w, "semilocal_shard_counter{shard=\"%d\",name=%q} %d\n", sh.id, name, snap[name])
 		}
 	}

@@ -55,8 +55,8 @@ func newTenantTable(quota int) *tenantTable {
 }
 
 // gauge returns tenant's outstanding-request gauge, creating it on
-// first use. The double-checked RWMutex mirrors stats.Registry: steady
-// state is a read lock and a map hit.
+// first use. The RWMutex is double-checked: steady state is a read lock
+// and a map hit.
 func (t *tenantTable) gauge(tenant string) *atomic.Int64 {
 	t.mu.RLock()
 	g := t.out[tenant]

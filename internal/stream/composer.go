@@ -11,9 +11,9 @@ import "semilocal/internal/steadyant"
 //
 // The reference formulation (internal/hybrid.composeB) is
 //
-//	P(a, b'b'') = rot180( (I_{n2} ⊕ rot180(k1)) ⊙ (rot180(k2) ⊕ I_{n1}) )
+//	P(a, b₁b₂) = rot180( (I_{n2} ⊕ rot180(k1)) ⊙ (rot180(k2) ⊕ I_{n1}) )
 //
-// with k1 = P(a,b'), k2 = P(a,b''); the stream differential suite
+// with k1 = P(a,b₁), k2 = P(a,b₂); the stream differential suite
 // pins bit-identity against it.
 type composer struct {
 	w           steadyant.Workspace

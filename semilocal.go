@@ -129,6 +129,7 @@ const (
 	CounterSheds        = obs.CounterSheds
 	CounterDegradations = obs.CounterDegradations
 	CounterFaults       = obs.CounterFaultsInjected
+	CounterCacheMisses  = obs.CounterCacheMisses
 )
 
 // StageBackoff times the waits between retry attempts of transiently

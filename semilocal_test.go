@@ -142,16 +142,16 @@ func TestUnmarshalKernelErrorPaths(t *testing.T) {
 		return buf
 	}
 	cases := map[string][]byte{
-		"nil":                nil,
-		"empty":              {},
-		"garbage":            []byte("not a kernel at all"),
-		"huge m tiny body":   header(1<<30, 1<<30),
-		"huge skew":          append(header(1<<39, 0), 0x01),
+		"nil":              nil,
+		"empty":            {},
+		"garbage":          []byte("not a kernel at all"),
+		"huge m tiny body": header(1<<30, 1<<30),
+		"huge skew":        append(header(1<<39, 0), 0x01),
 		// Order fits in int32, so only the payload-length check stands
 		// between this header and a 2 GiB index allocation.
 		"large m under order limit": append(header(1<<29, 0), 0x01),
-		"order over int32":   append(header(1<<40, 1<<40), make([]byte, 64)...),
-		"declared over body": append(header(100, 100), 0x01, 0x02),
+		"order over int32":          append(header(1<<40, 1<<40), make([]byte, 64)...),
+		"declared over body":        append(header(100, 100), 0x01, 0x02),
 	}
 	for name, data := range cases {
 		data := data
