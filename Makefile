@@ -59,35 +59,30 @@ examples:
 	go run ./examples/timeseries
 	go run ./examples/fuzzysearch
 
-# Short fuzzing passes over every fuzz target.
-fuzz:
-	go test -fuzz FuzzKernelAgreement -fuzztime 30s ./internal/combing
-	go test -fuzz FuzzBinaryScore -fuzztime 30s ./internal/bitlcs
-	go test -fuzz FuzzMultiply -fuzztime 30s ./internal/steadyant
-	go test -fuzz FuzzDifferential -fuzztime 30s ./internal/core
-	go test -fuzz FuzzEditWindows -fuzztime 30s ./internal/editdist
-	go test -fuzz FuzzSessionQueries -fuzztime 30s ./internal/query
-	go test -fuzz FuzzStreamAppend -fuzztime 30s ./internal/stream
-	go test -fuzz FuzzStreamGroup -fuzztime 30s ./internal/stream
-	go test -fuzz FuzzBandedDistance -fuzztime 30s ./internal/banded
-	go test -fuzz FuzzKernelRoundtrip -fuzztime 30s ./internal/core
-	go test -fuzz FuzzStoreOpen -fuzztime 30s ./internal/store
-	go test -fuzz FuzzServerRequest -fuzztime 30s ./internal/server
-	go test -fuzz FuzzProfileLoad -fuzztime 30s ./internal/tune
+# Every fuzz target as Target:package; both fuzz lanes run the whole
+# list, so a new target is added here once.
+FUZZ_TARGETS := \
+	FuzzKernelAgreement:./internal/combing \
+	FuzzBinaryScore:./internal/bitlcs \
+	FuzzMultiply:./internal/steadyant \
+	FuzzDifferential:./internal/core \
+	FuzzEditWindows:./internal/editdist \
+	FuzzSessionQueries:./internal/query \
+	FuzzStreamAppend:./internal/stream \
+	FuzzStreamGroup:./internal/stream \
+	FuzzBandedDistance:./internal/banded \
+	FuzzKernelRoundtrip:./internal/core \
+	FuzzStoreOpen:./internal/store \
+	FuzzServerRequest:./internal/server \
+	FuzzProfileLoad:./internal/tune
 
+# Short fuzzing passes over every fuzz target.
+fuzz: FUZZTIME := 30s
 # Ten-second smoke pass per target — quick enough for CI, long enough to
 # mutate beyond the checked-in seed corpora under testdata/fuzz.
-fuzz-smoke:
-	go test -fuzz FuzzKernelAgreement -fuzztime 10s ./internal/combing
-	go test -fuzz FuzzBinaryScore -fuzztime 10s ./internal/bitlcs
-	go test -fuzz FuzzMultiply -fuzztime 10s ./internal/steadyant
-	go test -fuzz FuzzDifferential -fuzztime 10s ./internal/core
-	go test -fuzz FuzzEditWindows -fuzztime 10s ./internal/editdist
-	go test -fuzz FuzzSessionQueries -fuzztime 10s ./internal/query
-	go test -fuzz FuzzStreamAppend -fuzztime 10s ./internal/stream
-	go test -fuzz FuzzStreamGroup -fuzztime 10s ./internal/stream
-	go test -fuzz FuzzBandedDistance -fuzztime 10s ./internal/banded
-	go test -fuzz FuzzKernelRoundtrip -fuzztime 10s ./internal/core
-	go test -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store
-	go test -fuzz FuzzServerRequest -fuzztime 10s ./internal/server
-	go test -fuzz FuzzProfileLoad -fuzztime 10s ./internal/tune
+fuzz-smoke: FUZZTIME := 10s
+fuzz fuzz-smoke:
+	@set -e; for tp in $(FUZZ_TARGETS); do \
+		echo "go test -fuzz $${tp%%:*} -fuzztime $(FUZZTIME) $${tp#*:}"; \
+		go test -fuzz $${tp%%:*} -fuzztime $(FUZZTIME) $${tp#*:}; \
+	done

@@ -593,6 +593,60 @@ type batchOptions struct {
 	storeDir     string
 }
 
+// recorder returns the stage recorder the batch and stream modes need:
+// one only when -trace-stages or -metrics asks for it.
+func (o batchOptions) recorder() *semilocal.StageRecorder {
+	if o.traceStages || o.metricsAddr != "" {
+		return semilocal.NewStageRecorder()
+	}
+	return nil
+}
+
+// engineOptions builds the engine options of every engine mode
+// (-serve-batch, -stream, -serve-addr) from the flags: -workers sizes
+// the engine's worker pool, and the chaos injector (built after rec, so
+// injected faults count in -metrics) and the -store-dir kernel store
+// are opened here. The returned release closes the store; call it only
+// after the engine or server is closed, which drains pending appends.
+func (o batchOptions) engineOptions(rec *semilocal.StageRecorder) (semilocal.EngineOptions, func(), error) {
+	var inj *semilocal.ChaosInjector
+	if len(o.chaosRules) > 0 {
+		var err error
+		inj, err = semilocal.NewChaosInjector(semilocal.ChaosConfig{
+			Seed: o.chaosSeed, Rules: o.chaosRules, Obs: rec,
+		})
+		if err != nil {
+			return semilocal.EngineOptions{}, nil, fmt.Errorf("-chaos: %w", err)
+		}
+	}
+	release := func() {}
+	var kstore *semilocal.KernelStore
+	if o.storeDir != "" {
+		var err error
+		kstore, err = semilocal.OpenStore(o.storeDir, semilocal.StoreConfig{})
+		if err != nil {
+			return semilocal.EngineOptions{}, nil, err
+		}
+		release = func() { kstore.Close() }
+	}
+	return semilocal.EngineOptions{
+		Config:   semilocal.Config{Algorithm: o.algorithm},
+		Workers:  o.workers,
+		Obs:      rec,
+		MaxQueue: o.maxQueue,
+		Retry: semilocal.RetryPolicy{
+			MaxAttempts: o.retries,
+			BaseBackoff: o.retryBackoff,
+		},
+		Deadline:     o.deadline,
+		DegradeBelow: o.degradeBelow,
+		Chaos:        inj,
+		Banded:       semilocal.BandedConfig{Enabled: o.banded, MaxK: o.bandMaxK},
+		Store:        kstore,
+		Tuning:       o.tuning,
+	}, release, nil
+}
+
 // runBatch answers every request in the file through one engine, then
 // prints the engine's cache counters. With -workers 1 the batch is
 // processed sequentially in file order, so the output (including the
@@ -626,46 +680,13 @@ func runBatch(path string, opts batchOptions, out io.Writer) error {
 		return err
 	}
 
-	var rec *semilocal.StageRecorder
-	if opts.traceStages || opts.metricsAddr != "" {
-		rec = semilocal.NewStageRecorder()
+	rec := opts.recorder()
+	eopts, release, err := opts.engineOptions(rec)
+	if err != nil {
+		return err
 	}
-	var inj *semilocal.ChaosInjector
-	if len(opts.chaosRules) > 0 {
-		// Built after the recorder so injected faults count in -metrics.
-		var err error
-		inj, err = semilocal.NewChaosInjector(semilocal.ChaosConfig{
-			Seed: opts.chaosSeed, Rules: opts.chaosRules, Obs: rec,
-		})
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
-	}
-	var kstore *semilocal.KernelStore
-	if opts.storeDir != "" {
-		kstore, err = semilocal.OpenStore(opts.storeDir, semilocal.StoreConfig{})
-		if err != nil {
-			return err
-		}
-		// Closed after the engine: Engine.Close drains pending appends.
-		defer kstore.Close()
-	}
-	engine := semilocal.NewEngine(semilocal.EngineOptions{
-		Config:   semilocal.Config{Algorithm: opts.algorithm},
-		Workers:  opts.workers,
-		Obs:      rec,
-		MaxQueue: opts.maxQueue,
-		Retry: semilocal.RetryPolicy{
-			MaxAttempts: opts.retries,
-			BaseBackoff: opts.retryBackoff,
-		},
-		Deadline:     opts.deadline,
-		DegradeBelow: opts.degradeBelow,
-		Chaos:        inj,
-		Banded:       semilocal.BandedConfig{Enabled: opts.banded, MaxK: opts.bandMaxK},
-		Store:        kstore,
-		Tuning:       opts.tuning,
-	})
+	defer release()
+	engine := semilocal.NewEngine(eopts)
 	defer engine.Close()
 	if opts.metricsAddr != "" && opts.metricsAddr != "-" {
 		ms, err := startMetricsServer(opts.metricsAddr, rec, engine)
@@ -867,32 +888,13 @@ func runStream(path string, pattern []byte, opts batchOptions, out io.Writer) er
 		return err
 	}
 
-	var rec *semilocal.StageRecorder
-	if opts.traceStages || opts.metricsAddr != "" {
-		rec = semilocal.NewStageRecorder()
+	rec := opts.recorder()
+	eopts, release, err := opts.engineOptions(rec)
+	if err != nil {
+		return err
 	}
-	var inj *semilocal.ChaosInjector
-	if len(opts.chaosRules) > 0 {
-		var err error
-		inj, err = semilocal.NewChaosInjector(semilocal.ChaosConfig{
-			Seed: opts.chaosSeed, Rules: opts.chaosRules, Obs: rec,
-		})
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
-	}
-	engine := semilocal.NewEngine(semilocal.EngineOptions{
-		Config: semilocal.Config{Algorithm: opts.algorithm, Workers: opts.workers},
-		Obs:    rec,
-		Retry: semilocal.RetryPolicy{
-			MaxAttempts: opts.retries,
-			BaseBackoff: opts.retryBackoff,
-		},
-		Deadline:     opts.deadline,
-		DegradeBelow: opts.degradeBelow,
-		Chaos:        inj,
-		Tuning:       opts.tuning,
-	})
+	defer release()
+	engine := semilocal.NewEngine(eopts)
 	defer engine.Close()
 	if opts.metricsAddr != "" && opts.metricsAddr != "-" {
 		ms, err := startMetricsServer(opts.metricsAddr, rec, engine)

@@ -8,11 +8,54 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"semilocal"
 )
 
 func TestRunScoreInline(t *testing.T) {
 	if err := run([]string{"-a-text", "ABCABBA", "-b-text", "CBABAC", "score"}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineOptionsFromFlags pins the one engine-options builder that
+// -serve-batch, -stream and -serve-addr share: -workers sizes the
+// engine's worker pool and never the solve configuration, -chaos builds
+// an injector, -store-dir opens a store, and the hardening knobs carry
+// over.
+func TestEngineOptionsFromFlags(t *testing.T) {
+	rules, err := semilocal.ParseChaosSpec("stream:error:1000:0:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := semilocal.NewStageRecorder()
+	opts := batchOptions{
+		algorithm:  semilocal.Hybrid,
+		workers:    4,
+		maxQueue:   8,
+		retries:    3,
+		chaosRules: rules,
+		chaosSeed:  7,
+		banded:     true,
+		storeDir:   t.TempDir(),
+	}
+	eo, release, err := opts.engineOptions(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if eo.Workers != 4 || eo.Config != (semilocal.Config{Algorithm: semilocal.Hybrid}) {
+		t.Errorf("workers %d, config %+v: want a 4-worker pool and a sequential Hybrid config", eo.Workers, eo.Config)
+	}
+	if eo.Obs != rec || eo.Chaos == nil || eo.Store == nil {
+		t.Errorf("obs %p (want %p), chaos %p, store %p: want all set", eo.Obs, rec, eo.Chaos, eo.Store)
+	}
+	if eo.MaxQueue != 8 || eo.Retry.MaxAttempts != 3 || !eo.Banded.Enabled {
+		t.Errorf("hardening not carried over: %+v", eo)
+	}
+	bad := batchOptions{chaosRules: []semilocal.ChaosRule{{Point: rules[0].Point, Fault: rules[0].Fault, PerMille: 2000}}}
+	if _, _, err := bad.engineOptions(nil); err == nil || !strings.Contains(err.Error(), "-chaos") {
+		t.Errorf("invalid chaos rule: err = %v, want a -chaos error", err)
 	}
 }
 

@@ -36,47 +36,17 @@ var (
 // on top. Blocks until SIGINT/SIGTERM, then drains and prints the
 // final counters.
 func runServe(addr string, shards, tenantQuota int, opts batchOptions, out io.Writer) error {
-	rec := semilocal.NewStageRecorder()
-	var inj *semilocal.ChaosInjector
-	if len(opts.chaosRules) > 0 {
-		var err error
-		inj, err = semilocal.NewChaosInjector(semilocal.ChaosConfig{
-			Seed: opts.chaosSeed, Rules: opts.chaosRules, Obs: rec,
-		})
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
+	eopts, release, err := opts.engineOptions(semilocal.NewStageRecorder())
+	if err != nil {
+		return err
 	}
-	var kstore *semilocal.KernelStore
-	if opts.storeDir != "" {
-		var err error
-		kstore, err = semilocal.OpenStore(opts.storeDir, semilocal.StoreConfig{})
-		if err != nil {
-			return err
-		}
-		// Closed after the server: Server.Close drains the shard engines'
-		// pending appends first.
-		defer kstore.Close()
-	}
+	// Released after the server: Server.Close drains the shard engines'
+	// pending appends first.
+	defer release()
 	srv, err := semilocal.NewServer(semilocal.ServerConfig{
 		Shards:      shards,
 		TenantQuota: tenantQuota,
-		Engine: semilocal.EngineOptions{
-			Config:   semilocal.Config{Algorithm: opts.algorithm},
-			Workers:  opts.workers,
-			Obs:      rec,
-			MaxQueue: opts.maxQueue,
-			Retry: semilocal.RetryPolicy{
-				MaxAttempts: opts.retries,
-				BaseBackoff: opts.retryBackoff,
-			},
-			Deadline:     opts.deadline,
-			DegradeBelow: opts.degradeBelow,
-			Chaos:        inj,
-			Banded:       semilocal.BandedConfig{Enabled: opts.banded, MaxK: opts.bandMaxK},
-			Store:        kstore,
-			Tuning:       opts.tuning,
-		},
+		Engine:      eopts,
 	})
 	if err != nil {
 		return err

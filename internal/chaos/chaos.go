@@ -298,6 +298,20 @@ func (in *Injector) At(p Point) Decision {
 	return Decision{}
 }
 
+// Fire is At with the delay applied: it registers one arrival at p,
+// sleeps for the decision's Latency when the fault is a latency or a
+// stall, and returns the fault, so a call site keeps only its own
+// reaction (error, cancel, evict, stall). Error, cancel and evict
+// decisions never sleep. On a nil injector it returns FaultNone
+// without touching anything.
+func (in *Injector) Fire(p Point) Fault {
+	d := in.At(p)
+	if d.Fault == FaultLatency || d.Fault == FaultStall {
+		time.Sleep(d.Latency)
+	}
+	return d.Fault
+}
+
 // fires is the pure decision function: does rule r hit the seq-th
 // arrival at point p under this seed?
 func (in *Injector) fires(p Point, r *rule, seq int64) bool {

@@ -115,6 +115,58 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 }
 
+// TestFireSleepsOnlyForLatencyAndStall: Fire applies the rule's delay
+// for latency and stall decisions and for nothing else — an error,
+// cancel or evict rule with a Latency set returns at once — and always
+// returns the decided fault.
+func TestFireSleepsOnlyForLatencyAndStall(t *testing.T) {
+	const delay = 5 * time.Millisecond
+	const never = 200 * time.Millisecond // would show if a non-delay fault slept
+	for _, tc := range []struct {
+		point Point
+		fault Fault
+		sleep bool
+	}{
+		{PointBanded, FaultLatency, true},
+		{PointWorker, FaultStall, true},
+		{PointSolveStart, FaultError, false},
+		{PointQuery, FaultCancel, false},
+		{PointAcquire, FaultEvict, false},
+	} {
+		lat := never
+		if tc.sleep {
+			lat = delay
+		}
+		in := mustNew(t, Config{Seed: 1, Rules: []Rule{
+			{Point: tc.point, Fault: tc.fault, PerMille: 1000, Latency: lat},
+		}})
+		t0 := time.Now()
+		got := in.Fire(tc.point)
+		elapsed := time.Since(t0)
+		if got != tc.fault {
+			t.Fatalf("%s at %s: Fire returned %s", tc.fault, tc.point, got)
+		}
+		if tc.sleep && elapsed < delay {
+			t.Fatalf("%s at %s: returned after %v, want ≥ %v", tc.fault, tc.point, elapsed, delay)
+		}
+		if !tc.sleep && elapsed >= never/2 {
+			t.Fatalf("%s at %s: slept %v, want no delay", tc.fault, tc.point, elapsed)
+		}
+	}
+}
+
+// TestFireNilIsFree: Fire on a nil injector returns FaultNone and
+// allocates nothing, so the serving hot paths fire unconditionally.
+func TestFireNilIsFree(t *testing.T) {
+	var in *Injector
+	if got := in.Fire(PointStream); got != FaultNone {
+		t.Fatalf("nil injector fired %s", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { in.Fire(PointStream) }); allocs != 0 {
+		t.Fatalf("nil Fire allocates %v times, want 0", allocs)
+	}
+}
+
 // TestMaxCountBudget: a rule with MaxCount fires at most that many
 // times, even when consulted concurrently.
 func TestMaxCountBudget(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"semilocal/internal/chaos"
 )
 
-// TestSolveInjectedNilParity: with no injector and no recorder,
-// SolveInjected is Solve — same kernel, bit for bit.
+// TestSolveInjectedNilParity: with no injector, no recorder and no
+// tuning, SolveWith is Solve — same kernel, bit for bit.
 func TestSolveInjectedNilParity(t *testing.T) {
 	a, b := []byte("abracadabra"), []byte("alakazam")
 	for _, cfg := range []Config{
@@ -22,12 +22,12 @@ func TestSolveInjectedNilParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveInjected(a, b, cfg, nil, nil)
+		got, err := SolveWith(a, b, cfg, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Score() != want.Score() {
-			t.Fatalf("cfg %+v: SolveInjected score %d, want %d", cfg, got.Score(), want.Score())
+			t.Fatalf("cfg %+v: SolveWith score %d, want %d", cfg, got.Score(), want.Score())
 		}
 		for i := 0; i <= len(b); i++ {
 			for j := i; j <= len(b); j++ {
@@ -57,7 +57,7 @@ func TestSolveInjectedErrorPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = SolveInjected(a, b, Config{}, nil, inj)
+		_, err = SolveWith(a, b, Config{}, nil, inj, nil)
 		if !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("%s: err = %v, want ErrInjected", tc.name, err)
 		}
@@ -65,7 +65,7 @@ func TestSolveInjectedErrorPoints(t *testing.T) {
 			t.Fatalf("%s: error %q does not name its point", tc.name, err)
 		}
 		// Budget spent: the next solve succeeds and matches Solve.
-		k, err := SolveInjected(a, b, Config{}, nil, inj)
+		k, err := SolveWith(a, b, Config{}, nil, inj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestSolveInjectedErrorPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	k, err := SolveInjected(a, b, Config{}, nil, inj)
+	k, err := SolveWith(a, b, Config{}, nil, inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"semilocal/internal/chaos"
 	"semilocal/internal/combing"
@@ -101,64 +100,31 @@ const MaxOrder = 1<<31 - 1
 // Solve computes the semi-local LCS kernel of a and b with the
 // configured algorithm.
 func Solve(a, b []byte, cfg Config) (*Kernel, error) {
-	return SolveObserved(a, b, cfg, nil)
+	return SolveWith(a, b, cfg, nil, nil, nil)
 }
 
-// SolveInjected is SolveObserved with fault injection: the injector is
-// consulted before the solve (artificial latency, forced transient
-// errors) and after it (errors that discard finished work). A nil
-// injector reproduces SolveObserved exactly — the two extra nil checks
-// are the entire disabled cost. Like the recorder, the injector is
-// threaded as an argument rather than stored in Config, which only
-// names an algorithm and its parameters.
-func SolveInjected(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector) (*Kernel, error) {
-	return SolveInjectedTuned(a, b, cfg, rec, inj, nil)
-}
-
-// SolveInjectedTuned is SolveInjected reading calibrated parameters
-// from tn; see SolveTuned.
-func SolveInjectedTuned(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector, tn *Tuning) (*Kernel, error) {
-	if d := inj.At(chaos.PointSolveStart); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			return nil, chaos.Injected(chaos.PointSolveStart)
-		}
+// SolveWith is Solve with the three threaded collaborators, none of
+// which Config stores (Config only names an algorithm and its
+// parameters):
+//
+//   - rec records stage timings and work counters;
+//   - inj is consulted before the solve (artificial latency, forced
+//     transient errors) and after it (errors that discard finished
+//     work);
+//   - tn supplies calibrated parameters in place of the built-in
+//     constants: the parallel-split chunk size, the 16-bit
+//     strand-index threshold, the hybrid switch size and depth cap, the
+//     steady-ant recursion cut-off, and the grid tile target. Tuning
+//     never changes the kernel, only which code path computes it
+//     (pinned bit-identically by the grid-sweep differential wall in
+//     internal/tune).
+//
+// Each nil argument disables its collaborator at the cost of a nil
+// check, so SolveWith(a, b, cfg, nil, nil, nil) is exactly Solve.
+func SolveWith(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector, tn *Tuning) (*Kernel, error) {
+	if inj.Fire(chaos.PointSolveStart) == chaos.FaultError {
+		return nil, chaos.Injected(chaos.PointSolveStart)
 	}
-	k, err := SolveTuned(a, b, cfg, rec, tn)
-	if err != nil {
-		return nil, err
-	}
-	if d := inj.At(chaos.PointSolveFinish); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			return nil, chaos.Injected(chaos.PointSolveFinish)
-		}
-	}
-	return k, nil
-}
-
-// SolveObserved is Solve recording stage timings and work counters into
-// rec. The recorder is threaded through the algorithm layers rather
-// than stored in Config. A nil rec reproduces Solve exactly with zero
-// instrumentation cost.
-func SolveObserved(a, b []byte, cfg Config, rec *obs.Recorder) (*Kernel, error) {
-	return SolveTuned(a, b, cfg, rec, nil)
-}
-
-// SolveTuned is SolveObserved reading calibrated parameters from tn in
-// place of the built-in constants: the parallel-split chunk size, the
-// 16-bit strand-index threshold, the hybrid switch size and depth cap,
-// the steady-ant recursion cut-off, and the grid tile target. Like the
-// recorder and injector, the tuning is threaded as an argument rather
-// than stored in Config. Tuning never changes the kernel, only which
-// code path computes it (pinned bit-identically by the grid-sweep
-// differential wall in internal/tune). A nil tn reproduces
-// SolveObserved exactly.
-func SolveTuned(a, b []byte, cfg Config, rec *obs.Recorder, tn *Tuning) (*Kernel, error) {
 	if len(a)+len(b) > MaxOrder {
 		return nil, fmt.Errorf("core: input order %d exceeds the int32 kernel limit %d", len(a)+len(b), MaxOrder)
 	}
@@ -197,6 +163,9 @@ func SolveTuned(a, b []byte, cfg Config, rec *obs.Recorder, tn *Tuning) (*Kernel
 		return nil, fmt.Errorf("core: unknown algorithm %d", int(cfg.Algorithm))
 	}
 	sp.End()
+	if inj.Fire(chaos.PointSolveFinish) == chaos.FaultError {
+		return nil, chaos.Injected(chaos.PointSolveFinish)
+	}
 	return NewKernel(p, len(a), len(b)), nil
 }
 

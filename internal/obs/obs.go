@@ -30,7 +30,7 @@ import (
 type Stage uint8
 
 const (
-	// StageSolve is one whole kernel solve (core.SolveObserved end to end).
+	// StageSolve is one whole kernel solve (core.SolveWith end to end).
 	StageSolve Stage = iota
 	// StageCombRows is a row-major iterative combing pass.
 	StageCombRows
@@ -73,13 +73,13 @@ const (
 	// StageBackoff is one retry backoff wait between solve attempts of
 	// a request whose previous attempt failed transiently.
 	StageBackoff
-	// StageStreamAppend is one streaming append end to end: the leaf
-	// comb of the arriving chunk plus every spine composition and the
-	// publish of the new kernel generation. It nests StageSolve and
-	// StageStreamCompose spans.
+	// StageStreamAppend has no producer: every stream mutation, a
+	// single-pattern one included, records StageStreamGroupAppend. It
+	// is kept only because the benchmark harness (bench/run.go) names
+	// it.
 	StageStreamAppend
 	// StageStreamCompose is one steady-ant composition inside a
-	// streaming session's spine (only compositions of order ≥
+	// stream group's spine (only compositions of order ≥
 	// ComposeSpanMinOrder are timed; all are counted).
 	StageStreamCompose
 	// StageBandProbe is the engine dispatcher's divergence probe: the
@@ -190,12 +190,8 @@ const (
 	CounterDegradations
 	// CounterFaultsInjected counts faults fired by a chaos injector.
 	CounterFaultsInjected
-	// CounterStreamAppends counts chunks appended to streaming sessions
-	// (slides included: a slide is the append-shaped mutation of the
-	// other direction and shares the deadline/retry semantics).
-	CounterStreamAppends
 	// CounterStreamComposes counts steady-ant compositions performed by
-	// streaming sessions — spine merges, publish folds, and slide
+	// stream spines — spine merges, publish folds, and slide
 	// rebuilds. The differential suite bounds this against the
 	// O(log(leaves)) amortized budget.
 	CounterStreamComposes
@@ -319,7 +315,6 @@ var counterDefs = [NumCounters]struct {
 	CounterSheds:               {"requests_shed", ScopeEngine},
 	CounterDegradations:        {"requests_degraded", ScopeEngine},
 	CounterFaultsInjected:      {"faults_injected", ScopeRecorder},
-	CounterStreamAppends:       {"appends_total", ScopeRecorder},
 	CounterStreamComposes:      {"compositions_total", ScopeRecorder},
 	CounterBandedRequests:      {"requests_banded", ScopeEngine},
 	CounterBandFallbacks:       {"band_fallbacks", ScopeEngine},

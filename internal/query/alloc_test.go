@@ -55,8 +55,9 @@ func TestBestWindowSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestSolveObservedDisabledAddsZeroAllocs: a nil recorder must leave
-// Solve's allocation profile untouched — SolveObserved(nil) and Solve
-// run the identical path, spans included, without an extra allocation.
+// Solve's allocation profile untouched — SolveWith with a nil recorder
+// and Solve run the identical path, spans included, without an extra
+// allocation.
 func TestSolveObservedDisabledAddsZeroAllocs(t *testing.T) {
 	a, b := []byte("abcabcabcabcabcabcabcabc"), []byte("cbacbacbacbacbacba")
 	cfg := core.Config{Algorithm: core.AntidiagBranchless}
@@ -66,7 +67,7 @@ func TestSolveObservedDisabledAddsZeroAllocs(t *testing.T) {
 		}
 	})
 	disabled := testing.AllocsPerRun(200, func() {
-		if _, err := core.SolveObserved(a, b, cfg, nil); err != nil {
+		if _, err := core.SolveWith(a, b, cfg, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -138,7 +139,7 @@ func TestSolveInjectedDisabledAddsZeroAllocs(t *testing.T) {
 		}
 	})
 	disabled := testing.AllocsPerRun(200, func() {
-		if _, err := core.SolveInjected(a, b, cfg, nil, nil); err != nil {
+		if _, err := core.SolveWith(a, b, cfg, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -19,7 +19,6 @@ package query
 
 import (
 	"context"
-	"time"
 
 	"semilocal/internal/banded"
 	"semilocal/internal/chaos"
@@ -55,15 +54,10 @@ func (c BandedConfig) maxKFor(m, n int) int {
 // request's context error if the deadline expired mid-path (a late
 // answer is still an error, same as the kernel path).
 func (e *Engine) tryBanded(ctx context.Context, req Request) (Result, bool) {
-	if d := e.inj.At(chaos.PointBanded); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			// The fast path absorbs the injected failure by routing the
-			// request onto the kernel pipeline; no error surfaces.
-			return e.bandFallback(), false
-		}
+	if e.inj.Fire(chaos.PointBanded) == chaos.FaultError {
+		// The fast path absorbs the injected failure by routing the
+		// request onto the kernel pipeline; no error surfaces.
+		return e.bandFallback(), false
 	}
 	maxK := e.banded.maxKFor(len(req.A), len(req.B))
 	psp := e.rec.Start(obs.StageBandProbe)

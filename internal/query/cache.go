@@ -48,11 +48,14 @@ type shard struct {
 // most one goroutine per key reads the store or solves.
 type cache struct {
 	shards []*shard
-	solve  func(a, b []byte, cfg core.Config) (*core.Kernel, error)
-	rec    *obs.Recorder
-	inj    *chaos.Injector
-	tier   *storeTier // nil when no persistent store is configured
-	ctr    *obs.CounterSet
+	// solve computes a missing kernel: core.SolveWith threaded with the
+	// engine's recorder, injector and tuning. It is a field only so
+	// that tests can count and gate real solves.
+	solve func(a, b []byte, cfg core.Config) (*core.Kernel, error)
+	rec   *obs.Recorder
+	inj   *chaos.Injector
+	tier  *storeTier // nil when no persistent store is configured
+	ctr   *obs.CounterSet
 }
 
 func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
@@ -66,16 +69,13 @@ func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj 
 	}
 	c := &cache{
 		shards: make([]*shard, shards),
-		solve:  core.Solve,
-		rec:    rec,
-		inj:    inj,
-		tier:   tier,
-		ctr:    ctr,
-	}
-	if rec != nil || inj != nil || tn != nil {
-		c.solve = func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
-			return core.SolveInjectedTuned(a, b, cfg, rec, inj, tn)
-		}
+		solve: func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
+			return core.SolveWith(a, b, cfg, rec, inj, tn)
+		},
+		rec:  rec,
+		inj:  inj,
+		tier: tier,
+		ctr:  ctr,
 	}
 	per := (capacity + shards - 1) / shards
 	for i := range c.shards {
@@ -106,17 +106,13 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if d := c.inj.At(chaos.PointAcquire); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultCancel:
-			// Behave exactly as if the caller's context had been
-			// cancelled on entry: the typed error, no partial work.
-			return nil, context.Canceled
-		case chaos.FaultEvict:
-			c.evictAll(store.Key{}, false)
-		}
+	switch c.inj.Fire(chaos.PointAcquire) {
+	case chaos.FaultCancel:
+		// Behave exactly as if the caller's context had been cancelled
+		// on entry: the typed error, no partial work.
+		return nil, context.Canceled
+	case chaos.FaultEvict:
+		c.evictAll(store.Key{}, false)
 	}
 	// cache_hit / cache_miss histograms split acquire latency by
 	// outcome: a hit is a map lookup under the shard lock, a miss (or a
@@ -186,15 +182,7 @@ func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config
 		psp.End()
 	}
 
-	storm := false
-	if d := c.inj.At(chaos.PointPublish); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultEvict:
-			storm = true
-		}
-	}
+	storm := c.inj.Fire(chaos.PointPublish) == chaos.FaultEvict
 
 	sh.mu.Lock()
 	delete(sh.inflight, key)

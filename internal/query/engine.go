@@ -368,15 +368,7 @@ func (e *Engine) release() {
 // (sequential) path — a stalled pool must not also be asked for peak
 // parallel throughput.
 func (e *Engine) workerFault() bool {
-	d := e.inj.At(chaos.PointWorker)
-	switch d.Fault {
-	case chaos.FaultStall:
-		time.Sleep(d.Latency)
-		return true
-	case chaos.FaultLatency:
-		time.Sleep(d.Latency)
-	}
-	return false
+	return e.inj.Fire(chaos.PointWorker) == chaos.FaultStall
 }
 
 // one answers a single request. stalled reports that a chaos worker
@@ -418,13 +410,8 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 	if err != nil {
 		return Result{Err: err}
 	}
-	if d := e.inj.At(chaos.PointQuery); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultCancel:
-			return Result{Err: context.Canceled}
-		}
+	if e.inj.Fire(chaos.PointQuery) == chaos.FaultCancel {
+		return Result{Err: context.Canceled}
 	}
 	// Deadline enforcement: a request whose deadline expired while it
 	// waited for the solve reports the typed context error instead of

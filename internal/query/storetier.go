@@ -76,14 +76,9 @@ func (t *storeTier) lookup(key store.Key) *core.Kernel {
 	if t == nil {
 		return nil
 	}
-	if d := t.inj.At(chaos.PointStore); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency, chaos.FaultStall:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			t.ctr.Add(obs.CounterStoreMisses, 1)
-			return nil
-		}
+	if t.inj.Fire(chaos.PointStore) == chaos.FaultError {
+		t.ctr.Add(obs.CounterStoreMisses, 1)
+		return nil
 	}
 	sp := t.rec.Start(obs.StageStoreRead)
 	k, err := t.st.Get(key)
@@ -130,13 +125,8 @@ func (t *storeTier) run() {
 }
 
 func (t *storeTier) append(p tierAppend) {
-	if d := t.inj.At(chaos.PointStore); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency, chaos.FaultStall:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			return // this kernel stays memory-only; answers unaffected
-		}
+	if t.inj.Fire(chaos.PointStore) == chaos.FaultError {
+		return // this kernel stays memory-only; answers unaffected
 	}
 	sp := t.rec.Start(obs.StageStoreAppend)
 	err := t.st.Put(p.key, p.k)

@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"semilocal/internal/chaos"
 	"semilocal/internal/obs"
@@ -216,13 +215,8 @@ func (s *Server) route(key store.Key) (*shardSlot, error) {
 	rsp := s.rec.Start(obs.StageServerRoute)
 	defer rsp.End()
 	killed := -1
-	if d := s.inj.At(chaos.PointShard); d.Fault != chaos.FaultNone {
-		switch d.Fault {
-		case chaos.FaultLatency:
-			time.Sleep(d.Latency)
-		case chaos.FaultError:
-			killed = s.ring.lookup(key)
-		}
+	if s.inj.Fire(chaos.PointShard) == chaos.FaultError {
+		killed = s.ring.lookup(key)
 	}
 	home := -1
 	id, ok := s.ring.walk(key, func(sh int) bool {

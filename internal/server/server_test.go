@@ -478,6 +478,47 @@ func TestServerRebalanceDrill(t *testing.T) {
 	}
 }
 
+// TestTenantTableBounded: a client cycling through distinct valid
+// tenant names leaves no trace once its requests drain — the quota
+// table holds only tenants with requests in flight.
+func TestTenantTableBounded(t *testing.T) {
+	tt := newTenantTable(2)
+	size := func() int {
+		tt.mu.Lock()
+		defer tt.mu.Unlock()
+		return len(tt.out)
+	}
+	const tenants = 10000
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("tenant-%d", i)
+		if got := tt.admit(name, 3); got != 2 {
+			t.Fatalf("%s: admitted %d of 3, want the quota 2", name, got)
+		}
+		if i%2 == 0 {
+			tt.release(name, 2)
+		} else {
+			tt.release(name, 1)
+			tt.release(name, 1)
+		}
+		if got := tt.outstanding(name); got != 0 {
+			t.Fatalf("%s: %d outstanding after release, want 0", name, got)
+		}
+	}
+	if n := size(); n != 0 {
+		t.Fatalf("tenant table holds %d entries after %d tenants drained, want 0", n, tenants)
+	}
+	// A partly released tenant keeps its entry until the last slot.
+	tt.admit("held", 2)
+	tt.release("held", 1)
+	if n, out := size(), tt.outstanding("held"); n != 1 || out != 1 {
+		t.Fatalf("partly released tenant: %d entries, %d outstanding, want 1 and 1", n, out)
+	}
+	tt.release("held", 1)
+	if n := size(); n != 0 {
+		t.Fatalf("tenant table holds %d entries after the last release, want 0", n)
+	}
+}
+
 // TestServerTenantQuota: a batch larger than the tenant's quota admits
 // the head and rejects the tail typed; quota drains after the call so
 // the next batch is admitted again; other tenants are unaffected.

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrTenantQuota is the typed per-tenant rejection of the serving
@@ -41,83 +40,64 @@ func validTenant(s string) bool {
 // quota, layered in front of the per-shard engines' MaxQueue admission:
 // the engine bound protects the process, the tenant bound protects
 // tenants from each other. The zero quota disables the table entirely.
+// A tenant has an entry only while it has requests in flight, so the
+// table is bounded by the in-flight requests, not by the number of
+// tenant names clients have ever sent.
 type tenantTable struct {
 	quota int
-	mu    sync.RWMutex
-	out   map[string]*atomic.Int64 // tenant → outstanding requests
+	mu    sync.Mutex
+	out   map[string]int // tenant → outstanding requests (> 0)
 }
 
 func newTenantTable(quota int) *tenantTable {
 	if quota <= 0 {
 		return nil
 	}
-	return &tenantTable{quota: quota, out: make(map[string]*atomic.Int64)}
-}
-
-// gauge returns tenant's outstanding-request gauge, creating it on
-// first use. The RWMutex is double-checked: steady state is a read lock
-// and a map hit.
-func (t *tenantTable) gauge(tenant string) *atomic.Int64 {
-	t.mu.RLock()
-	g := t.out[tenant]
-	t.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if g = t.out[tenant]; g == nil {
-		g = &atomic.Int64{}
-		t.out[tenant] = g
-	}
-	return g
+	return &tenantTable{quota: quota, out: make(map[string]int)}
 }
 
 // admit reserves quota slots for up to n of tenant's requests and
 // returns how many were admitted; the remainder must be rejected with
 // ErrTenantQuota. A nil table admits everything through one branch.
-// The CAS loop mirrors Engine.admit — partial admission at arrival,
-// deterministic for a sequential caller.
+// Admission is partial at arrival, like Engine.admit, and deterministic
+// for a sequential caller.
 func (t *tenantTable) admit(tenant string, n int) int {
 	if t == nil {
 		return n
 	}
-	g := t.gauge(tenant)
-	for {
-		cur := g.Load()
-		free := int64(t.quota) - cur
-		if free <= 0 {
-			return 0
-		}
-		take := int64(n)
-		if take > free {
-			take = free
-		}
-		if g.CompareAndSwap(cur, cur+take) {
-			return int(take)
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.out[tenant]
+	take := min(n, t.quota-cur)
+	if take <= 0 {
+		return 0
 	}
+	t.out[tenant] = cur + take
+	return take
 }
 
-// release frees n of tenant's admitted slots.
+// release frees n of tenant's admitted slots, dropping the tenant's
+// entry once none are left.
 func (t *tenantTable) release(tenant string, n int) {
 	if t == nil || n == 0 {
 		return
 	}
-	t.gauge(tenant).Add(int64(-n))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if left := t.out[tenant] - n; left > 0 {
+		t.out[tenant] = left
+	} else {
+		delete(t.out, tenant)
+	}
 }
 
 // outstanding reports tenant's current in-flight count (0 for unknown
 // tenants); the quiescent-exactness soak asserts it drains to zero.
-func (t *tenantTable) outstanding(tenant string) int64 {
+func (t *tenantTable) outstanding(tenant string) int {
 	if t == nil {
 		return 0
 	}
-	t.mu.RLock()
-	g := t.out[tenant]
-	t.mu.RUnlock()
-	if g == nil {
-		return 0
-	}
-	return g.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.out[tenant]
 }

@@ -29,20 +29,21 @@ func TestStreamLeafMergeZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k1 := s.leaves[len(s.leaves)-2].kern
-	k2 := s.leaves[len(s.leaves)-1].kern
+	sp := s.g.states[0]
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	k1 := sp.leaves[len(sp.leaves)-2].kern
+	k2 := sp.leaves[len(sp.leaves)-1].kern
 	dst := make([]int32, len(a)+2*chunkLen)
-	s.comp.warm(len(dst))
+	sp.comp.warm(len(dst))
 	// The raw fused composition.
 	benchkit.AssertMaxAllocs(t, "composer.composeB", 0, 100, func() {
-		s.comp.composeB(k1, k2, len(a), chunkLen, chunkLen, dst)
+		sp.comp.composeB(k1, k2, len(a), chunkLen, chunkLen, dst)
 	})
-	// The counted session wrapper with instrumentation disabled adds
+	// The counted spine wrapper with instrumentation disabled adds
 	// nothing either.
-	benchkit.AssertMaxAllocs(t, "session.composeB", 0, 100, func() {
-		s.composeB(k1, k2, chunkLen, chunkLen, dst)
+	benchkit.AssertMaxAllocs(t, "spine.composeB", 0, 100, func() {
+		sp.composeB(k1, k2, chunkLen, chunkLen, dst)
 	})
 }
 

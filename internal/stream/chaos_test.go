@@ -121,8 +121,8 @@ func TestStreamChaosLatency(t *testing.T) {
 	if rec.Counter(obs.CounterFaultsInjected) != 6 {
 		t.Fatalf("faults_injected = %d, want 6", rec.Counter(obs.CounterFaultsInjected))
 	}
-	if rec.Counter(obs.CounterStreamAppends) != 6 {
-		t.Fatalf("appends_total = %d, want 6", rec.Counter(obs.CounterStreamAppends))
+	if rec.Counter(obs.CounterStreamGroupAppends) != 6 {
+		t.Fatalf("stream_group_appends = %d, want 6", rec.Counter(obs.CounterStreamGroupAppends))
 	}
 	if rec.Counter(obs.CounterStreamComposes) != s.Compositions() {
 		t.Fatalf("compositions_total = %d, session says %d",

@@ -89,6 +89,6 @@ func FuzzStreamAppend(f *testing.F) {
 			}
 		}
 		check("final")
-		checkSpine(t, s, "final")
+		checkSpine(t, s.g.states[0], "final")
 	})
 }

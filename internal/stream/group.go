@@ -20,7 +20,7 @@
 // Append validates once, solves all deduplicated leaves before touching
 // any spine (a failure leaves the whole group unchanged and
 // retryable), then fans the infallible spine surgery out across the
-// optional worker pool. Per-pattern reads are the sessions' own
+// optional worker pool. Per-pattern reads are the spines' own
 // lock-free generation snapshots.
 package stream
 
@@ -43,8 +43,9 @@ type GroupConfig struct {
 	// pattern); nil selects DefaultSolveConfig.
 	Solve *core.Config
 	// Obs, when non-nil, records StageStreamGroupAppend /
-	// StageStreamGroupFanout spans, the group counters, and the member
-	// sessions' own compose stages. nil disables instrumentation.
+	// StageStreamGroupFanout spans, the group counters, the spines'
+	// StageStreamCompose spans and compositions_total, and the leaf
+	// solves' own stages. nil disables instrumentation.
 	Obs *obs.Recorder
 	// Chaos, when non-nil, is consulted at the stream injection point on
 	// entry to every group mutation — once per mutation, not per
@@ -82,9 +83,9 @@ type GroupState struct {
 // an internal mutex); Snapshot, Current and the other read accessors
 // are lock-free and safe concurrently with mutations.
 type Group struct {
-	pats   [][]byte   // the P patterns as given, copied
-	idx    []int      // pattern index → distinct-session index
-	states []*Session // one session per distinct pattern
+	pats   [][]byte // the P patterns as given, copied
+	idx    []int    // pattern index → distinct-spine index
+	states []*spine // one spine per distinct pattern
 	maxM   int
 	cfg    core.Config
 	rec    *obs.Recorder
@@ -112,8 +113,8 @@ type Group struct {
 	scan   groupScan
 	keyIdx map[string]int // canonical key → class slot, cleared per append
 	arena  []byte         // key bytes of the current append's classes
-	slot   []int          // distinct-session index → class slot
-	reps   []int          // class slot → representative session index
+	slot   []int          // distinct-spine index → class slot
+	reps   []int          // class slot → representative spine index
 	kerns  [][]int32      // class slot → solved leaf kernel
 	errs   []error        // class slot → leaf solve error
 
@@ -144,7 +145,11 @@ func NewGroup(patterns [][]byte, cfg GroupConfig) (*Group, error) {
 	if cfg.Solve != nil {
 		g.cfg = *cfg.Solve
 	}
-	sessCfg := Config{Solve: &g.cfg, Obs: cfg.Obs, Tuning: cfg.Tuning}
+	// Probe the configuration with an empty solve so that a bad
+	// algorithm fails here, not on the first append.
+	if _, err := core.Solve(nil, nil, g.cfg); err != nil {
+		return nil, fmt.Errorf("stream: invalid solve config: %w", err)
+	}
 	distinct := make(map[string]int, len(patterns))
 	for i, p := range patterns {
 		g.pats[i] = append([]byte(nil), p...)
@@ -152,14 +157,11 @@ func NewGroup(patterns [][]byte, cfg GroupConfig) (*Group, error) {
 			g.idx[i] = si
 			continue
 		}
-		// Member sessions get no chaos injector: the group consults the
-		// stream injection point once per mutation for all of them.
-		s, err := New(p, sessCfg)
-		if err != nil {
-			return nil, fmt.Errorf("stream: group pattern %d: %w", i, err)
+		if len(p) > core.MaxOrder {
+			return nil, fmt.Errorf("stream: pattern %d length %d exceeds the int32 kernel limit %d", i, len(p), core.MaxOrder)
 		}
 		si := len(g.states)
-		g.states = append(g.states, s)
+		g.states = append(g.states, newSpine(g.pats[i], cfg.Obs))
 		distinct[string(p)] = si
 		g.idx[i] = si
 		if len(p) > g.maxM {
@@ -188,13 +190,7 @@ func (g *Group) M(i int) int { return len(g.pats[i]) }
 // kernel of P(pattern_i, window). It never blocks, even while a group
 // mutation is in progress. Duplicate patterns share a spine and return
 // the same snapshot.
-func (g *Group) Snapshot(i int) State { return g.states[g.idx[i]].Current() }
-
-// Session returns the member session serving pattern i. The session is
-// owned by the group: callers may query it freely but must not mutate
-// it directly (Append/Slide on a member would break the group's
-// lockstep invariant).
-func (g *Group) Session(i int) *Session { return g.states[g.idx[i]] }
+func (g *Group) Snapshot(i int) State { return *g.states[g.idx[i]].cur.Load() }
 
 // Current returns the latest published group generation.
 func (g *Group) Current() GroupState { return *g.cur.Load() }
@@ -222,15 +218,15 @@ func (g *Group) LeafShares() int64 { return g.leafShares.Load() }
 func (g *Group) Compositions() int64 {
 	var total int64
 	for _, s := range g.states {
-		total += s.Compositions()
+		total += s.comps.Load()
 	}
 	return total
 }
 
 // CompositionsOf returns the compositions performed by pattern i's
 // spine. The differential suite bounds this by 2·log₂(leaves) amortized
-// per append, exactly as for a standalone Session.
-func (g *Group) CompositionsOf(i int) int64 { return g.states[g.idx[i]].Compositions() }
+// per append.
+func (g *Group) CompositionsOf(i int) int64 { return g.states[g.idx[i]].comps.Load() }
 
 // Append extends the shared window with one chunk: one chunk scan, one
 // leaf solve per relabeling class, and a lockstep spine append across
@@ -239,7 +235,7 @@ func (g *Group) CompositionsOf(i int) int64 { return g.states[g.idx[i]].Composit
 // whole group is unchanged and still serves its previous generations.
 // The stream injection point is consulted once for the whole group.
 func (g *Group) Append(chunk []byte) error {
-	if err := fault(g.inj); err != nil {
+	if err := g.fault(); err != nil {
 		return err
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
@@ -252,7 +248,7 @@ func (g *Group) Append(chunk []byte) error {
 		return nil
 	}
 	if g.maxM+g.window+len(chunk) > core.MaxOrder {
-		return fmt.Errorf("stream: group window order %d exceeds the int32 kernel limit %d",
+		return fmt.Errorf("stream: window order %d exceeds the int32 kernel limit %d",
 			g.maxM+g.window+len(chunk), core.MaxOrder)
 	}
 
@@ -295,7 +291,7 @@ func (g *Group) Append(chunk []byte) error {
 // Slide drops the drop oldest chunks from the shared window, in
 // lockstep across every pattern's spine. Sliding by zero is a no-op.
 func (g *Group) Slide(drop int) error {
-	if err := fault(g.inj); err != nil {
+	if err := g.fault(); err != nil {
 		return err
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
@@ -305,7 +301,7 @@ func (g *Group) Slide(drop int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if drop < 0 || drop > len(g.leaves) {
-		return fmt.Errorf("stream: group slide %d out of [0,%d]", drop, len(g.leaves))
+		return fmt.Errorf("stream: slide %d out of [0,%d]", drop, len(g.leaves))
 	}
 	if drop == 0 {
 		return nil
@@ -319,6 +315,16 @@ func (g *Group) Slide(drop int) error {
 	}
 	g.leaves = append(g.leaves[:0], g.leaves[drop:]...)
 	g.publishLocked()
+	return nil
+}
+
+// fault consults the chaos stream point on entry to a mutation, before
+// any state changes, so an injected error leaves every spine on its
+// previous generation and retrying the same mutation is meaningful.
+func (g *Group) fault() error {
+	if g.inj.Fire(chaos.PointStream) == chaos.FaultError {
+		return chaos.Injected(chaos.PointStream)
+	}
 	return nil
 }
 
@@ -337,7 +343,7 @@ func (g *Group) publishLocked() {
 
 // solveClass solves class j's leaf kernel against the current chunk.
 func (g *Group) solveClass(j int) {
-	k, err := core.SolveTuned(g.states[g.reps[j]].a, g.chunk, g.cfg, g.rec, g.tn)
+	k, err := core.SolveWith(g.states[g.reps[j]].a, g.chunk, g.cfg, g.rec, nil, g.tn)
 	if err != nil {
 		g.errs[j] = err
 		return
@@ -349,11 +355,11 @@ func (g *Group) solveClass(j int) {
 // Kernel slices shared across spines are immutable leaves and never
 // enter a freelist.
 func (g *Group) appendSpine(si int) {
-	g.states[si].appendLeaf(g.kerns[g.slot[si]], len(g.chunk))
+	g.states[si].push(g.kerns[g.slot[si]], len(g.chunk))
 }
 
 // dropSpine drops the current slide's leaves from spine si.
-func (g *Group) dropSpine(si int) { g.states[si].dropLeaves(g.drop) }
+func (g *Group) dropSpine(si int) { g.states[si].drop(g.drop) }
 
 // each runs fn over [0, n), across the worker pool when the group has
 // one and the fan-out is wide enough to pay for the barrier.
@@ -369,8 +375,8 @@ func (g *Group) each(n int, fn func(i int)) {
 
 // groupByKey is the shared text-side pass: it scans the current chunk
 // once, assigns every distinct pattern its canonical relabeling key
-// against it and groups equal keys into classes: slot[si] is session
-// si's class, reps[j] the first session of class j. One spine is one
+// against it and groups equal keys into classes: slot[si] is spine si's
+// class, reps[j] the first spine of class j. One spine is one
 // class, so a one-spine group skips the scan and the keys. All scratch
 // is retained; only first-seen map keys allocate.
 func (g *Group) groupByKey() {

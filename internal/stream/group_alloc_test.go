@@ -93,8 +93,8 @@ func TestGroupSteadyStateAppendAllocs(t *testing.T) {
 }
 
 // TestGroupOnePatternRoundAllocs pins the P = 1 group round — the shape
-// every engine-served single-pattern stream runs — close to a bare
-// Session round: one leaf solve, one spine append, one published
+// every single-pattern stream runs, engine-served or a standalone
+// Session — at one leaf solve, one spine append and one published
 // generation. The group's own work (fan-out dispatch, class keying) must
 // add no per-round closures or map keys when there is one spine.
 func TestGroupOnePatternRoundAllocs(t *testing.T) {
@@ -105,15 +105,8 @@ func TestGroupOnePatternRoundAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(a, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < windowLeaves; i++ {
 		if err := g.Append(chunk); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,22 +118,11 @@ func TestGroupOnePatternRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sessionRound := func() {
-		if err := s.Slide(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for i := 0; i < 2*windowLeaves; i++ {
 		groupRound()
-		sessionRound()
 	}
 	group := testing.AllocsPerRun(20, groupRound)
-	session := testing.AllocsPerRun(20, sessionRound)
-	t.Logf("one-pattern round: group %.1f allocs, session %.1f allocs", group, session)
 	if group > 17 {
-		t.Fatalf("one-pattern group round allocates %.1f times (session round %.1f), want ≤ 17", group, session)
+		t.Fatalf("one-pattern group round allocates %.1f times, want ≤ 17", group)
 	}
 }

@@ -48,7 +48,7 @@ func checkGroup(t *testing.T, g *Group, mirrors []*Session, window []byte, label
 					label, i, st.Gen, st.Leaves, mst.Gen, mst.Leaves)
 			}
 		}
-		checkSpine(t, g.Session(i), label)
+		checkSpine(t, g.states[g.idx[i]], label)
 	}
 }
 
@@ -222,8 +222,8 @@ func TestGroupLeafSharing(t *testing.T) {
 	}
 	checkGroup(t, g, nil, []byte("TTCACA"), "sharing")
 	// Duplicate patterns literally share one spine and one snapshot.
-	if g.Session(0) != g.Session(1) {
-		t.Fatal("duplicate patterns must share a session")
+	if g.idx[0] != g.idx[1] {
+		t.Fatal("duplicate patterns must share a spine")
 	}
 	if rec.Counter(obs.CounterStreamGroupAppends) != 2 {
 		t.Fatalf("stream_group_appends = %d, want 2", rec.Counter(obs.CounterStreamGroupAppends))

@@ -40,23 +40,23 @@ func checkIdentical(t *testing.T, s *Session, a, window []byte, label string) {
 // checkSpine asserts the skew binary counter invariant white-box:
 // every spine node covers at least twice the leaves of its successor,
 // which caps the spine depth at log₂(leaves)+1.
-func checkSpine(t *testing.T, s *Session, label string) {
+func checkSpine(t *testing.T, s *spine, label string) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	total := 0
-	for i, nd := range s.spine {
+	for i, nd := range s.nodes {
 		total += nd.leaves()
-		if i > 0 && s.spine[i-1].leaves() < 2*nd.leaves() {
-			t.Fatalf("%s: spine invariant violated at %d: %d < 2·%d", label, i, s.spine[i-1].leaves(), nd.leaves())
+		if i > 0 && s.nodes[i-1].leaves() < 2*nd.leaves() {
+			t.Fatalf("%s: spine invariant violated at %d: %d < 2·%d", label, i, s.nodes[i-1].leaves(), nd.leaves())
 		}
 	}
 	if total != len(s.leaves) {
 		t.Fatalf("%s: spine covers %d leaves, window has %d", label, total, len(s.leaves))
 	}
 	if L := len(s.leaves); L > 0 {
-		if maxDepth := int(math.Log2(float64(L))) + 1; len(s.spine) > maxDepth {
-			t.Fatalf("%s: spine depth %d exceeds log2(%d)+1 = %d", label, len(s.spine), L, maxDepth)
+		if maxDepth := int(math.Log2(float64(L))) + 1; len(s.nodes) > maxDepth {
+			t.Fatalf("%s: spine depth %d exceeds log2(%d)+1 = %d", label, len(s.nodes), L, maxDepth)
 		}
 	}
 }
@@ -112,7 +112,7 @@ func TestStreamMatchesFromScratchRandomized(t *testing.T) {
 				chunks = append(chunks, chunk)
 			}
 			checkIdentical(t, s, a, windowOf(), "mid-trial")
-			checkSpine(t, s, "mid-trial")
+			checkSpine(t, s.g.states[0], "mid-trial")
 		}
 		// Cross-check the final window against the quadratic DP: every
 		// H entry of the streamed kernel must match the oracle matrix.
@@ -148,7 +148,7 @@ func TestStreamOneByteChunks(t *testing.T) {
 			t.Fatalf("append byte %d: %v", i, err)
 		}
 		checkIdentical(t, s, a, text[:i+1], "one-byte")
-		checkSpine(t, s, "one-byte")
+		checkSpine(t, s.g.states[0], "one-byte")
 	}
 	if got, want := s.Kernel().Score(), oracle.Score(a, text); got != want {
 		t.Fatalf("final score %d, oracle says %d", got, want)

@@ -24,7 +24,7 @@ func benchSolve(b *testing.B, cfg core.Config, tn *core.Tuning) {
 	y := dataset.Normal(4096, 1, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveTuned(x, y, cfg, nil, tn); err != nil {
+		if _, err := core.SolveWith(x, y, cfg, nil, nil, tn); err != nil {
 			b.Fatal(err)
 		}
 	}

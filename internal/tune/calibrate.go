@@ -190,7 +190,7 @@ func Calibrate(g Grid, rec *obs.Recorder, log io.Writer) *Profile {
 		}
 	}
 	solve := func(cfg core.Config, tn core.Tuning) {
-		if _, err := core.SolveTuned(a, b, cfg, nil, &tn); err != nil {
+		if _, err := core.SolveWith(a, b, cfg, nil, nil, &tn); err != nil {
 			panic(err) // probe sizes are far below MaxOrder
 		}
 	}
@@ -257,7 +257,7 @@ func Calibrate(g Grid, rec *obs.Recorder, log io.Writer) *Profile {
 	logf("-> hybrid_switch=%d", p.Core.HybridSwitch)
 
 	// Steady-ant precalc base, probed directly on the tuned multiply
-	// (the exact closure core.SolveTuned hands the recursive solvers).
+	// (the exact closure core.SolveWith hands the recursive solvers).
 	rng := rand.New(rand.NewSource(7))
 	mp := perm.Random(2*n, rng)
 	mq := perm.Random(2*n, rng)

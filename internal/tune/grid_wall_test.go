@@ -68,7 +68,7 @@ func TestGridSweepBitIdentical(t *testing.T) {
 			for _, tn := range points {
 				tn := tn
 				for _, cfg := range cfgs {
-					k, err := core.SolveTuned(pr.A, pr.B, cfg, nil, &tn)
+					k, err := core.SolveWith(pr.A, pr.B, cfg, nil, nil, &tn)
 					if err != nil {
 						t.Fatalf("%v tuning=%+v: %v", cfg.Algorithm, tn, err)
 					}
@@ -95,7 +95,7 @@ func TestGridSweepRandomized(t *testing.T) {
 		a, b := oracle.RandomPair(rng, 100, 1+rng.Intn(5))
 		tn := points[rng.Intn(len(points))]
 		cfg := cfgs[rng.Intn(len(cfgs))]
-		k, err := core.SolveTuned(a, b, cfg, nil, &tn)
+		k, err := core.SolveWith(a, b, cfg, nil, nil, &tn)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

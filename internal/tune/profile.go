@@ -8,7 +8,7 @@
 // micro-benchmarks the parameter grid on the current machine and
 // selects per-axis winners; the result is persisted as a versioned JSON
 // Profile that cmd/semilocal loads on start-up and threads through
-// core.SolveTuned as a core.Tuning argument.
+// core.SolveWith as a core.Tuning argument.
 //
 // Tuning never changes answers — every grid point produces the
 // bit-identical semi-local kernel (the grid-sweep differential wall in
@@ -59,7 +59,7 @@ type Profile struct {
 	NumCPU int    `json:"num_cpu,omitempty"`
 
 	// Core is the calibrated solver tuning threaded through
-	// core.SolveTuned.
+	// core.SolveWith.
 	Core core.Tuning `json:"core"`
 	// Workers is the calibrated solve worker count; 0 leaves the
 	// caller's configured worker count alone.
@@ -85,7 +85,7 @@ func Default() *Profile {
 }
 
 // Tuning returns the profile's core tuning for threading through
-// core.SolveTuned. A nil profile yields nil (the untuned path).
+// core.SolveWith. A nil profile yields nil (the untuned path).
 func (p *Profile) Tuning() *core.Tuning {
 	if p == nil {
 		return nil

@@ -143,7 +143,7 @@ func NewStageRecorder() *StageRecorder { return obs.New() }
 // SolveObserved is Solve recording per-stage timings and counters into
 // rec; rec == nil behaves exactly like Solve.
 func SolveObserved(a, b []byte, cfg Config, rec *StageRecorder) (*Kernel, error) {
-	return core.SolveObserved(a, b, cfg, rec)
+	return core.SolveWith(a, b, cfg, rec, nil, nil)
 }
 
 // LCS returns the (global) LCS score of a and b using plain linear-space
@@ -279,10 +279,12 @@ func NewSession(k *Kernel) *Session {
 // pointer; queries are lock-free and run concurrently with appends.
 
 // StreamSession maintains the kernel of a fixed pattern against a
-// chunked, sliding window of text; see internal/stream.
+// chunked, sliding window of text: a StreamGroup of one pattern; see
+// internal/stream.
 type StreamSession = stream.Session
 
 // StreamConfig configures NewStreamSession; the zero value is usable.
+// It is StreamGroupConfig, since a stream session is a group of one.
 type StreamConfig = stream.Config
 
 // StreamState is one published kernel generation of a StreamSession.
@@ -342,11 +344,10 @@ type EngineStreamGroup = query.StreamGroup
 
 // Streaming stages and counters for StageRecorder consumers.
 const (
-	StageStreamAppend          = obs.StageStreamAppend          // one append/slide end to end
+	StageStreamAppend          = obs.StageStreamAppend          // no producer; kept for existing readers
 	StageStreamCompose         = obs.StageStreamCompose         // one spine composition
 	StageStreamGroupAppend     = obs.StageStreamGroupAppend     // one group append/slide end to end
 	StageStreamGroupFanout     = obs.StageStreamGroupFanout     // class solves + per-spine surgery
-	CounterStreamAppends       = obs.CounterStreamAppends       // appends_total (slides included)
 	CounterStreamComposes      = obs.CounterStreamComposes      // compositions_total
 	CounterStreamGroupAppends  = obs.CounterStreamGroupAppends  // stream_group_appends
 	CounterStreamGroupPatterns = obs.CounterStreamGroupPatterns // stream_group_patterns
@@ -568,7 +569,7 @@ func LoadProfileOrDefault(path string, rec *StageRecorder) (*TuningProfile, erro
 // SolveTuned is Solve threading a calibrated tuning (and optionally a
 // recorder); tn == nil behaves exactly like Solve.
 func SolveTuned(a, b []byte, cfg Config, rec *StageRecorder, tn *Tuning) (*Kernel, error) {
-	return core.SolveTuned(a, b, cfg, rec, tn)
+	return core.SolveWith(a, b, cfg, rec, nil, tn)
 }
 
 // Calibration stages and counters for StageRecorder consumers.
