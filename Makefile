@@ -70,6 +70,7 @@ FUZZ_TARGETS := \
 	FuzzSessionQueries:./internal/query \
 	FuzzStreamAppend:./internal/stream \
 	FuzzStreamGroup:./internal/stream \
+	FuzzComposeB:./internal/stream \
 	FuzzBandedDistance:./internal/banded \
 	FuzzKernelRoundtrip:./internal/core \
 	FuzzStoreOpen:./internal/store \

@@ -237,7 +237,9 @@ const (
 	// CounterTuneProbes counts calibration micro-benchmark probes.
 	CounterTuneProbes
 	// CounterStreamGroupAppends counts group-wide mutations (appends and
-	// slides) applied to multi-pattern streaming session groups.
+	// slides) applied to streaming session groups: one per published
+	// group generation. Empty appends, zero slides and rejected or
+	// failed mutations are not counted.
 	CounterStreamGroupAppends
 	// CounterStreamGroupPatterns sums the patterns fanned out to per
 	// group mutation — divided by CounterStreamGroupAppends it gives the

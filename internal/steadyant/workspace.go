@@ -53,6 +53,9 @@ func (w *Workspace) grow(n int) {
 	w.cap = n
 }
 
+// Order reports the largest order the retained storage fits.
+func (w *Workspace) Order() int { return w.cap }
+
 // MultiplyInto writes the sticky braid product of the row→column arrays
 // p and q (equal length) into dst, which must have the same length and
 // may alias p or q. The combined sequential configuration is used

@@ -25,9 +25,21 @@
 // record (last writer wins on scan); the bytes of superseded and
 // corrupt records are "dead" and a compaction pass rewrites the live
 // records into a fresh log once dead bytes cross a threshold.
+//
+// The in-memory index (index.go) is keyed by a key's fingerprint — its
+// first 8 bytes — rather than by the full 32-byte key, and holds about
+// 24 bytes per live record. The full key stays in every record header,
+// so no answer can be wrong: Get verifies the header's key and reports
+// ErrNotFound when the record under the fingerprint belongs to another
+// key. Two keys sharing a fingerprint share one index slot, and the
+// later Put supersedes the earlier record. Evicting another client's
+// kernel that way takes a 64-bit second preimage of SHA-256 (about
+// 2⁶⁴ hash evaluations per targeted key), so an untrusted client can
+// cost a recompute at most, never a wrong kernel.
 package store
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -36,7 +48,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"semilocal/internal/core"
@@ -50,6 +62,9 @@ import (
 // excludes the solve configuration: a kernel persisted by one config
 // warms every other.
 type Key [sha256.Size]byte
+
+// fingerprint is the index slot of a key: its first 8 bytes.
+func (k Key) fingerprint() uint64 { return binary.LittleEndian.Uint64(k[:8]) }
 
 // KeyOf derives the store key for an input pair.
 func KeyOf(a, b []byte) Key {
@@ -152,7 +167,7 @@ type Store struct {
 
 	mu     sync.RWMutex
 	f      *os.File
-	index  map[Key]entry
+	index  index // by Key.fingerprint
 	size   int64 // current log length in bytes
 	dead   int64 // bytes of superseded/corrupt records
 	closed bool
@@ -179,7 +194,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	st := &Store{dir: dir, cfg: cfg, f: f, index: make(map[Key]entry)}
+	st := &Store{dir: dir, cfg: cfg, f: f}
 	if err := st.scan(); err != nil {
 		f.Close()
 		return nil, err
@@ -257,13 +272,13 @@ func (st *Store) scan() error {
 			off = recEnd
 			continue
 		}
-		key := Key(hdr[keyOff : keyOff+sha256.Size])
-		if old, ok := st.index[key]; ok {
+		fp := Key(hdr[keyOff : keyOff+sha256.Size]).fingerprint()
+		if old, ok := st.index.set(fp, entry{off: off, payloadLen: payloadLen}); ok {
 			st.dead += old.recordSize() // superseded: last writer wins
 		}
-		st.index[key] = entry{off: off, payloadLen: payloadLen}
 		off = recEnd
 	}
+	st.index.fold()
 	if off < fileSize {
 		// Crash boundary: everything from the torn record on is
 		// discarded so the next append lands on a clean boundary.
@@ -281,15 +296,18 @@ func (st *Store) scan() error {
 }
 
 // Get returns the kernel stored under key. It returns ErrNotFound for
-// an absent key and ErrCorrupt when the record fails its checksum or
-// decode at read time (the record is then dropped from the index).
+// an absent key — including a sound record under the key's fingerprint
+// that belongs to another key — and ErrCorrupt when the record fails
+// its checksum or decode at read time (the record is then dropped from
+// the index).
 func (st *Store) Get(key Key) (*core.Kernel, error) {
+	fp := key.fingerprint()
 	st.mu.RLock()
 	if st.closed {
 		st.mu.RUnlock()
 		return nil, ErrClosed
 	}
-	e, ok := st.index[key]
+	e, ok := st.index.get(fp)
 	if !ok {
 		st.mu.RUnlock()
 		return nil, ErrNotFound
@@ -298,25 +316,29 @@ func (st *Store) Get(key Key) (*core.Kernel, error) {
 	_, err := st.f.ReadAt(rec, e.off)
 	st.mu.RUnlock()
 	if err != nil {
-		st.discard(key, e)
+		st.discard(fp, e)
 		return nil, fmt.Errorf("%w: read: %v", ErrCorrupt, err)
 	}
 	// Re-verify on every read: the index proves the record was sound at
-	// scan/append time, not that the disk still holds those bytes.
-	if [4]byte(rec[magicOff:magicOff+4]) != logMagic ||
-		Key(rec[keyOff:keyOff+sha256.Size]) != key {
-		st.discard(key, e)
+	// scan/append time, not that the disk still holds those bytes. The
+	// CRC covers the header's key, so a flipped key byte is corrupt;
+	// only a sound record can answer "another key".
+	if [4]byte(rec[magicOff:magicOff+4]) != logMagic {
+		st.discard(fp, e)
 		return nil, ErrCorrupt
 	}
 	want := binary.LittleEndian.Uint32(rec[crcOff:])
 	got := crc32.Update(crc32.Checksum(rec[:crcOff], castagnoli), castagnoli, rec[headerSize:])
 	if got != want {
-		st.discard(key, e)
+		st.discard(fp, e)
 		return nil, ErrCorrupt
+	}
+	if Key(rec[keyOff:keyOff+sha256.Size]) != key {
+		return nil, ErrNotFound
 	}
 	k, err := core.UnmarshalKernel(rec[headerSize:])
 	if err != nil {
-		st.discard(key, e)
+		st.discard(fp, e)
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return k, nil
@@ -324,18 +346,19 @@ func (st *Store) Get(key Key) (*core.Kernel, error) {
 
 // discard drops a record that failed read-time verification, counting
 // it corrupt and marking its bytes dead.
-func (st *Store) discard(key Key, e entry) {
+func (st *Store) discard(fp uint64, e entry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if cur, ok := st.index[key]; ok && cur == e {
-		delete(st.index, key)
+	if cur, ok := st.index.get(fp); ok && cur == e {
+		st.index.remove(fp)
 		st.dead += e.recordSize()
 		st.corrupt++
 	}
 }
 
-// Put durably appends the kernel under key. When the key already holds
-// a record, the new record supersedes it (the old bytes become dead).
+// Put durably appends the kernel under key. When the key — or another
+// key with the same fingerprint — already holds a record, the new
+// record supersedes it (the old bytes become dead).
 // The record is fsync'd (unless Config.NoSync) before Put returns and
 // before it becomes visible to Get.
 func (st *Store) Put(key Key, k *core.Kernel) error {
@@ -373,10 +396,9 @@ func (st *Store) Put(key Key, k *core.Kernel) error {
 			return fmt.Errorf("store: put: sync: %w", err)
 		}
 	}
-	if old, ok := st.index[key]; ok {
+	if old, ok := st.index.set(key.fingerprint(), entry{off: off, payloadLen: uint32(len(payload))}); ok {
 		st.dead += old.recordSize()
 	}
-	st.index[key] = entry{off: off, payloadLen: uint32(len(payload))}
 	st.size = off + int64(len(rec))
 	return nil
 }
@@ -415,15 +437,11 @@ func (st *Store) compactLocked() error {
 	}
 	// Preserve append order so a store that survived N compactions
 	// still reads like one log written front to back.
-	keys := make([]Key, 0, len(st.index))
-	for k := range st.index {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return st.index[keys[i]].off < st.index[keys[j]].off })
-	newIndex := make(map[Key]entry, len(keys))
+	live := st.index.slots()
+	slices.SortFunc(live, func(a, b slot) int { return cmp.Compare(a.e.off, b.e.off) })
 	var out int64
-	for _, k := range keys {
-		e := st.index[k]
+	for i := range live {
+		e := live[i].e
 		rec := make([]byte, e.recordSize())
 		if _, err := st.f.ReadAt(rec, e.off); err != nil {
 			tmp.Close()
@@ -435,7 +453,7 @@ func (st *Store) compactLocked() error {
 			os.Remove(tmpPath)
 			return fmt.Errorf("store: compact write: %w", err)
 		}
-		newIndex[k] = entry{off: out, payloadLen: e.payloadLen}
+		live[i].e.off = out
 		out += e.recordSize()
 	}
 	if !st.cfg.NoSync {
@@ -461,7 +479,7 @@ func (st *Store) compactLocked() error {
 	}
 	st.f.Close()
 	st.f = tmp
-	st.index = newIndex
+	st.index = indexOf(live)
 	st.size = out
 	st.dead = 0
 	st.compactions++
@@ -481,7 +499,7 @@ func syncDir(dir string) error {
 func (st *Store) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return len(st.index)
+	return st.index.count()
 }
 
 // LogBytes returns the current log length in bytes. The crash-recovery
@@ -514,13 +532,18 @@ func (st *Store) Compactions() int64 {
 	return st.compactions
 }
 
-// Keys returns the live keys in unspecified order.
+// Keys returns the live keys in unspecified order, read from the
+// record headers (the index holds only fingerprints). A record whose
+// header cannot be read is left out.
 func (st *Store) Keys() []Key {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out := make([]Key, 0, len(st.index))
-	for k := range st.index {
-		out = append(out, k)
+	out := make([]Key, 0, st.index.count())
+	var key Key
+	for _, sl := range st.index.slots() {
+		if _, err := st.f.ReadAt(key[:], sl.e.off+keyOff); err == nil {
+			out = append(out, key)
+		}
 	}
 	return out
 }

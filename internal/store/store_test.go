@@ -166,6 +166,66 @@ func TestStoreLastWriterWins(t *testing.T) {
 	}
 }
 
+// TestStoreFingerprintCollision forges two keys that agree in their
+// first 8 bytes — the index fingerprint — and differ after it. The
+// second Put supersedes the first record; Get of the first key then
+// reports ErrNotFound, never the other key's kernel, and does not
+// count the sound record corrupt. Len, DeadBytes, Keys, Compact and a
+// reopen all agree.
+func TestStoreFingerprintCollision(t *testing.T) {
+	dir := t.TempDir()
+	st := openT(t, dir, Config{NoSync: true})
+	first := KeyOf([]byte("GATTACA"), []byte("GCATGCU"))
+	second := first
+	second[31] ^= 0xff
+	k1 := solveKernel(t, []byte("GATTACA"), []byte("GCATGCU"))
+	k2 := solveKernel(t, []byte("CTGAA"), []byte("TTGAA"))
+	if err := st.Put(first, k1); err != nil {
+		t.Fatal(err)
+	}
+	firstSize := st.LogBytes()
+	if err := st.Put(second, k2); err != nil {
+		t.Fatal(err)
+	}
+	check := func(st *Store, label string, wantDead int64) {
+		t.Helper()
+		if _, err := st.Get(first); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: Get(first) = %v, want ErrNotFound", label, err)
+		}
+		got, err := st.Get(second)
+		if err != nil {
+			t.Fatalf("%s: Get(second): %v", label, err)
+		}
+		if !sameKernel(got, k2) {
+			t.Fatalf("%s: Get(second) returned another kernel", label)
+		}
+		if st.Len() != 1 {
+			t.Fatalf("%s: Len = %d, want 1", label, st.Len())
+		}
+		if keys := st.Keys(); len(keys) != 1 || keys[0] != second {
+			t.Fatalf("%s: Keys = %x, want only the second key", label, keys)
+		}
+		if st.DeadBytes() != wantDead {
+			t.Fatalf("%s: DeadBytes = %d, want %d", label, st.DeadBytes(), wantDead)
+		}
+		if st.CorruptRecords() != 0 {
+			t.Fatalf("%s: %d records counted corrupt, want 0", label, st.CorruptRecords())
+		}
+	}
+	check(st, "after put", firstSize)
+	st.Close()
+	st = openT(t, dir, Config{NoSync: true})
+	check(st, "reopen", firstSize)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(st, "compacted", 0)
+	st.Close()
+	st = openT(t, dir, Config{NoSync: true})
+	defer st.Close()
+	check(st, "reopen after compaction", 0)
+}
+
 // TestStoreCrashRecoveryEveryByte is the crash property test demanded
 // by the issue: with the log truncated at EVERY byte offset of the
 // final record, reopening recovers exactly the committed prefix — all

@@ -10,10 +10,8 @@ import (
 
 // streamN and streamM size the streamed-vs-from-scratch fill
 // benchmarks. The defaults keep bench-smoke fast; the EXPERIMENTS.md
-// comparison runs them at -stream-n 1000000 for both a tiny pattern
-// (-stream-m 64, where from-scratch re-solves win: composition order
-// is m-independent, ~window) and a large one (-stream-m 4096, where
-// the incremental path's asymptotics dominate).
+// comparison runs them at -stream-n 1000000 for both a small pattern
+// (-stream-m 64) and a large one (-stream-m 4096).
 var (
 	streamN = flag.Int("stream-n", 1<<18, "total window bytes for the Fill benchmarks")
 	streamM = flag.Int("stream-m", 64, "pattern length for the stream benchmarks")

@@ -240,8 +240,6 @@ func (g *Group) Append(chunk []byte) error {
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
 	defer sp.End()
-	g.rec.Add(obs.CounterStreamGroupAppends, 1)
-	g.rec.Add(obs.CounterStreamGroupPatterns, int64(len(g.pats)))
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(chunk) == 0 {
@@ -296,8 +294,6 @@ func (g *Group) Slide(drop int) error {
 	}
 	sp := g.rec.Start(obs.StageStreamGroupAppend)
 	defer sp.End()
-	g.rec.Add(obs.CounterStreamGroupAppends, 1)
-	g.rec.Add(obs.CounterStreamGroupPatterns, int64(len(g.pats)))
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if drop < 0 || drop > len(g.leaves) {
@@ -331,8 +327,12 @@ func (g *Group) fault() error {
 // publishLocked publishes the group generation. Every member spine has
 // already published its own matching generation, so a reader that
 // observes group generation G sees every pattern at generation ≥ G.
+// Only an applied mutation gets here, so the group counters count
+// exactly the published generations.
 func (g *Group) publishLocked() {
 	g.gen++
+	g.rec.Add(obs.CounterStreamGroupAppends, 1)
+	g.rec.Add(obs.CounterStreamGroupPatterns, int64(len(g.pats)))
 	g.cur.Store(&GroupState{
 		Gen:      g.gen,
 		Window:   g.window,

@@ -236,6 +236,60 @@ func TestGroupLeafSharing(t *testing.T) {
 	}
 }
 
+// TestGroupCountsOnlyAppliedMutations mixes applied mutations with
+// no-ops (an empty append, a zero slide) and rejected ones (an
+// out-of-range slide, a window past the kernel order limit): only the
+// applied ones bump the group counters, so stream_group_appends equals
+// the group generation.
+func TestGroupCountsOnlyAppliedMutations(t *testing.T) {
+	rec := obs.New()
+	patterns := [][]byte{[]byte("ab"), []byte("ba"), []byte("abc")}
+	g, err := NewGroup(patterns, GroupConfig{Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustFail := func(err error, what string) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: want an error", what)
+		}
+	}
+	noErr := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	noErr(g.Append([]byte("abab")))
+	noErr(g.Append(nil))
+	noErr(g.Slide(0))
+	mustFail(g.Slide(2), "slide past the leaves")
+	mustFail(g.Slide(-1), "negative slide")
+	noErr(g.Append([]byte("cab")))
+	noErr(g.Slide(1))
+	// The order check runs before any solve, so no such chunk is built
+	// in full: the window would pass core.MaxOrder.
+	g.mu.Lock()
+	g.window = core.MaxOrder
+	g.mu.Unlock()
+	mustFail(g.Append([]byte("x")), "oversize window")
+	g.mu.Lock()
+	g.window = 3
+	g.mu.Unlock()
+	noErr(g.Append([]byte("b")))
+	checkGroup(t, g, nil, []byte("cabb"), "counted")
+
+	if gen := g.Generation(); gen != 4 {
+		t.Fatalf("generation %d after 4 applied mutations", gen)
+	}
+	if got := rec.Counter(obs.CounterStreamGroupAppends); got != int64(g.Generation()) {
+		t.Fatalf("stream_group_appends = %d, want the generation %d", got, g.Generation())
+	}
+	if got, want := rec.Counter(obs.CounterStreamGroupPatterns), int64(4*len(patterns)); got != want {
+		t.Fatalf("stream_group_patterns = %d, want %d (3 patterns × 4 mutations)", got, want)
+	}
+}
+
 // TestGroupRelabelKeyExactness pins the canonical key itself: equal
 // keys imply byte-identical leaf kernels (soundness — checked by the
 // differential wall), and the classes it forms are not trivially

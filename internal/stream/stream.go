@@ -25,9 +25,16 @@
 // appends, always observing a complete, consistent window. Mutations
 // are serialized by the group's mutex; only the group validates a
 // mutation, consults the chaos stream point, solves leaves and records
-// the mutation. Compositions run in a retained arena workspace and
-// recycle spine buffers through the shared recycler (internal/recycle),
-// so steady-state merges allocate nothing (the alloc guards pin this).
+// the mutation.
+//
+// A composition is cheap in the pattern, not in the window: two
+// adjacent pieces share only the m = |a| strands that cross their
+// common boundary, so the composer (composer.go) multiplies those m
+// strands at order m and maps every other strand directly — O(m log m
+// + window) time per composition instead of a full order-(m+window)
+// steady-ant product. Its retained scratch is O(m), and spine buffers
+// recycle through the shared recycler (internal/recycle), so
+// steady-state merges allocate nothing (the alloc guards pin this).
 //
 // A Session is a group of one pattern.
 package stream
