@@ -9,14 +9,17 @@
 //	suffix-prefix:     LCS(a[k:], b[:j]),
 //	prefix-suffix:     LCS(a[:k], b[j:]).
 //
-// Arbitrary H entries cost O(log(m+n)) through a dominance-counting
-// structure built lazily on first query; whole rows of window scores are
-// extracted incrementally in O(1) amortized per window.
+// Arbitrary H entries are one dominance count over the kernel's m+n
+// strands: a direct O(m+n) scan until the kernel's accumulated scan
+// work pays for a wavelet tree, O(log(m+n)) through that tree after
+// (Kernel.H); whole rows of window scores are extracted incrementally
+// in O(1) amortized per window.
 package core
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"semilocal/internal/chaos"
 	"semilocal/internal/combing"
@@ -211,8 +214,12 @@ type Kernel struct {
 	p    perm.Permutation
 	m, n int
 
+	// scanned sums the strands H has counted directly; once it would
+	// exceed the tree's build cost, H builds the tree through domOnce
+	// and publishes it in dom.
+	scanned atomic.Int64
 	domOnce sync.Once
-	dom     *dominance.Tree
+	dom     atomic.Pointer[dominance.Tree]
 
 	invOnce sync.Once
 	inv     []int32 // cached column→row view; kernels are immutable
@@ -235,8 +242,8 @@ func (k *Kernel) M() int { return k.m }
 func (k *Kernel) N() int { return k.n }
 
 func (k *Kernel) tree() *dominance.Tree {
-	k.domOnce.Do(func() { k.dom = dominance.New(k.p.RowToCol()) })
-	return k.dom
+	k.domOnce.Do(func() { k.dom.Store(dominance.New(k.p.RowToCol())) })
+	return k.dom.Load()
 }
 
 // colToRow returns the kernel's column→row view, built once on first
@@ -249,31 +256,65 @@ func (k *Kernel) colToRow() []int32 {
 
 // Prepare forces construction of the dominance-counting structure that
 // arbitrary H queries use, so that the O((m+n) log(m+n)) build cost is
-// paid once up front rather than on the first query. It returns k for
-// chaining and is safe to call concurrently with queries.
+// paid once up front rather than by the query that crosses the scan
+// budget (see H). It returns k for chaining and is safe to call
+// concurrently with queries.
 func (k *Kernel) Prepare() *Kernel {
 	k.tree()
 	return k
 }
 
-// MemoryBytes estimates the resident size of the kernel in bytes: the
-// permutation array plus the dominance structure, which is built if it
-// does not exist yet (going through the sync.Once keeps this safe to
-// call concurrently with queries). Serving caches use it to account for
-// resident kernels.
+// Prepared reports whether the dominance tree has been built, by
+// Prepare or by H once its scan budget ran out.
+func (k *Kernel) Prepared() bool { return k.dom.Load() != nil }
+
+// MemoryBytes is the kernel's resident-size reservation in bytes: the
+// permutation, the column→row view window sweeps cache, and the
+// dominance tree, whether or not the view and the tree exist yet. It is
+// O(1) arithmetic and never builds anything, so a cache that charges it
+// on insert and credits it on evict stays exact however the kernel is
+// queried in between.
 func (k *Kernel) MemoryBytes() int {
-	return 4*k.p.Size() + k.tree().Bytes()
+	return 8*k.p.Size() + dominance.SizeBytes(k.p.Size())
 }
 
 // H returns the LCS matrix entry H(i,j) of Definition 3.3 for
 // i, j ∈ [0, m+n]: the LCS of a against the padded-b window
-// bPad[i : j+m), computed as j + m - i - #{(s,e) ∈ P : s ≥ i, e < j} in
-// O(log(m+n)).
+// bPad[i : j+m), computed as j + m - i - #{(s,e) ∈ P : s ≥ i, e < j}.
+//
+// The count is a ski rental. Until the dominance tree exists, H counts
+// directly over the m+n-i strands starting at or after i: O(m+n), no
+// allocation. Once the scan work of this kernel's queries would exceed
+// the tree's build cost (m+n)·⌈log₂(m+n)⌉, the crossing query builds
+// the tree (once, shared by all goroutines), and every later query
+// costs O(log(m+n)). A kernel queried a few times never pays for the
+// tree; one queried often pays at most about twice what an eager build
+// would have.
 func (k *Kernel) H(i, j int) int {
 	if i < 0 || j < 0 || i > k.m+k.n || j > k.m+k.n {
 		panic(fmt.Sprintf("core: H(%d,%d) out of range [0,%d]", i, j, k.m+k.n))
 	}
-	return j + k.m - i - k.tree().CountDominated(i, j)
+	return j + k.m - i - k.countDominated(i, j)
+}
+
+// countDominated returns #{s ≥ i : rowToCol[s] < j}, by scan or by
+// tree as H describes.
+func (k *Kernel) countDominated(i, j int) int {
+	if t := k.dom.Load(); t != nil {
+		return t.CountDominated(i, j)
+	}
+	r2c := k.p.RowToCol()
+	n := len(r2c)
+	if k.scanned.Add(int64(n-i)) > int64(n)*int64(dominance.Levels(n)) {
+		return k.tree().CountDominated(i, j)
+	}
+	count := 0
+	for _, c := range r2c[i:] {
+		if int(c) < j {
+			count++
+		}
+	}
+	return count
 }
 
 // Score returns the global LCS score LCS(a, b).

@@ -11,8 +11,13 @@
 // The implementation is a wavelet tree stored level by level: at level k
 // the sequence is partitioned by bit k (from the most significant down),
 // and a cumulative rank array lets prefix ranks be computed in O(1) per
-// level.
+// level. The tree is Levels(n) int32 rank arrays, about ⌈log₂n⌉ times
+// the indexed sequence, so a caller that queries a sequence only a few
+// times is better off counting directly: core.Kernel scans until its
+// scan work reaches the build cost n·Levels(n), and only then builds.
 package dominance
+
+import "math/bits"
 
 // Tree is a wavelet tree over a permutation.
 type Tree struct {
@@ -36,14 +41,10 @@ func New(val []int32) *Tree {
 	if n == 0 {
 		return t
 	}
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
 	cur := make([]int32, n)
 	next := make([]int32, n)
 	copy(cur, val)
-	for b := bits - 1; b >= 0; b-- {
+	for b := Levels(n) - 1; b >= 0; b-- {
 		lv := level{rank0: make([]int32, n+1)}
 		mask := int32(1) << b
 		lo, hi := 0, 0
@@ -70,6 +71,22 @@ func New(val []int32) *Tree {
 		cur, next = next, cur
 	}
 	return t
+}
+
+// Levels returns the number of levels of a tree over n values,
+// ⌈log₂n⌉ (0 for n ≤ 1): one rank array and one O(n) pass each.
+func Levels(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
+}
+
+// SizeBytes returns, without building anything, the Bytes a tree over
+// n values occupies, so callers can reserve memory for a tree before it
+// exists.
+func SizeBytes(n int) int {
+	return Levels(n) * 4 * (n + 2)
 }
 
 // Size returns the length of the indexed sequence.

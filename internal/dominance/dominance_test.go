@@ -120,3 +120,23 @@ func TestBytesTracksStructureSize(t *testing.T) {
 		t.Fatalf("Bytes = %d, expected within [%d, %d]", got, lo, hi)
 	}
 }
+
+// TestSizeBytesMatchesBuiltTree: the arithmetic reservation callers
+// make before a tree exists is exactly what the built tree occupies,
+// and Levels is ⌈log₂n⌉.
+func TestSizeBytesMatchesBuiltTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 1000, 2048, 2049} {
+		tree := New(perm.Random(n, rng).RowToCol())
+		if got, want := SizeBytes(n), tree.Bytes(); got != want {
+			t.Fatalf("n=%d: SizeBytes = %d, built tree Bytes = %d", n, got, want)
+		}
+		want := 0
+		for 1<<want < n {
+			want++
+		}
+		if got := Levels(n); got != want {
+			t.Fatalf("Levels(%d) = %d, want %d", n, got, want)
+		}
+	}
+}

@@ -54,8 +54,11 @@ const (
 	StageGridReduce
 	// StageBitBlocks is the block loop of the bit-parallel LCS.
 	StageBitBlocks
-	// StagePrepare is the dominance-structure build that turns a solved
-	// kernel into a query-ready session.
+	// StagePrepare is the wrap that turns a solved or store-loaded
+	// kernel into a cached query session. The engine cache wraps
+	// kernels unprepared, so it no longer covers the dominance-tree
+	// build: that happens on demand, inside the StageQuery span of the
+	// query that crosses its kernel's scan budget.
 	StagePrepare
 	// StageCacheHit is an engine acquire served by a resident session.
 	StageCacheHit
@@ -65,7 +68,9 @@ const (
 	// StageQueueWait is the time a batch request spent waiting for a
 	// worker after submission.
 	StageQueueWait
-	// StageQuery is the query evaluation on a prepared session.
+	// StageQuery is the query evaluation on a session, including the
+	// one-off dominance-tree build when this query crosses its
+	// kernel's scan budget (core.Kernel.H).
 	StageQuery
 	// StageRequest is one engine request end to end (wait + acquire +
 	// query).
@@ -271,7 +276,9 @@ const (
 	// CounterCacheEvictions counts resident sessions dropped by LRU
 	// pressure or an eviction storm.
 	CounterCacheEvictions
-	// CounterCacheBytes is a gauge: the resident sessions' bytes.
+	// CounterCacheBytes is a gauge: the sum of the resident sessions'
+	// MemoryBytes reservations (permutation, column→row view and
+	// dominance tree, whether or not the latter two are built yet).
 	CounterCacheBytes
 	// CounterStreamsOpened counts stream groups opened on an engine (a
 	// single-pattern stream is a group of one).

@@ -130,3 +130,28 @@ func BenchmarkSessionPrepare4096(b *testing.B) {
 		sink = query.NewSession(fresh).StringSubstring(0, benchN)
 	}
 }
+
+// BenchmarkKernelFirstQuery2048 is the cost of a kernel's first query,
+// the one query a never-seen pair gets on a cold cache: "on-demand"
+// answers it by direct counting on an unprepared kernel (what the
+// engine cache does), "prepare" builds the dominance tree first (what
+// NewSession does). Each iteration wraps the solved permutation in a
+// fresh kernel, so no iteration inherits an earlier one's tree.
+func BenchmarkKernelFirstQuery2048(b *testing.B) {
+	const n = 2048
+	a, s := benchPair(n)
+	k, err := core.Solve(a, s, benchCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("on-demand", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = core.NewKernel(k.Permutation(), n, n).StringSubstring(n/4, n-n/4)
+		}
+	})
+	b.Run("prepare", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = core.NewKernel(k.Permutation(), n, n).Prepare().StringSubstring(n/4, n-n/4)
+		}
+	})
+}

@@ -163,7 +163,8 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 
 // runFlight fills one flight — from the persistent store when it holds
 // the kernel, by solving otherwise — publishes the session into the
-// shard's LRU (evicting past capacity), and releases every waiter.
+// shard's LRU (evicting past capacity, charging each session's
+// MemoryBytes reservation to cache_bytes), and releases every waiter.
 // The flight owns a and b.
 func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config, fl *flight) {
 	k := c.tier.lookup(key)
@@ -177,8 +178,12 @@ func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config
 		}
 	}
 	if k != nil {
+		// The session is wrapped unprepared: most cached kernels answer
+		// a handful of queries, which direct counting serves without
+		// the tree (see core.Kernel.H). A kernel queried past its scan
+		// budget builds the tree inside that query's StageQuery span.
 		psp := c.rec.Start(obs.StagePrepare)
-		fl.sess = NewSession(k)
+		fl.sess = &Session{k: k}
 		psp.End()
 	}
 

@@ -123,7 +123,7 @@ const (
 )
 
 // Engine amortizes kernel solves across queries: a sharded LRU cache of
-// prepared sessions with singleflight deduplication, and a batch front
+// sessions (their query index built on demand) with singleflight deduplication, and a batch front
 // end that fans independent requests across a worker pool. All methods
 // are safe for concurrent use; Close releases the pool.
 type Engine struct {
@@ -205,7 +205,7 @@ func (e *Engine) StatsLine() string { return obs.StatsLine(e.Stats()) }
 // CachedKernels reports the number of resident cached sessions.
 func (e *Engine) CachedKernels() int { return e.cache.len() }
 
-// Acquire returns the prepared session for (a, b), solving the kernel
+// Acquire returns the cached session for (a, b), solving the kernel
 // with the engine's configuration only if no resident or in-flight
 // session exists. The session stays valid after eviction (it is
 // immutable); eviction only stops future Acquires from reusing it. A
@@ -508,8 +508,9 @@ func (e *Engine) retryTransient(ctx context.Context, what string, op func() erro
 	return fmt.Errorf("query: %d %s attempts failed: %w", e.retry.MaxAttempts, what, err)
 }
 
-// answer runs one validated query against its prepared session; the
-// query span times exactly this (kernel lookups and window sweeps),
+// answer runs one validated query against its session; the query span
+// times exactly this (kernel lookups, window sweeps, and the on-demand
+// tree build of the query that crosses its kernel's scan budget),
 // separated from cache acquisition and solve time.
 func answer(sess *Session, req Request) Result {
 	switch req.Kind {

@@ -10,11 +10,16 @@ import (
 
 // FuzzSessionQueries drives arbitrary input pairs and query indices
 // through every Session query family and one window sweep, comparing
-// each answer to direct substring DP. The raw fuzz bytes x, y, w are
-// folded into valid ranges, so every generated input exercises real
-// queries; lengths are capped to keep the quadratic oracle fast. The
-// seed corpus under testdata/fuzz covers the adversarial families and
-// is replayed by every plain `go test` run.
+// each answer to direct substring DP. It answers every query a second
+// time on an unprepared kernel over the same permutation, which must
+// agree with the prepared session: that kernel takes the engine
+// cache's on-demand path, direct counting and, on kernels of a few
+// strands, the tree build of the query that crosses the scan budget.
+// The raw fuzz bytes x, y, w are folded into valid ranges, so every
+// generated input exercises real queries; lengths are capped to keep
+// the quadratic oracle fast. The seed corpus under testdata/fuzz covers
+// the adversarial families and is replayed by every plain `go test`
+// run.
 func FuzzSessionQueries(f *testing.F) {
 	f.Add([]byte("abcabba"), []byte("cbabac"), byte(1), byte(5), byte(3))
 	f.Add([]byte{}, []byte{}, byte(0), byte(0), byte(0))
@@ -30,6 +35,7 @@ func FuzzSessionQueries(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		lazy := core.NewKernel(k.Permutation(), m, n)
 		s := query.NewSession(k)
 
 		// Fold the fuzzed bytes into valid ranges.
@@ -40,24 +46,30 @@ func FuzzSessionQueries(f *testing.F) {
 		j := int(w) % (n + 1)
 		width := int(w) % (n + 1)
 
-		if got, want := s.Score(), oracle.Score(a, b); got != want {
-			t.Fatalf("Score = %d, oracle %d", got, want)
+		for _, q := range []struct {
+			name            string
+			got, lazy, want int
+		}{
+			{"Score", s.Score(), lazy.Score(), oracle.Score(a, b)},
+			{"StringSubstring", s.StringSubstring(l, r), lazy.StringSubstring(l, r), oracle.StringSubstring(a, b, l, r)},
+			{"SubstringString", s.SubstringString(u, v), lazy.SubstringString(u, v), oracle.SubstringString(a, b, u, v)},
+			{"SuffixPrefix", s.SuffixPrefix(u, j), lazy.SuffixPrefix(u, j), oracle.SuffixPrefix(a, b, u, j)},
+			{"PrefixSuffix", s.PrefixSuffix(u, j), lazy.PrefixSuffix(u, j), oracle.PrefixSuffix(a, b, u, j)},
+		} {
+			if q.got != q.want {
+				t.Fatalf("%s (l=%d r=%d u=%d v=%d j=%d) = %d, oracle %d", q.name, l, r, u, v, j, q.got, q.want)
+			}
+			if q.lazy != q.got {
+				t.Fatalf("%s (l=%d r=%d u=%d v=%d j=%d) on an unprepared kernel = %d, prepared %d", q.name, l, r, u, v, j, q.lazy, q.got)
+			}
 		}
-		if got, want := s.StringSubstring(l, r), oracle.StringSubstring(a, b, l, r); got != want {
-			t.Fatalf("StringSubstring(%d,%d) = %d, oracle %d", l, r, got, want)
-		}
-		if got, want := s.SubstringString(u, v), oracle.SubstringString(a, b, u, v); got != want {
-			t.Fatalf("SubstringString(%d,%d) = %d, oracle %d", u, v, got, want)
-		}
-		if got, want := s.SuffixPrefix(u, j), oracle.SuffixPrefix(a, b, u, j); got != want {
-			t.Fatalf("SuffixPrefix(%d,%d) = %d, oracle %d", u, j, got, want)
-		}
-		if got, want := s.PrefixSuffix(u, j), oracle.PrefixSuffix(a, b, u, j); got != want {
-			t.Fatalf("PrefixSuffix(%d,%d) = %d, oracle %d", u, j, got, want)
-		}
+		lazyWindows := lazy.WindowScores(width)
 		for pos, sc := range s.WindowScores(width) {
 			if want := oracle.StringSubstring(a, b, pos, pos+width); sc != want {
 				t.Fatalf("WindowScores(%d)[%d] = %d, oracle %d", width, pos, sc, want)
+			}
+			if lazyWindows[pos] != sc {
+				t.Fatalf("WindowScores(%d)[%d] on an unprepared kernel = %d, prepared %d", width, pos, lazyWindows[pos], sc)
 			}
 		}
 	})

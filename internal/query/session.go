@@ -2,16 +2,21 @@
 // O(mn) kernel solve (package core) pays for unlimited sublinear
 // queries, and this package amortizes that solve across many requests.
 //
-// A Session wraps one solved kernel with its dominance-counting
-// structure built eagerly, so every one of the four semi-local query
-// families costs O(log(m+n)) with no first-query construction spike,
-// and sliding-window sweeps cost O(1) amortized per window. An Engine
-// adds a sharded LRU cache of sessions keyed by the pair's content hash
-// (store.Key, the identity the persistent store and the server's ring
-// share), with singleflight deduplication (concurrent requests for the
-// same pair trigger exactly one solve) and a batch entry point that fans
-// independent requests across a worker pool under per-request context
-// deadlines. The solve configuration only decides how a miss is solved.
+// A Session wraps one solved kernel for the four semi-local query
+// families and sliding-window sweeps (O(1) amortized per window).
+// NewSession builds the kernel's dominance tree eagerly, so every query
+// costs O(log(m+n)) from the first call. The engine cache instead
+// wraps kernels unprepared: a query counts directly in O(m+n) until
+// the kernel's scan work pays for the tree, which is then built once
+// (core.Kernel.H), so a cached kernel queried a few times costs little
+// more than its permutation.
+//
+// An Engine adds a sharded LRU cache of sessions keyed by the pair's
+// content hash (store.Key, the identity the persistent store and the
+// server's ring share), with singleflight deduplication (concurrent
+// requests for the same pair trigger exactly one solve) and a batch
+// entry point that fans independent requests across a worker pool
+// under per-request context deadlines. The solve configuration only decides how a miss is solved.
 // Engine.Stats reports the cache traffic counters.
 package query
 
@@ -22,11 +27,11 @@ import (
 	"semilocal/internal/recycle"
 )
 
-// Session is an immutable query handle over one solved kernel. Unlike a
-// bare core.Kernel — whose dominance structure is built lazily on the
-// first H query — a Session is fully preprocessed at construction, so
-// concurrent queries never contend on structure construction and query
-// latency is flat from the first call. All methods are safe for
+// Session is an immutable query handle over one solved kernel. A
+// Session from NewSession is fully preprocessed, so query latency is
+// flat from the first call; one from the engine cache builds its
+// dominance structure on demand, once its queries have paid for it.
+// Either way the answers are identical and all methods are safe for
 // concurrent use.
 //
 // Range-validation mirrors core.Kernel: out-of-range indices panic.
@@ -50,8 +55,9 @@ func (s *Session) Kernel() *core.Kernel { return s.k }
 func (s *Session) M() int { return s.k.M() }
 func (s *Session) N() int { return s.k.N() }
 
-// MemoryBytes estimates the resident size of the session (kernel plus
-// query structure); the engine cache budgets against it.
+// MemoryBytes is the session's resident-size reservation: the kernel
+// plus every query structure it can grow, built or not
+// (core.Kernel.MemoryBytes). The engine cache budgets against it.
 func (s *Session) MemoryBytes() int { return s.k.MemoryBytes() }
 
 // Score returns the global LCS score LCS(a, b).

@@ -102,7 +102,7 @@ const (
 	StageGridComb   = obs.StageGridComb   // grid-reduction tile combing phase
 	StageGridReduce = obs.StageGridReduce // grid-reduction pairwise reduction
 	StageBitBlocks  = obs.StageBitBlocks  // bit-parallel block loop
-	StagePrepare    = obs.StagePrepare    // session preprocessing after a solve
+	StagePrepare    = obs.StagePrepare    // session wrap after a solve or store read
 	StageCacheHit   = obs.StageCacheHit   // acquire served by a resident session
 	StageCacheMiss  = obs.StageCacheMiss  // acquire that waited for a solve
 	StageQueueWait  = obs.StageQueueWait  // batch submission → worker pickup
@@ -174,8 +174,8 @@ func GeneralBitLCS(a, b []byte, workers int) int {
 
 // Serving layer: one kernel solve pays for unlimited sublinear queries,
 // and the Engine amortizes solves across requests — a sharded LRU cache
-// of prepared Sessions with singleflight deduplication and a batch
-// front end over a worker pool. See internal/query for details and
+// of Sessions with singleflight deduplication and a batch front end
+// over a worker pool. See internal/query for details and
 // cmd/semilocal's -serve-batch mode for a file-driven harness.
 
 // Engine is a concurrent batch query engine over cached kernels.
@@ -184,9 +184,11 @@ type Engine = query.Engine
 // EngineOptions configures NewEngine; the zero value is usable.
 type EngineOptions = query.Options
 
-// Session is a fully preprocessed query handle over one solved kernel:
-// the four semi-local query families in O(log(m+n)) each plus
-// sliding-window sweeps at O(1) amortized per window.
+// Session is a query handle over one solved kernel: the four
+// semi-local query families plus sliding-window sweeps at O(1)
+// amortized per window. A Session from NewSession answers each query
+// in O(log(m+n)); one from an Engine builds that index on demand (see
+// NewSession).
 type Session = query.Session
 
 // BatchRequest and BatchResult are the units of Engine.BatchSolve.
@@ -265,7 +267,13 @@ func ParseChaosSpec(spec string) ([]ChaosRule, error) {
 }
 
 // NewSession preprocesses a solved kernel for serving-style queries
-// without going through an Engine cache.
+// without going through an Engine cache. It builds the kernel's
+// dominance tree eagerly, so every query costs O(log(m+n)) from the
+// first call. An Engine's cache does not: its sessions count each query
+// directly in O(m+n) until the kernel's accumulated scan work reaches
+// the tree's build cost, (m+n)·⌈log₂(m+n)⌉, and only then build the
+// tree, so a cached kernel that answers a few queries costs little more
+// than its permutation. Answers are identical either way.
 func NewSession(k *Kernel) *Session {
 	return query.NewSession(k)
 }
