@@ -418,32 +418,100 @@ func runKernelSub(k *semilocal.Kernel, a, b []byte, algorithm semilocal.Algorith
 		fmt.Fprintf(out, "LCS = %d  (m=%d, n=%d, algorithm=%v)\n", k.Score(), len(a), len(b), algorithm)
 		return nil
 	case "windows":
-		wfs := flag.NewFlagSet("windows", flag.ContinueOnError)
-		width := wfs.Int("width", 0, "window width (default len(a))")
-		top := wfs.Int("top", 3, "how many best windows to print")
-		if err := wfs.Parse(subArgs); err != nil {
+		req, top, err := parseWindowsSub(subArgs, len(a))
+		if err != nil {
 			return err
 		}
-		w := *width
-		if w == 0 {
-			w = len(a)
+		res := semilocal.Answer(k, req)
+		if res.Err != nil {
+			return res.Err
 		}
-		if w > len(b) {
-			return fmt.Errorf("window width %d exceeds len(b)=%d", w, len(b))
+		best := bestWindows(res.Windows, top, func(x, y int) bool { return x > y })
+		fmt.Fprintf(out, "best %d windows of width %d (of %d):\n", len(best), req.Width, len(res.Windows))
+		for _, l := range best {
+			score := res.Windows[l]
+			fmt.Fprintf(out, "  b[%d:%d)  LCS=%d  (%.1f%% of window)\n",
+				l, l+req.Width, score, 100*float64(score)/float64(req.Width))
 		}
-		return printBestWindows(k, w, *top, out)
+		return nil
 	case "query":
-		qfs := flag.NewFlagSet("query", flag.ContinueOnError)
-		kind := qfs.String("kind", "string-substring", "quadrant kind")
-		from := qfs.Int("from", 0, "range start")
-		to := qfs.Int("to", -1, "range end (exclusive)")
-		if err := qfs.Parse(subArgs); err != nil {
+		req, err := parseQuerySub(subArgs, len(a), len(b))
+		if err != nil {
 			return err
 		}
-		return printQuery(k, *kind, *from, *to, len(a), len(b), out)
+		res := semilocal.Answer(k, req)
+		if res.Err != nil {
+			return res.Err
+		}
+		fmt.Fprintf(out, quadrantFormats[req.Kind], "LCS", req.From, req.To, res.Score)
+		return nil
 	default:
 		return fmt.Errorf("unknown subcommand %q", sub)
 	}
+}
+
+// parseWindowsSub parses the windows subcommand's flags, shared by the
+// LCS and -edit modes: the window width (default m = len(a)) as an
+// unvalidated windows request, and how many best windows to print.
+func parseWindowsSub(subArgs []string, m int) (req semilocal.BatchRequest, top int, err error) {
+	wfs := flag.NewFlagSet("windows", flag.ContinueOnError)
+	width := wfs.Int("width", 0, "window width (default len(a))")
+	topN := wfs.Int("top", 3, "how many best windows to print")
+	if err := wfs.Parse(subArgs); err != nil {
+		return req, 0, err
+	}
+	if *topN < 0 {
+		return req, 0, fmt.Errorf("windows: -top %d is negative", *topN)
+	}
+	req = semilocal.BatchRequest{Kind: semilocal.QueryWindows, Width: *width}
+	if req.Width == 0 {
+		req.Width = m
+	}
+	return req, *topN, nil
+}
+
+// bestWindows returns the left edges of the top best entries of a
+// window sweep, best first by better.
+func bestWindows(sweep []int, top int, better func(x, y int) bool) []int {
+	ls := make([]int, len(sweep))
+	for l := range ls {
+		ls[l] = l
+	}
+	sort.Slice(ls, func(i, j int) bool { return better(sweep[ls[i]], sweep[ls[j]]) })
+	return ls[:min(top, len(ls))]
+}
+
+// quadrantFormats renders the query subcommand's answer per quadrant
+// kind; %s names the measure ("LCS" or "ed").
+var quadrantFormats = map[semilocal.QueryKind]string{
+	semilocal.QueryStringSubstring: "%s(a, b[%d:%d)) = %d\n",
+	semilocal.QuerySubstringString: "%s(a[%d:%d), b) = %d\n",
+	semilocal.QuerySuffixPrefix:    "%s(a[%d:], b[:%d]) = %d\n",
+	semilocal.QueryPrefixSuffix:    "%s(a[:%d], b[%d:]) = %d\n",
+}
+
+// parseQuerySub parses the query subcommand's flags, shared by the LCS
+// and -edit modes, into an unvalidated quadrant request on strings of
+// lengths m and n; -to defaults to the end of the queried string.
+func parseQuerySub(subArgs []string, m, n int) (semilocal.BatchRequest, error) {
+	qfs := flag.NewFlagSet("query", flag.ContinueOnError)
+	kindName := qfs.String("kind", "string-substring", "quadrant kind")
+	from := qfs.Int("from", 0, "range start")
+	to := qfs.Int("to", -1, "range end (exclusive)")
+	if err := qfs.Parse(subArgs); err != nil {
+		return semilocal.BatchRequest{}, err
+	}
+	kind, err := semilocal.ParseQueryKind(*kindName)
+	if _, quadrant := quadrantFormats[kind]; err != nil || !quadrant {
+		return semilocal.BatchRequest{}, fmt.Errorf("unknown query kind %q", *kindName)
+	}
+	if *to < 0 {
+		*to = n
+		if kind == semilocal.QuerySubstringString {
+			*to = m
+		}
+	}
+	return semilocal.BatchRequest{Kind: kind, From: *from, To: *to}, nil
 }
 
 func loadInputs(args []string, aText, bText string, fasta bool) (a, b []byte, rest []string, err error) {
@@ -490,49 +558,6 @@ func loadInputs(args []string, aText, bText string, fasta bool) (a, b []byte, re
 	return a, b, rest, nil
 }
 
-func printBestWindows(k *semilocal.Kernel, width, top int, out io.Writer) error {
-	scores := k.WindowScores(width)
-	type win struct{ l, score int }
-	wins := make([]win, len(scores))
-	for l, s := range scores {
-		wins[l] = win{l, s}
-	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i].score > wins[j].score })
-	if top > len(wins) {
-		top = len(wins)
-	}
-	fmt.Fprintf(out, "best %d windows of width %d (of %d):\n", top, width, len(wins))
-	for _, w := range wins[:top] {
-		fmt.Fprintf(out, "  b[%d:%d)  LCS=%d  (%.1f%% of window)\n",
-			w.l, w.l+width, w.score, 100*float64(w.score)/float64(width))
-	}
-	return nil
-}
-
-func printQuery(k *semilocal.Kernel, kind string, from, to, m, n int, out io.Writer) error {
-	if to < 0 {
-		switch kind {
-		case "substring-string":
-			to = m
-		default:
-			to = n
-		}
-	}
-	switch kind {
-	case "string-substring":
-		fmt.Fprintf(out, "LCS(a, b[%d:%d)) = %d\n", from, to, k.StringSubstring(from, to))
-	case "substring-string":
-		fmt.Fprintf(out, "LCS(a[%d:%d), b) = %d\n", from, to, k.SubstringString(from, to))
-	case "suffix-prefix":
-		fmt.Fprintf(out, "LCS(a[%d:], b[:%d]) = %d\n", from, to, k.SuffixPrefix(from, to))
-	case "prefix-suffix":
-		fmt.Fprintf(out, "LCS(a[:%d], b[%d:]) = %d\n", from, to, k.PrefixSuffix(from, to))
-	default:
-		return fmt.Errorf("unknown query kind %q", kind)
-	}
-	return nil
-}
-
 // parseBatchLine turns one request line of a -serve-batch file into an
 // engine request: `<a> <b> <kind> [args]`, kinds and arguments exactly
 // as in the query subcommand plus `score`, `windows <width>` and
@@ -542,12 +567,25 @@ func parseBatchLine(line string) (semilocal.BatchRequest, error) {
 	if len(fields) < 3 {
 		return semilocal.BatchRequest{}, fmt.Errorf("want `<a> <b> <kind> [args]`, got %q", line)
 	}
-	kind, err := semilocal.ParseQueryKind(fields[2])
+	req, err := parseQueryFields(fields[2:])
 	if err != nil {
 		return semilocal.BatchRequest{}, err
 	}
-	req := semilocal.BatchRequest{A: []byte(fields[0]), B: []byte(fields[1]), Kind: kind}
-	argv := fields[3:]
+	req.A, req.B = []byte(fields[0]), []byte(fields[1])
+	return req, nil
+}
+
+// parseQueryFields parses `<kind> [args]`, the query part of a
+// -serve-batch request line and of a -stream op line: the quadrant
+// kinds with their two arguments, `score`, `windows <width>` and
+// `best-window <width>`.
+func parseQueryFields(fields []string) (semilocal.BatchRequest, error) {
+	kind, err := semilocal.ParseQueryKind(fields[0])
+	if err != nil {
+		return semilocal.BatchRequest{}, err
+	}
+	req := semilocal.BatchRequest{Kind: kind}
+	argv := fields[1:]
 	wantArgs := 2
 	if kind == semilocal.QueryScore {
 		wantArgs = 0
@@ -811,32 +849,9 @@ func parseStreamLine(line string) (streamOp, error) {
 			return streamOp{}, fmt.Errorf("pattern index without a query kind")
 		}
 	}
-	kind, err := semilocal.ParseQueryKind(fields[0])
+	req, err := parseQueryFields(fields)
 	if err != nil {
 		return streamOp{}, err
-	}
-	req := semilocal.BatchRequest{Kind: kind}
-	argv := fields[1:]
-	wantArgs := 2
-	if kind == semilocal.QueryScore {
-		wantArgs = 0
-	} else if kind == semilocal.QueryWindows || kind == semilocal.QueryBestWindow {
-		wantArgs = 1
-	}
-	if len(argv) != wantArgs {
-		return streamOp{}, fmt.Errorf("%s wants %d arguments, got %d", kind, wantArgs, len(argv))
-	}
-	nums := make([]int, len(argv))
-	for i, s := range argv {
-		if nums[i], err = strconv.Atoi(s); err != nil {
-			return streamOp{}, err
-		}
-	}
-	switch wantArgs {
-	case 1:
-		req.Width = nums[0]
-	case 2:
-		req.From, req.To = nums[0], nums[1]
 	}
 	return streamOp{pat: pat, req: req}, nil
 }
@@ -979,7 +994,8 @@ func joinInts(xs []int) string {
 }
 
 // runEdit handles the -edit mode: the same subcommands, measured in
-// unit-cost edit distance through the blow-up kernel.
+// unit-cost edit distance through the blow-up kernel. Requests are
+// range-checked like Answer's before any kernel method runs.
 func runEdit(a, b []byte, cfg semilocal.Config, sub string, subArgs []string, out io.Writer) error {
 	k, err := semilocal.SolveEdit(a, b, cfg)
 	if err != nil {
@@ -990,61 +1006,40 @@ func runEdit(a, b []byte, cfg semilocal.Config, sub string, subArgs []string, ou
 		fmt.Fprintf(out, "edit distance = %d  (m=%d, n=%d)\n", k.Distance(), len(a), len(b))
 		return nil
 	case "windows":
-		wfs := flag.NewFlagSet("windows", flag.ContinueOnError)
-		width := wfs.Int("width", 0, "window width (default len(a))")
-		top := wfs.Int("top", 3, "how many best windows to print")
-		if err := wfs.Parse(subArgs); err != nil {
+		req, top, err := parseWindowsSub(subArgs, len(a))
+		if err == nil {
+			err = req.Validate(len(a), len(b))
+		}
+		if err != nil {
 			return err
 		}
-		w := *width
-		if w == 0 {
-			w = len(a)
-		}
-		if w > len(b) {
-			return fmt.Errorf("window width %d exceeds len(b)=%d", w, len(b))
-		}
-		ds := k.WindowDistances(w)
-		type win struct{ l, d int }
-		wins := make([]win, len(ds))
-		for l, d := range ds {
-			wins[l] = win{l, d}
-		}
-		sort.Slice(wins, func(i, j int) bool { return wins[i].d < wins[j].d })
-		if *top > len(wins) {
-			*top = len(wins)
-		}
-		fmt.Fprintf(out, "best %d windows of width %d by edit distance:\n", *top, w)
-		for _, x := range wins[:*top] {
-			fmt.Fprintf(out, "  b[%d:%d)  distance %d\n", x.l, x.l+w, x.d)
+		ds := k.WindowDistances(req.Width)
+		best := bestWindows(ds, top, func(x, y int) bool { return x < y })
+		fmt.Fprintf(out, "best %d windows of width %d by edit distance:\n", len(best), req.Width)
+		for _, l := range best {
+			fmt.Fprintf(out, "  b[%d:%d)  distance %d\n", l, l+req.Width, ds[l])
 		}
 		return nil
 	case "query":
-		qfs := flag.NewFlagSet("query", flag.ContinueOnError)
-		kind := qfs.String("kind", "string-substring", "quadrant kind")
-		from := qfs.Int("from", 0, "range start")
-		to := qfs.Int("to", -1, "range end (exclusive)")
-		if err := qfs.Parse(subArgs); err != nil {
+		req, err := parseQuerySub(subArgs, len(a), len(b))
+		if err == nil {
+			err = req.Validate(len(a), len(b))
+		}
+		if err != nil {
 			return err
 		}
-		if *to < 0 {
-			if *kind == "substring-string" {
-				*to = len(a)
-			} else {
-				*to = len(b)
-			}
+		var d int
+		switch req.Kind {
+		case semilocal.QueryStringSubstring:
+			d = k.SubstringDistance(req.From, req.To)
+		case semilocal.QuerySubstringString:
+			d = k.SubstringStringDistance(req.From, req.To)
+		case semilocal.QuerySuffixPrefix:
+			d = k.SuffixPrefixDistance(req.From, req.To)
+		default: // semilocal.QueryPrefixSuffix
+			d = k.PrefixSuffixDistance(req.From, req.To)
 		}
-		switch *kind {
-		case "string-substring":
-			fmt.Fprintf(out, "ed(a, b[%d:%d)) = %d\n", *from, *to, k.SubstringDistance(*from, *to))
-		case "substring-string":
-			fmt.Fprintf(out, "ed(a[%d:%d), b) = %d\n", *from, *to, k.SubstringStringDistance(*from, *to))
-		case "suffix-prefix":
-			fmt.Fprintf(out, "ed(a[%d:], b[:%d]) = %d\n", *from, *to, k.SuffixPrefixDistance(*from, *to))
-		case "prefix-suffix":
-			fmt.Fprintf(out, "ed(a[:%d], b[%d:]) = %d\n", *from, *to, k.PrefixSuffixDistance(*from, *to))
-		default:
-			return fmt.Errorf("unknown query kind %q", *kind)
-		}
+		fmt.Fprintf(out, quadrantFormats[req.Kind], "ed", req.From, req.To, d)
 		return nil
 	default:
 		return fmt.Errorf("unknown subcommand %q", sub)

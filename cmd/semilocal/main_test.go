@@ -103,6 +103,15 @@ func TestRunErrors(t *testing.T) {
 		{"-a-text", "x", "-b-text", "y", "windows", "-width", "9"}, // width too large
 		{"-a-text", "x", "-b-text", "y", "query", "-kind", "nope"}, // unknown kind
 		{"/nonexistent/a", "/nonexistent/b", "score"},              // unreadable file
+		// Out-of-range arguments are errors, never kernel panics.
+		{"-a-text", "AB", "-b-text", "CD", "query", "-kind", "string-substring", "-from", "5", "-to", "9"},
+		{"-a-text", "AB", "-b-text", "CD", "query", "-kind", "suffix-prefix", "-from", "3", "-to", "1"},
+		{"-edit", "-a-text", "AB", "-b-text", "CD", "query", "-from", "5", "-to", "9"},
+		{"-edit", "-a-text", "AB", "-b-text", "CD", "windows", "-width", "-2"},
+		{"-a-text", "AB", "-b-text", "CD", "windows", "-width", "-2"},
+		{"-a-text", "AB", "-b-text", "CD", "windows", "-top", "-1"},
+		{"-edit", "-a-text", "AB", "-b-text", "CD", "windows", "-top", "-1"},
+		{"-a-text", "AB", "-b-text", "CD", "query", "-kind", "score"}, // not a quadrant
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {

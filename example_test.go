@@ -96,3 +96,19 @@ func ExampleSolveEdit() {
 	// best window "sittin" at distance 2
 	// 3
 }
+
+// Answer is the validated query dispatch: requests built from
+// untrusted input get an error instead of a kernel panic.
+func ExampleAnswer() {
+	k, err := semilocal.Solve([]byte("ABCABBA"), []byte("CBABAC"), semilocal.Config{})
+	if err != nil {
+		panic(err)
+	}
+	res := semilocal.Answer(k, semilocal.BatchRequest{Kind: semilocal.QueryBestWindow, Width: 3})
+	fmt.Println(res.From, res.Score, res.Err)
+	res = semilocal.Answer(k, semilocal.BatchRequest{Kind: semilocal.QueryStringSubstring, From: 5, To: 9})
+	fmt.Println(res.Err)
+	// Output:
+	// 0 3 <nil>
+	// query: string-substring range [5,9) out of [0,6]
+}

@@ -27,6 +27,7 @@ import (
 	"semilocal/internal/hybrid"
 	"semilocal/internal/obs"
 	"semilocal/internal/perm"
+	"semilocal/internal/recycle"
 	"semilocal/internal/steadyant"
 )
 
@@ -402,6 +403,31 @@ func (k *Kernel) WindowScoresInto(width int, out []int) []int {
 		out[l] = width - count
 	}
 	return out
+}
+
+// windowScratch recycles the sweep buffers BestWindow reduces over and
+// discards. Kernels are queried from any goroutine, so this is the
+// synchronized recycler flavor; the alloc-parity guards pin that the
+// steady-state path stays allocation-free through it.
+var windowScratch = recycle.NewShared[int](0)
+
+// BestWindow returns the left edge and score of the width-wide window
+// of b with the highest LCS against a (the leftmost on ties). It panics
+// if width is out of [0, n].
+func (k *Kernel) BestWindow(width int) (l, score int) {
+	var scratch []int
+	if width >= 0 && width <= k.n {
+		scratch = windowScratch.Get(k.n - width + 1)
+	}
+	scores := k.WindowScoresInto(width, scratch)
+	best, at := -1, 0
+	for i, sc := range scores {
+		if sc > best {
+			best, at = sc, i
+		}
+	}
+	windowScratch.Put(scores)
+	return at, best
 }
 
 func min(x, y int) int {

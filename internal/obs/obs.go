@@ -54,13 +54,14 @@ const (
 	StageGridReduce
 	// StageBitBlocks is the block loop of the bit-parallel LCS.
 	StageBitBlocks
-	// StagePrepare is the wrap that turns a solved or store-loaded
-	// kernel into a cached query session. The engine cache wraps
-	// kernels unprepared, so it no longer covers the dominance-tree
-	// build: that happens on demand, inside the StageQuery span of the
-	// query that crosses its kernel's scan budget.
+	// StagePrepare has no producer: the engine cache holds solved and
+	// store-loaded kernels as they are, with no wrap to time, and a
+	// kernel builds its dominance tree on demand, inside the StageQuery
+	// span of the query that crosses its scan budget. Like
+	// StageStreamAppend, it is kept only because the benchmark harness
+	// (bench/run.go) names it.
 	StagePrepare
-	// StageCacheHit is an engine acquire served by a resident session.
+	// StageCacheHit is an engine acquire served by a resident kernel.
 	StageCacheHit
 	// StageCacheMiss is an engine acquire that had to wait for a solve
 	// (both the solving request and requests deduplicated onto it).
@@ -68,7 +69,7 @@ const (
 	// StageQueueWait is the time a batch request spent waiting for a
 	// worker after submission.
 	StageQueueWait
-	// StageQuery is the query evaluation on a session, including the
+	// StageQuery is the query evaluation on a kernel, including the
 	// one-off dominance-tree build when this query crosses its
 	// kernel's scan budget (core.Kernel.H).
 	StageQuery
@@ -152,8 +153,7 @@ func (s Stage) String() string {
 // solveChildren are the leaf stages whose durations partition a solve:
 // they nest directly inside StageSolve without overlapping each other,
 // so their sum is comparable against the solve wall time (the grid
-// phase stages overlap them and are excluded). StagePrepare runs after
-// the solve proper and is likewise excluded.
+// phase stages overlap them and are excluded).
 var solveChildren = []Stage{StageCombRows, StageCombDiags, StageCombFinish, StageCompose, StageBitBlocks}
 
 // CounterID names one event counter. Each counter is declared once:
@@ -265,7 +265,7 @@ const (
 	// CounterRequestsInflight is a gauge: engine requests currently
 	// being processed.
 	CounterRequestsInflight
-	// CounterCacheHits counts acquires served by a resident session.
+	// CounterCacheHits counts acquires served by a resident kernel.
 	CounterCacheHits
 	// CounterCacheMisses counts acquires that started a solve (or a
 	// store read).
@@ -273,10 +273,10 @@ const (
 	// CounterCacheDeduped counts acquires that joined another
 	// request's in-flight solve.
 	CounterCacheDeduped
-	// CounterCacheEvictions counts resident sessions dropped by LRU
+	// CounterCacheEvictions counts resident kernels dropped by LRU
 	// pressure or an eviction storm.
 	CounterCacheEvictions
-	// CounterCacheBytes is a gauge: the sum of the resident sessions'
+	// CounterCacheBytes is a gauge: the sum of the resident kernels'
 	// MemoryBytes reservations (permutation, column→row view and
 	// dominance tree, whether or not the latter two are built yet).
 	CounterCacheBytes

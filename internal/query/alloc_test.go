@@ -180,3 +180,44 @@ func TestHardenedBatchHotPathAllocParity(t *testing.T) {
 		t.Fatalf("hardened fault-free batch allocates %v per run vs %v plain; knobs must add 0", hardened, plain)
 	}
 }
+
+// TestStreamSessionIsPublishedKernel: a stream group's query handle is
+// the kernel its pattern's latest generation published, prepared — no
+// per-generation wrapper — and repeated queries on one generation
+// allocate nothing, so no session cache is needed to keep them cheap.
+func TestStreamSessionIsPublishedKernel(t *testing.T) {
+	e := NewEngine(Options{})
+	defer e.Close()
+	sg, err := e.OpenStreamGroup([][]byte{[]byte("gattaca"), []byte("tac"), []byte("gg")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sg.Append(context.Background(), []byte("cattagattacagg")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sg.Patterns(); i++ {
+		k := sg.Session(i)
+		if k != sg.State(i).Kernel {
+			t.Fatalf("pattern %d: Session is not the published kernel", i)
+		}
+		if !k.Prepared() {
+			t.Fatalf("pattern %d: published kernel is not prepared", i)
+		}
+		n := k.N()
+		for _, req := range []Request{
+			{Kind: Score},
+			{Kind: StringSubstring, From: 1, To: n - 1},
+			{Kind: SuffixPrefix, From: 2, To: n / 2},
+			{Kind: BestWindow, Width: 4},
+		} {
+			want := Answer(k, req) // also warms BestWindow's recycler
+			var got Result
+			if allocs := testing.AllocsPerRun(200, func() { got = sg.Query(i, req) }); allocs != 0 {
+				t.Errorf("pattern %d %s: Query allocates %v times per run, want 0", i, req.Kind, allocs)
+			}
+			if got.Err != nil || got.Score != want.Score || got.From != want.From {
+				t.Errorf("pattern %d %s: Query = %+v, Answer = %+v", i, req.Kind, got, want)
+			}
+		}
+	}
+}

@@ -17,19 +17,19 @@ import (
 // flight is one in-progress solve that concurrent requests for the same
 // key attach to instead of solving again (singleflight).
 type flight struct {
-	done chan struct{} // closed when sess/err are set
-	sess *Session
+	done chan struct{} // closed when k/err are set
+	k    *core.Kernel
 	err  error
 }
 
-// entry is one resident cached session.
+// entry is one resident cached kernel.
 type entry struct {
-	key  store.Key
-	sess *Session
+	key store.Key
+	k   *core.Kernel
 }
 
 // shard is an independently locked slice of the cache: an LRU of
-// resident sessions plus the in-flight solve table.
+// resident kernels plus the in-flight solve table.
 type shard struct {
 	mu       sync.Mutex
 	resident map[store.Key]*list.Element // values are *entry
@@ -38,7 +38,7 @@ type shard struct {
 	capacity int
 }
 
-// cache is the sharded LRU session cache with singleflight dedup. It is
+// cache is the sharded LRU kernel cache with singleflight dedup. It is
 // keyed by the pair's content hash (store.Key) alone — the identity the
 // store persists under and the server's ring routes on. The solve
 // configuration only decides how a miss is solved: every configuration
@@ -89,7 +89,7 @@ func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj 
 	return c
 }
 
-// acquire returns the session for key, the content key of (a, b),
+// acquire returns the kernel for key, the content key of (a, b),
 // solving with cfg at most once per key no matter how many goroutines
 // ask concurrently. ctx bounds only this caller's wait: the solve
 // itself runs on its own goroutine and always completes and caches its
@@ -102,7 +102,7 @@ func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj 
 //
 // A hit copies nothing. A miss copies a and b once, because the detached
 // solve outlives a caller that may give up and reuse its buffers.
-func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg core.Config) (*Session, error) {
+func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg core.Config) (*core.Kernel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 		if traced {
 			c.rec.Observe(obs.StageCacheHit, time.Since(t0))
 		}
-		return el.Value.(*entry).sess, nil
+		return el.Value.(*entry).k, nil
 	}
 	fl, joined := sh.inflight[key]
 	if !joined {
@@ -155,57 +155,50 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 		if traced {
 			c.rec.Observe(obs.StageCacheMiss, time.Since(t0))
 		}
-		return fl.sess, fl.err
+		return fl.k, fl.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
 // runFlight fills one flight — from the persistent store when it holds
-// the kernel, by solving otherwise — publishes the session into the
-// shard's LRU (evicting past capacity, charging each session's
+// the kernel, by solving otherwise — publishes the kernel into the
+// shard's LRU (evicting past capacity, charging each kernel's
 // MemoryBytes reservation to cache_bytes), and releases every waiter.
 // The flight owns a and b.
+//
+// The kernel is cached unprepared: most cached kernels answer a handful
+// of queries, which direct counting serves without the tree (see
+// core.Kernel.H). A kernel queried past its scan budget builds the tree
+// inside that query's StageQuery span.
 func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config, fl *flight) {
-	k := c.tier.lookup(key)
-	if k == nil {
-		var err error
-		k, err = c.solve(a, b, cfg)
-		if err != nil {
-			fl.err = err
-		} else {
-			c.tier.publish(key, k)
+	fl.k = c.tier.lookup(key)
+	if fl.k == nil {
+		fl.k, fl.err = c.solve(a, b, cfg)
+		if fl.err == nil {
+			c.tier.publish(key, fl.k)
 		}
-	}
-	if k != nil {
-		// The session is wrapped unprepared: most cached kernels answer
-		// a handful of queries, which direct counting serves without
-		// the tree (see core.Kernel.H). A kernel queried past its scan
-		// budget builds the tree inside that query's StageQuery span.
-		psp := c.rec.Start(obs.StagePrepare)
-		fl.sess = &Session{k: k}
-		psp.End()
 	}
 
 	storm := c.inj.Fire(chaos.PointPublish) == chaos.FaultEvict
 
 	sh.mu.Lock()
 	delete(sh.inflight, key)
-	if fl.sess != nil {
-		sh.resident[key] = sh.lru.PushFront(&entry{key: key, sess: fl.sess})
-		c.ctr.Add(obs.CounterCacheBytes, int64(fl.sess.MemoryBytes()))
+	if fl.k != nil {
+		sh.resident[key] = sh.lru.PushFront(&entry{key: key, k: fl.k})
+		c.ctr.Add(obs.CounterCacheBytes, int64(fl.k.MemoryBytes()))
 		for sh.lru.Len() > sh.capacity {
 			oldest := sh.lru.Back()
 			e := oldest.Value.(*entry)
 			sh.lru.Remove(oldest)
 			delete(sh.resident, e.key)
-			c.ctr.Add(obs.CounterCacheBytes, -int64(e.sess.MemoryBytes()))
+			c.ctr.Add(obs.CounterCacheBytes, -int64(e.k.MemoryBytes()))
 			c.ctr.Add(obs.CounterCacheEvictions, 1)
 		}
 	}
 	sh.mu.Unlock()
 	if storm {
-		// Eviction storm: flush every other resident session, keeping
+		// Eviction storm: flush every other resident kernel, keeping
 		// only the one just published — the worst-case cold cache a
 		// chaos run forces right after paying for a solve.
 		c.evictAll(key, true)
@@ -213,9 +206,9 @@ func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config
 	close(fl.done)
 }
 
-// evictAll drops every resident session (keeping only `keep` when
+// evictAll drops every resident kernel (keeping only `keep` when
 // haveKeep is set), counting each drop as an eviction. Shard locks are
-// taken one at a time, never nested. Evicted sessions stay valid for
+// taken one at a time, never nested. Evicted kernels stay valid for
 // holders; only future acquires re-solve.
 func (c *cache) evictAll(keep store.Key, haveKeep bool) {
 	for _, sh := range c.shards {
@@ -226,7 +219,7 @@ func (c *cache) evictAll(keep store.Key, haveKeep bool) {
 			if !haveKeep || e.key != keep {
 				sh.lru.Remove(el)
 				delete(sh.resident, e.key)
-				c.ctr.Add(obs.CounterCacheBytes, -int64(e.sess.MemoryBytes()))
+				c.ctr.Add(obs.CounterCacheBytes, -int64(e.k.MemoryBytes()))
 				c.ctr.Add(obs.CounterCacheEvictions, 1)
 			}
 			el = next
@@ -235,7 +228,7 @@ func (c *cache) evictAll(keep store.Key, haveKeep bool) {
 	}
 }
 
-// len reports the number of resident sessions across all shards.
+// len reports the number of resident kernels across all shards.
 func (c *cache) len() int {
 	n := 0
 	for _, sh := range c.shards {

@@ -57,13 +57,10 @@ type Options struct {
 	// batches sequentially). This is independent of Config.Workers,
 	// which parallelizes the inside of a single solve.
 	Workers int
-	// MaxKernels caps the number of resident cached sessions; 0 means
-	// DefaultMaxKernels. Capacity is split evenly across shards, each
-	// shard keeping at least one slot.
+	// MaxKernels caps the number of resident cached kernels; 0 means
+	// DefaultMaxKernels. Capacity is split evenly across the cache's
+	// DefaultShards lock shards, each keeping at least one slot.
 	MaxKernels int
-	// Shards is the lock-sharding factor of the cache; 0 means
-	// DefaultShards.
-	Shards int
 	// Obs receives stage timings (queue wait, cache hit/miss latency,
 	// per-request end-to-end, solver stages) and work counters. nil (the
 	// default) disables tracing entirely: the hot paths run the
@@ -116,16 +113,18 @@ type Options struct {
 	Banded BandedConfig
 }
 
-// Defaults for Options zero values.
+// DefaultMaxKernels is the cache capacity of a zero Options;
+// DefaultShards is the cache's lock-sharding factor.
 const (
 	DefaultMaxKernels = 128
 	DefaultShards     = 8
 )
 
 // Engine amortizes kernel solves across queries: a sharded LRU cache of
-// sessions (their query index built on demand) with singleflight deduplication, and a batch front
-// end that fans independent requests across a worker pool. All methods
-// are safe for concurrent use; Close releases the pool.
+// kernels (their query index built on demand) with singleflight
+// deduplication, and a batch front end that fans independent requests
+// across a worker pool. All methods are safe for concurrent use; Close
+// releases the pool.
 type Engine struct {
 	cache  *cache
 	tier   *storeTier // nil without a persistent store
@@ -148,12 +147,12 @@ type Engine struct {
 }
 
 // NewEngine builds an engine; the caller owns it and must Close it.
-func NewEngine(opts Options) *Engine {
+func NewEngine(opts Options) *Engine { return newEngine(opts, DefaultShards) }
+
+// newEngine is NewEngine with the cache split into the given number of
+// lock shards.
+func newEngine(opts Options, shards int) *Engine {
 	ctr := obs.NewCounterSet(obs.ScopeEngine, opts.Obs)
-	shards := opts.Shards
-	if shards == 0 {
-		shards = DefaultShards
-	}
 	maxKernels := opts.MaxKernels
 	if maxKernels == 0 {
 		maxKernels = DefaultMaxKernels
@@ -202,21 +201,21 @@ func (e *Engine) Stats() map[string]int64 { return e.ctr.Snapshot() }
 // StatsLine renders the counters as a stable one-line summary.
 func (e *Engine) StatsLine() string { return obs.StatsLine(e.Stats()) }
 
-// CachedKernels reports the number of resident cached sessions.
+// CachedKernels reports the number of resident cached kernels.
 func (e *Engine) CachedKernels() int { return e.cache.len() }
 
-// Acquire returns the cached session for (a, b), solving the kernel
-// with the engine's configuration only if no resident or in-flight
-// session exists. The session stays valid after eviction (it is
-// immutable); eviction only stops future Acquires from reusing it. A
-// solve that outlives ctx works on its own copy of a and b.
+// Acquire returns the cached kernel for (a, b), solving it with the
+// engine's configuration only if no resident or in-flight kernel
+// exists. The kernel stays valid after eviction (it is immutable);
+// eviction only stops future Acquires from reusing it. A solve that
+// outlives ctx works on its own copy of a and b.
 func (e *Engine) Acquire(ctx context.Context, a, b []byte) (*Session, error) {
 	return e.acquire(ctx, Request{A: a, B: b}.WithKey(), e.cfg)
 }
 
 // acquire is Acquire for a keyed request; cfg only decides how a miss
 // is solved.
-func (e *Engine) acquire(ctx context.Context, req Request, cfg core.Config) (*Session, error) {
+func (e *Engine) acquire(ctx context.Context, req Request, cfg core.Config) (*core.Kernel, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
@@ -383,7 +382,9 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if err := req.Kind.validate(req.From, req.To, req.Width, len(req.A), len(req.B)); err != nil {
+	// Range check before the solve: an invalid request never pays for
+	// one. Answer checks again against the kernel.
+	if err := req.Validate(len(req.A), len(req.B)); err != nil {
 		return Result{Err: err}
 	}
 	// Shape dispatch: distance-only requests on near-identical inputs
@@ -406,7 +407,7 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 			e.ctr.Add(obs.CounterDegradations, 1)
 		}
 	}
-	sess, err := e.acquireRetry(ctx, req.WithKey(), cfg)
+	k, err := e.acquireRetry(ctx, req.WithKey(), cfg)
 	if err != nil {
 		return Result{Err: err}
 	}
@@ -419,8 +420,11 @@ func (e *Engine) one(ctx context.Context, req Request, stalled bool) Result {
 	if err := ctx.Err(); err != nil {
 		return Result{Err: err}
 	}
+	// The query span times only the answer — kernel lookups, window
+	// sweeps, and the on-demand tree build of the query that crosses
+	// its kernel's scan budget — apart from acquisition and solve time.
 	qsp := e.rec.Start(obs.StageQuery)
-	res := answer(sess, req)
+	res := Answer(k, req)
 	qsp.End()
 	return res
 }
@@ -462,17 +466,17 @@ func degradeConfig(cfg core.Config) (core.Config, bool) {
 // exponential backoff until the policy or the request's deadline runs
 // out. Non-transient errors and successes return immediately, so the
 // fault-free path costs one extra branch.
-func (e *Engine) acquireRetry(ctx context.Context, req Request, cfg core.Config) (*Session, error) {
-	var sess *Session
+func (e *Engine) acquireRetry(ctx context.Context, req Request, cfg core.Config) (*core.Kernel, error) {
+	var k *core.Kernel
 	err := e.retryTransient(ctx, "solve", func() error {
 		var err error
-		sess, err = e.acquire(ctx, req, cfg)
+		k, err = e.acquire(ctx, req, cfg)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return sess, nil
+	return k, nil
 }
 
 // retryTransient runs op under the engine's retry policy: transient
@@ -506,30 +510,4 @@ func (e *Engine) retryTransient(ctx context.Context, what string, op func() erro
 		}
 	}
 	return fmt.Errorf("query: %d %s attempts failed: %w", e.retry.MaxAttempts, what, err)
-}
-
-// answer runs one validated query against its session; the query span
-// times exactly this (kernel lookups, window sweeps, and the on-demand
-// tree build of the query that crosses its kernel's scan budget),
-// separated from cache acquisition and solve time.
-func answer(sess *Session, req Request) Result {
-	switch req.Kind {
-	case Score:
-		return Result{Score: sess.Score()}
-	case StringSubstring:
-		return Result{Score: sess.StringSubstring(req.From, req.To)}
-	case SubstringString:
-		return Result{Score: sess.SubstringString(req.From, req.To)}
-	case SuffixPrefix:
-		return Result{Score: sess.SuffixPrefix(req.From, req.To)}
-	case PrefixSuffix:
-		return Result{Score: sess.PrefixSuffix(req.From, req.To)}
-	case Windows:
-		return Result{Windows: sess.WindowScores(req.Width)}
-	case BestWindow:
-		l, score := sess.BestWindow(req.Width)
-		return Result{From: l, Score: score}
-	default:
-		return Result{Err: fmt.Errorf("query: unknown kind %d", int(req.Kind))}
-	}
 }

@@ -275,7 +275,7 @@ func TestSolveErrorPropagatesAndIsNotCached(t *testing.T) {
 
 func TestEvictionKeepsLRUBound(t *testing.T) {
 	// One shard makes the LRU order observable; capacity 2 forces churn.
-	e := NewEngine(Options{MaxKernels: 2, Shards: 1})
+	e := newEngine(Options{MaxKernels: 2}, 1)
 	defer e.Close()
 	ctx := context.Background()
 	pairs := [][2]string{{"aa", "ba"}, {"bb", "cb"}, {"cc", "dc"}, {"dd", "ed"}}
@@ -480,11 +480,10 @@ func TestEngineSoak(t *testing.T) {
 	)
 	_, reqSets, want := soakPairs(t, nPairs)
 
-	e := NewEngine(Options{
+	e := newEngine(Options{
 		Workers:    4,
 		MaxKernels: 3, // far below the working set: constant eviction churn
-		Shards:     2,
-	})
+	}, 2)
 	defer e.Close()
 	var solves atomic.Int64
 	inner := e.cache.solve

@@ -163,8 +163,9 @@ func TestEngineStageSplit(t *testing.T) {
 	if s.Stages[obs.StageSolve].Count != 1 {
 		t.Fatalf("cold batch: solve count = %d, want 1 (singleflight)", s.Stages[obs.StageSolve].Count)
 	}
-	if s.Stages[obs.StagePrepare].Count != 1 {
-		t.Fatalf("cold batch: prepare count = %d, want 1", s.Stages[obs.StagePrepare].Count)
+	// The cache holds solved kernels as they are: no wrap, no prepare.
+	if s.Stages[obs.StagePrepare].Count != 0 {
+		t.Fatalf("cold batch: prepare count = %d, want 0", s.Stages[obs.StagePrepare].Count)
 	}
 	if got := s.Stages[obs.StageCacheHit].Count + s.Stages[obs.StageCacheMiss].Count; got != 2 {
 		t.Fatalf("cold batch: hit+miss observations = %d, want 2", got)

@@ -9,22 +9,22 @@ import (
 	"semilocal/internal/dominance"
 )
 
-// residentSessions lists every session the cache currently holds.
-func residentSessions(c *cache) []*Session {
-	var out []*Session
+// residentKernels lists every kernel the cache currently holds.
+func residentKernels(c *cache) []*core.Kernel {
+	var out []*core.Kernel
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*entry).sess)
+			out = append(out, el.Value.(*entry).k)
 		}
 		sh.mu.Unlock()
 	}
 	return out
 }
 
-// TestCacheIndexOnDemand: the engine cache wraps kernels without their
+// TestCacheIndexOnDemand: the engine cache keeps kernels without their
 // dominance tree. A cold load — every request a never-seen pair with
-// one string-substring query — leaves every resident session
+// one string-substring query — leaves every resident kernel
 // unprepared while cache_bytes still equals the sum of their
 // reservations; a kernel queried past its scan budget ends up prepared.
 func TestCacheIndexOnDemand(t *testing.T) {
@@ -39,7 +39,7 @@ func TestCacheIndexOnDemand(t *testing.T) {
 	}
 
 	t.Run("cold load stays unprepared", func(t *testing.T) {
-		e := NewEngine(Options{Workers: 2, MaxKernels: 16, Shards: 1})
+		e := newEngine(Options{Workers: 2, MaxKernels: 16}, 1)
 		defer e.Close()
 		for p := 0; p < 48; p++ {
 			a, b := pair(64)
@@ -56,13 +56,13 @@ func TestCacheIndexOnDemand(t *testing.T) {
 				t.Fatalf("pair %d: on-demand answer %d, prepared %d", p, res[0].Score, want)
 			}
 		}
-		resident := residentSessions(e.cache)
+		resident := residentKernels(e.cache)
 		if len(resident) != 16 {
-			t.Fatalf("resident sessions = %d, want the 16-kernel capacity", len(resident))
+			t.Fatalf("resident kernels = %d, want the 16-kernel capacity", len(resident))
 		}
 		var reserved int64
 		for _, s := range resident {
-			if s.Kernel().Prepared() {
+			if s.Prepared() {
 				t.Fatal("a kernel queried once built its dominance tree")
 			}
 			reserved += int64(s.MemoryBytes())
@@ -84,7 +84,7 @@ func TestCacheIndexOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sess.Kernel().Prepared() {
+		if sess.Prepared() {
 			t.Fatal("cache prepared the kernel before any query")
 		}
 		bytesBefore := e.Stats()["cache_bytes"]
@@ -106,7 +106,7 @@ func TestCacheIndexOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again != sess || !sess.Kernel().Prepared() {
+		if again != sess || !sess.Prepared() {
 			t.Fatal("a cached kernel queried past its scan budget is not prepared")
 		}
 		if got := e.Stats()["cache_bytes"]; got != bytesBefore {

@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"sync/atomic"
 
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
@@ -20,9 +19,10 @@ import (
 // (injected faults today, transport errors tomorrow) retry under the
 // engine's RetryPolicy with backoff (the group guarantees a failed
 // mutation touched no spine, so blind re-issue is correct for all P
-// patterns at once). Reads never block on mutations: Query caches one
-// prepared session per pattern per published generation, so repeated
-// queries between appends skip re-preprocessing.
+// patterns at once). Reads never block on mutations: Query answers on
+// the kernel a pattern's latest generation published, and a kernel
+// builds its query index once, so repeated queries between appends
+// skip re-preprocessing.
 //
 // All methods are safe for concurrent use. Closing the engine fails
 // subsequent mutations with ErrEngineClosed while already-published
@@ -31,15 +31,6 @@ type StreamGroup struct {
 	e    *Engine
 	g    *stream.Group
 	what string // names the mutation in retry-exhausted errors
-
-	cur []atomic.Pointer[streamGen] // per-pattern prepared-session cache
-}
-
-// streamGen caches the prepared query session of one published kernel
-// generation.
-type streamGen struct {
-	gen  uint64
-	sess *Session
 }
 
 // OpenStreamGroup opens a streaming session group over the given
@@ -75,12 +66,7 @@ func (e *Engine) OpenStreamGroup(patterns [][]byte) (*StreamGroup, error) {
 		what = "stream mutation"
 	}
 	e.ctr.Add(obs.CounterStreamsOpened, 1)
-	return &StreamGroup{
-		e:    e,
-		g:    g,
-		what: what,
-		cur:  make([]atomic.Pointer[streamGen], g.Patterns()),
-	}, nil
+	return &StreamGroup{e: e, g: g, what: what}, nil
 }
 
 // Append extends the shared window with one chunk across every pattern,
@@ -123,33 +109,26 @@ func (sg *StreamGroup) mutate(ctx context.Context, op func() error) error {
 	})
 }
 
-// Session returns the prepared query session for pattern i's latest
-// published generation, building the dominance structure at most once
-// per pattern per generation (concurrent callers racing a fresh
-// generation may build twice; the kernel's internal sync.Once keeps
-// that safe and the last-stored cache wins).
+// Session returns the kernel pattern i's latest generation published,
+// prepared: its dominance tree is built once per generation, by the
+// first caller (the kernel's sync.Once).
 func (sg *StreamGroup) Session(i int) *Session {
-	cur := sg.g.Snapshot(i)
-	if g := sg.cur[i].Load(); g != nil && g.gen == cur.Gen {
-		return g.sess
-	}
-	sess := NewSession(cur.Kernel)
-	sg.cur[i].Store(&streamGen{gen: cur.Gen, sess: sess})
-	return sess
+	return sg.g.Snapshot(i).Kernel.Prepare()
 }
 
 // Query answers one request kind against pattern i's latest published
-// generation, validating ranges like BatchSolve does (errors instead of
-// panics). Request.A/B, Config and Timeout are ignored: the pair is
-// pattern i and the shared window, and mutation — not query — is where
-// the deadline applies.
+// generation through Answer (errors instead of panics). Request.A/B
+// and Timeout are ignored: the pair is pattern i and the shared window,
+// and mutation — not query — is where the deadline applies. A request
+// out of range is rejected before the query span starts, as in
+// BatchSolve.
 func (sg *StreamGroup) Query(i int, req Request) Result {
-	sess := sg.Session(i)
-	if err := req.Kind.validate(req.From, req.To, req.Width, sess.M(), sess.N()); err != nil {
+	k := sg.Session(i)
+	if err := req.Validate(k.M(), k.N()); err != nil {
 		return Result{Err: err}
 	}
 	qsp := sg.e.rec.Start(obs.StageQuery)
-	res := answer(sess, req)
+	res := Answer(k, req)
 	qsp.End()
 	return res
 }
@@ -207,8 +186,7 @@ func (e *Engine) OpenStream(a []byte) (*Stream, error) {
 	return &Stream{sg}, nil
 }
 
-// Session returns the prepared query session for the latest published
-// generation.
+// Session returns the latest published generation's kernel, prepared.
 func (st *Stream) Session() *Session { return st.StreamGroup.Session(0) }
 
 // Query answers one request kind against the latest published

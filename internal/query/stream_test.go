@@ -38,7 +38,7 @@ func TestStreamWrapperMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Session().Kernel().Permutation().Equal(scratch.Permutation()) {
+		if !st.Session().Permutation().Equal(scratch.Permutation()) {
 			t.Fatalf("after %q: streamed kernel differs from from-scratch solve", c)
 		}
 	}
@@ -279,7 +279,7 @@ func TestStreamChaosMetamorphicThroughWrapper(t *testing.T) {
 	if err := clean.Slide(3); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Session().Kernel().Permutation().Equal(clean.Kernel().Permutation()) {
+	if !st.Session().Permutation().Equal(clean.Kernel().Permutation()) {
 		t.Fatal("faulted stream must publish a kernel bit-identical to the fault-free run")
 	}
 	if st.Generation() != clean.Generation() {

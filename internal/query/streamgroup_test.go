@@ -40,7 +40,7 @@ func TestStreamGroupWrapperMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sg.Session(i).Kernel().Permutation().Equal(scratch.Permutation()) {
+			if !sg.Session(i).Permutation().Equal(scratch.Permutation()) {
 				t.Fatalf("after %q pattern %d: kernel differs from from-scratch solve", c, i)
 			}
 		}
@@ -71,8 +71,8 @@ func TestStreamGroupWrapperMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestStreamGroupSessionCachedPerGeneration pins the per-pattern
-// per-generation session cache.
+// TestStreamGroupSessionCachedPerGeneration pins that Session hands out
+// one kernel per pattern per published generation.
 func TestStreamGroupSessionCachedPerGeneration(t *testing.T) {
 	e := NewEngine(Options{})
 	defer e.Close()
@@ -85,17 +85,17 @@ func TestStreamGroupSessionCachedPerGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s1, s2 := sg.Session(0), sg.Session(0); s1 != s2 {
-		t.Fatal("same generation must reuse the cached session")
+		t.Fatal("same generation must return the same kernel")
 	}
 	if sg.Session(0) == sg.Session(1) {
-		t.Fatal("different patterns must prepare different sessions")
+		t.Fatal("different patterns must have different kernels")
 	}
 	s1 := sg.Session(1)
 	if err := sg.Append(ctx, []byte("hit")); err != nil {
 		t.Fatal(err)
 	}
 	if sg.Session(1) == s1 {
-		t.Fatal("a new generation must build a new session")
+		t.Fatal("a new generation must publish a new kernel")
 	}
 }
 
@@ -253,7 +253,7 @@ func TestStreamGroupChaosMetamorphicThroughWrapper(t *testing.T) {
 		if err := clean[i].Slide(3); err != nil {
 			t.Fatal(err)
 		}
-		if !sg.Session(i).Kernel().Permutation().Equal(clean[i].Kernel().Permutation()) {
+		if !sg.Session(i).Permutation().Equal(clean[i].Kernel().Permutation()) {
 			t.Fatalf("pattern %d: faulted group must publish kernels bit-identical to the fault-free run", i)
 		}
 		if sg.State(i).Gen != clean[i].Generation() {

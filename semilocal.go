@@ -102,7 +102,7 @@ const (
 	StageGridComb   = obs.StageGridComb   // grid-reduction tile combing phase
 	StageGridReduce = obs.StageGridReduce // grid-reduction pairwise reduction
 	StageBitBlocks  = obs.StageBitBlocks  // bit-parallel block loop
-	StagePrepare    = obs.StagePrepare    // session wrap after a solve or store read
+	StagePrepare    = obs.StagePrepare    // no producer; kept for existing readers
 	StageCacheHit   = obs.StageCacheHit   // acquire served by a resident session
 	StageCacheMiss  = obs.StageCacheMiss  // acquire that waited for a solve
 	StageQueueWait  = obs.StageQueueWait  // batch submission → worker pickup
@@ -174,7 +174,7 @@ func GeneralBitLCS(a, b []byte, workers int) int {
 
 // Serving layer: one kernel solve pays for unlimited sublinear queries,
 // and the Engine amortizes solves across requests — a sharded LRU cache
-// of Sessions with singleflight deduplication and a batch front end
+// of kernels with singleflight deduplication and a batch front end
 // over a worker pool. See internal/query for details and
 // cmd/semilocal's -serve-batch mode for a file-driven harness.
 
@@ -184,11 +184,11 @@ type Engine = query.Engine
 // EngineOptions configures NewEngine; the zero value is usable.
 type EngineOptions = query.Options
 
-// Session is a query handle over one solved kernel: the four
-// semi-local query families plus sliding-window sweeps at O(1)
-// amortized per window. A Session from NewSession answers each query
-// in O(log(m+n)); one from an Engine builds that index on demand (see
-// NewSession).
+// Session is the query handle over one solved kernel, and it is the
+// Kernel itself: the four semi-local query families, sliding-window
+// sweeps at O(1) amortized per window, and BestWindow. A Session from
+// NewSession answers each query in O(log(m+n)); one from an Engine
+// builds that index on demand (see NewSession).
 type Session = query.Session
 
 // BatchRequest and BatchResult are the units of Engine.BatchSolve.
@@ -213,6 +213,14 @@ const (
 // ("score", "string-substring", "windows", ...).
 func ParseQueryKind(s string) (QueryKind, error) {
 	return query.ParseKind(s)
+}
+
+// Answer answers req on k, reporting a request out of range for k's
+// strings in BatchResult.Err instead of panicking; req.A, req.B and
+// req.Timeout are ignored. It is the dispatch the Engine and its
+// streams answer through.
+func Answer(k *Kernel, req BatchRequest) BatchResult {
+	return query.Answer(k, req)
 }
 
 // NewEngine builds a batch query engine; the caller must Close it.
@@ -266,10 +274,10 @@ func ParseChaosSpec(spec string) ([]ChaosRule, error) {
 	return chaos.ParseSpec(spec)
 }
 
-// NewSession preprocesses a solved kernel for serving-style queries
-// without going through an Engine cache. It builds the kernel's
-// dominance tree eagerly, so every query costs O(log(m+n)) from the
-// first call. An Engine's cache does not: its sessions count each query
+// NewSession prepares a solved kernel for serving-style queries
+// without going through an Engine cache and returns it: a Session is
+// the kernel. It builds the kernel's dominance tree eagerly, so every
+// query costs O(log(m+n)) from the first call. An Engine's cache does not: its sessions count each query
 // directly in O(m+n) until the kernel's accumulated scan work reaches
 // the tree's build cost, (m+n)·⌈log₂(m+n)⌉, and only then build the
 // tree, so a cached kernel that answers a few queries costs little more
@@ -309,8 +317,9 @@ func NewStreamSession(a []byte, cfg StreamConfig) (*StreamSession, error) {
 // EngineStream is a streaming session served through an Engine — a
 // one-pattern EngineStreamGroup with pattern-free query accessors:
 // mutations run under the engine's deadline and transient-retry
-// policy, and queries hit a per-generation prepared session cache.
-// Open one with Engine.OpenStream.
+// policy, and queries answer on the latest published kernel, which
+// builds its query index once per generation. Open one with
+// Engine.OpenStream.
 type EngineStream = query.Stream
 
 // Multi-pattern streaming: a session group holds P fixed patterns
@@ -345,9 +354,9 @@ func NewStreamGroup(patterns [][]byte, cfg StreamGroupConfig) (*StreamGroup, err
 // every engine stream is one, and EngineStream is the group of one.
 // Group mutations run under the engine's deadline and transient-retry
 // policy (a failed mutation touched no spine, so re-issue is safe for
-// all P patterns at once), and per-pattern queries hit a
-// per-generation prepared session cache. Open one with
-// Engine.OpenStreamGroup.
+// all P patterns at once), and per-pattern queries answer on each
+// pattern's latest published kernel, which builds its query index once
+// per generation. Open one with Engine.OpenStreamGroup.
 type EngineStreamGroup = query.StreamGroup
 
 // Streaming stages and counters for StageRecorder consumers.

@@ -204,8 +204,8 @@ func TestEnginePublicAPI(t *testing.T) {
 	if got, want := sess.Score(), semilocal.LCS(a, b); got != want {
 		t.Fatalf("session score %d, want %d", got, want)
 	}
-	if sess.ScoreWindow(0, len(b)) != sess.Score() {
-		t.Fatal("full ScoreWindow disagrees with Score")
+	if sess.StringSubstring(0, len(b)) != sess.Score() {
+		t.Fatal("full StringSubstring disagrees with Score")
 	}
 
 	kind, err := semilocal.ParseQueryKind("best-window")
