@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race check bench bench-smoke figures figures-paper examples fuzz fuzz-smoke
+.PHONY: all build test test-race check bench bench-smoke figures figures-paper examples fuzz fuzz-smoke fuzz-list
 
 all: build test
 
@@ -19,7 +19,8 @@ test:
 test-race:
 	go test -race ./...
 
-# The one pre-merge gate: static checks (gofmt must list no file), build,
+# The one pre-merge gate: static checks (gofmt must list no file, and
+# FUZZ_TARGETS must name exactly the tree's fuzz functions), build,
 # the whole test suite (alloc guards included), the race lane, and the
 # bench module's vet and tests (bench/ is its own Go module, compiled
 # against the engine, server, stream and obs APIs, so a break there
@@ -27,6 +28,7 @@ test-race:
 # CI runs exactly this, plus fuzz-smoke and bench-smoke.
 check:
 	test -z "$$(gofmt -l .)"
+	$(MAKE) fuzz-list
 	go vet ./...
 	go build ./...
 	go test ./...
@@ -74,8 +76,7 @@ FUZZ_TARGETS := \
 	FuzzBandedDistance:./internal/banded \
 	FuzzKernelRoundtrip:./internal/core \
 	FuzzStoreOpen:./internal/store \
-	FuzzServerRequest:./internal/server \
-	FuzzProfileLoad:./internal/tune
+	FuzzServerRequest:./internal/server
 
 # Short fuzzing passes over every fuzz target.
 fuzz: FUZZTIME := 30s
@@ -87,3 +88,16 @@ fuzz fuzz-smoke:
 		echo "go test -fuzz $${tp%%:*} -fuzztime $(FUZZTIME) $${tp#*:}"; \
 		go test -fuzz $${tp%%:*} -fuzztime $(FUZZTIME) $${tp#*:}; \
 	done
+
+# Fails when FUZZ_TARGETS and the tree's `func Fuzz...` declarations
+# (outside the bench module) differ, so a fuzz target can neither drop
+# out of the fuzz lanes nor outlive its package.
+fuzz-list:
+	@tree=$$(grep -rHoE --include='*_test.go' --exclude-dir=bench '^func Fuzz[A-Za-z0-9_]+' . \
+		| sed -E 's#^(.*)/[^/]+:func (Fuzz[A-Za-z0-9_]+)$$#\2:\1#' | sort); \
+	listed=$$(printf '%s\n' $(FUZZ_TARGETS) | sort); \
+	extra=$$(echo "$$listed" | grep -vxF "$$tree"); \
+	missing=$$(echo "$$tree" | grep -vxF "$$listed"); \
+	[ -z "$$extra" ] || echo "FUZZ_TARGETS names no such fuzz function: $$extra"; \
+	[ -z "$$missing" ] || echo "fuzz functions missing from FUZZ_TARGETS: $$missing"; \
+	[ -z "$$extra$$missing" ]

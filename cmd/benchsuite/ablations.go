@@ -46,7 +46,7 @@ func ablateBase(c *cfg) {
 	base1 := benchkit.Measure(c.reps, func() { steadyant.MultiplyWithBase(p, q, 1) })
 	t := benchkit.NewTable("lookup_base_order", "time", "speedup_vs_base1")
 	t.AddRow(1, base1, benchkit.Ratio(base1, base1))
-	for base := 2; base <= 5; base++ {
+	for base := 2; base <= steadyant.MaxBase; base++ {
 		base := base
 		d := benchkit.Measure(c.reps, func() { steadyant.MultiplyWithBase(p, q, base) })
 		t.AddRow(base, d, benchkit.Ratio(base1, d))

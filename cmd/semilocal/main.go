@@ -71,18 +71,6 @@
 //	semilocal -serve-batch queries.txt -chaos "solve:error:1000:0:2" -retries 3
 //	semilocal -a-text GATTACA -stream ops.txt -chaos "stream:error:1000:0:2" -retries 3
 //
-// Autotuning: -calibrate PATH micro-benchmarks the solver parameter
-// grid on this machine (chunk floors, 16-bit routing, hybrid cut-over,
-// steady-ant base, tile counts, worker fan-out) and writes the winning
-// machine profile; -profile PATH loads one and threads its tuning
-// through every solve, engine and stream. A missing or corrupt profile
-// falls back to the built-in defaults with a warning comment — tuning
-// never changes answers, only speed:
-//
-//	semilocal -calibrate profile.json
-//	semilocal -profile profile.json -a-text ABCABBA -b-text CBABAC score
-//	semilocal -profile profile.json -serve-batch queries.txt
-//
 // Observability: -trace-stages appends a per-solve stage breakdown
 // table (where the wall time went: combing passes, braid composition,
 // query-structure preparation, cache waits) to the output of any LCS
@@ -134,131 +122,124 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// cliFlags holds the values of every command-line flag.
+type cliFlags struct {
+	alg, aText, bText, batch, streamFile        string
+	metricsAddr, chaosSpec, storeDir, serveAddr string
+	workers, maxQueue, retries, bandMaxK        int
+	shards, tenantQuota                         int
+	fasta, edit, traceStages, bandedMode        bool
+	retryBackoff, deadline, degradeBelow        time.Duration
+	chaosSeed                                   uint64
+}
+
+// newFlagSet declares the command line. The "with -X:" prefix of a
+// usage string names the modes flagRules requires the flag to run in.
+func newFlagSet() (*flag.FlagSet, *cliFlags) {
 	fs := flag.NewFlagSet("semilocal", flag.ContinueOnError)
-	alg := fs.String("alg", "simd", "algorithm: "+algorithmNames())
-	workers := fs.Int("workers", 1, "worker goroutines")
-	aText := fs.String("a-text", "", "inline string a (instead of a file)")
-	bText := fs.String("b-text", "", "inline string b (instead of a file)")
-	fasta := fs.Bool("fasta", false, "treat input files as FASTA; the first record is used")
-	edit := fs.Bool("edit", false, "measure unit-cost edit distance instead of LCS score")
-	batch := fs.String("serve-batch", "", "answer a whole file of requests through the batch query engine")
-	streamFile := fs.String("stream", "", "answer an op-script file (append/slide/query lines) through a streaming session against the pattern")
-	traceStages := fs.Bool("trace-stages", false, "append a per-solve stage breakdown table")
-	metricsAddr := fs.String("metrics", "", "with -serve-batch: serve /metrics, /debug/vars and /debug/pprof on this address ('-' prints one exposition to stdout)")
-	maxQueue := fs.Int("max-queue", 0, "with -serve-batch: shed requests past this queue bound (0 = unbounded)")
-	retries := fs.Int("retries", 0, "with -serve-batch: total solve attempts for transient failures (≤1 = no retry)")
-	retryBackoff := fs.Duration("retry-backoff", 0, "with -serve-batch: base wait before the first retry, doubling per attempt")
-	deadline := fs.Duration("deadline", 0, "with -serve-batch: per-request deadline (0 = none)")
-	degradeBelow := fs.Duration("degrade-below", 0, "with -serve-batch: fall back to the sequential algorithm when remaining deadline is below this")
-	chaosSpec := fs.String("chaos", "", "with -serve-batch: fault-injection rules `point:fault:permille[:latency[:maxcount]],...`")
-	chaosSeed := fs.Uint64("chaos-seed", 1, "with -serve-batch: seed of the deterministic chaos schedule")
-	bandedMode := fs.Bool("banded", false, "route distance-only work through the banded diagonal-BFS fast path (score subcommand and -serve-batch)")
-	bandMaxK := fs.Int("band-max-k", 0, "with -banded: edit budget of the band (0 = derive from the measured crossover)")
-	storeDir := fs.String("store-dir", "", "with -serve-batch: back the kernel cache with a persistent on-disk store in this directory (crash-safe, shared across runs)")
-	serveAddr := fs.String("serve-addr", "", "run the sharded HTTP serving tier on this address (e.g. :8080) until SIGINT/SIGTERM; the engine flags apply per shard")
-	shards := fs.Int("shards", 0, "with -serve-addr: engine shard count behind the consistent-hash ring (0 = 1)")
-	tenantQuota := fs.Int("tenant-quota", 0, "with -serve-addr: per-tenant bound on outstanding requests across the tier (0 = unlimited)")
-	calibrate := fs.String("calibrate", "", "micro-benchmark the parameter grid on this machine and write the winning profile to this path")
-	tinyGrid := fs.Bool("tiny-grid", false, "with -calibrate: sweep the reduced CI grid instead of the full one")
-	profilePath := fs.String("profile", "", "load a calibrated machine profile and thread its tuning through every solve (missing/corrupt profiles fall back to built-in defaults)")
+	f := &cliFlags{}
+	fs.StringVar(&f.alg, "alg", "simd", "algorithm: "+algorithmNames())
+	fs.IntVar(&f.workers, "workers", 1, "worker goroutines")
+	fs.StringVar(&f.aText, "a-text", "", "inline string a (instead of a file)")
+	fs.StringVar(&f.bText, "b-text", "", "inline string b (instead of a file)")
+	fs.BoolVar(&f.fasta, "fasta", false, "treat input files as FASTA; the first record is used")
+	fs.BoolVar(&f.edit, "edit", false, "measure unit-cost edit distance instead of LCS score")
+	fs.StringVar(&f.batch, "serve-batch", "", "answer a whole file of requests through the batch query engine")
+	fs.StringVar(&f.streamFile, "stream", "", "answer an op-script file (append/slide/query lines) through a streaming session against the pattern")
+	fs.BoolVar(&f.traceStages, "trace-stages", false, "append a per-solve stage breakdown table")
+	fs.StringVar(&f.metricsAddr, "metrics", "", "with -serve-batch or -stream: serve /metrics, /debug/vars and /debug/pprof on this address ('-' prints one exposition to stdout)")
+	fs.IntVar(&f.maxQueue, "max-queue", 0, "with -serve-batch or -serve-addr: shed requests past this queue bound (0 = unbounded)")
+	fs.IntVar(&f.retries, "retries", 0, "with -serve-batch, -stream or -serve-addr: total solve attempts for transient failures (≤1 = no retry)")
+	fs.DurationVar(&f.retryBackoff, "retry-backoff", 0, "with -serve-batch, -stream or -serve-addr: base wait before the first retry, doubling per attempt")
+	fs.DurationVar(&f.deadline, "deadline", 0, "with -serve-batch, -stream or -serve-addr: per-request deadline (0 = none)")
+	fs.DurationVar(&f.degradeBelow, "degrade-below", 0, "with -serve-batch, -stream or -serve-addr: fall back to the sequential algorithm when remaining deadline is below this")
+	fs.StringVar(&f.chaosSpec, "chaos", "", "with -serve-batch, -stream or -serve-addr: fault-injection rules `point:fault:permille[:latency[:maxcount]],...`")
+	fs.Uint64Var(&f.chaosSeed, "chaos-seed", 1, "with -chaos: seed of the deterministic chaos schedule")
+	fs.BoolVar(&f.bandedMode, "banded", false, "route distance-only work through the banded diagonal-BFS fast path (score subcommand and -serve-batch)")
+	fs.IntVar(&f.bandMaxK, "band-max-k", 0, "with -banded: edit budget of the band (0 = derive from the measured crossover)")
+	fs.StringVar(&f.storeDir, "store-dir", "", "with -serve-batch or -serve-addr: back the kernel cache with a persistent on-disk store in this directory (crash-safe, shared across runs)")
+	fs.StringVar(&f.serveAddr, "serve-addr", "", "run the sharded HTTP serving tier on this address (e.g. :8080) until SIGINT/SIGTERM; the engine flags apply per shard")
+	fs.IntVar(&f.shards, "shards", 0, "with -serve-addr: engine shard count behind the consistent-hash ring (0 = 1)")
+	fs.IntVar(&f.tenantQuota, "tenant-quota", 0, "with -serve-addr: per-tenant bound on outstanding requests across the tier (0 = unlimited)")
+	return fs, f
+}
+
+func run(args []string, out io.Writer) error {
+	fs, f := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			workersSet = true
+	// -chaos-seed defaults to a nonzero seed, so whether it was given
+	// comes from the parsed set, not from its value.
+	chaosSeedSet := false
+	fs.Visit(func(fl *flag.Flag) {
+		if fl.Name == "chaos-seed" {
+			chaosSeedSet = true
 		}
 	})
-	algorithm, okAlg := algorithms[*alg]
+	algorithm, okAlg := algorithms[f.alg]
 	if !okAlg {
-		return fmt.Errorf("unknown algorithm %q (want one of %s)", *alg, algorithmNames())
+		return fmt.Errorf("unknown algorithm %q (want one of %s)", f.alg, algorithmNames())
 	}
 	if err := validateFlags(map[string]bool{
-		"-serve-batch":   *batch != "",
-		"-stream":        *streamFile != "",
-		"-edit":          *edit,
-		"-trace-stages":  *traceStages,
-		"-banded":        *bandedMode,
-		"-band-max-k":    *bandMaxK != 0,
-		"-metrics":       *metricsAddr != "",
-		"-max-queue":     *maxQueue != 0,
-		"-retries":       *retries != 0,
-		"-retry-backoff": *retryBackoff != 0,
-		"-deadline":      *deadline != 0,
-		"-degrade-below": *degradeBelow != 0,
-		"-chaos":         *chaosSpec != "",
-		"-store-dir":     *storeDir != "",
-		"-serve-addr":    *serveAddr != "",
-		"-shards":        *shards != 0,
-		"-tenant-quota":  *tenantQuota != 0,
-		"-calibrate":     *calibrate != "",
-		"-tiny-grid":     *tinyGrid,
-		"-profile":       *profilePath != "",
+		"-serve-batch":   f.batch != "",
+		"-stream":        f.streamFile != "",
+		"-edit":          f.edit,
+		"-trace-stages":  f.traceStages,
+		"-banded":        f.bandedMode,
+		"-band-max-k":    f.bandMaxK != 0,
+		"-metrics":       f.metricsAddr != "",
+		"-max-queue":     f.maxQueue != 0,
+		"-retries":       f.retries != 0,
+		"-retry-backoff": f.retryBackoff != 0,
+		"-deadline":      f.deadline != 0,
+		"-degrade-below": f.degradeBelow != 0,
+		"-chaos":         f.chaosSpec != "",
+		"-store-dir":     f.storeDir != "",
+		"-serve-addr":    f.serveAddr != "",
+		"-shards":        f.shards != 0,
+		"-tenant-quota":  f.tenantQuota != 0,
+		"-chaos-seed":    chaosSeedSet,
 	}); err != nil {
 		return err
 	}
-	if *calibrate != "" {
-		if rest := fs.Args(); len(rest) != 0 {
-			return fmt.Errorf("unexpected arguments with -calibrate: %v", rest)
-		}
-		return runCalibrate(*calibrate, *tinyGrid, out)
-	}
-	var tuning *semilocal.Tuning
-	if *profilePath != "" {
-		prof, err := semilocal.LoadProfileOrDefault(*profilePath, nil)
-		if err != nil {
-			fmt.Fprintf(out, "# profile: %v; running with built-in defaults\n", err)
-		} else {
-			fmt.Fprintf(out, "# profile: loaded %s (workers=%d)\n", *profilePath, prof.Workers)
-			if serr := prof.Stale(); serr != nil {
-				fmt.Fprintf(out, "# profile: warning: %v\n", serr)
-			}
-			if prof.Workers > 0 && !workersSet {
-				*workers = prof.Workers
-			}
-		}
-		tuning = prof.Tuning()
-	}
-	if *batch != "" || *streamFile != "" || *serveAddr != "" {
+	if f.batch != "" || f.streamFile != "" || f.serveAddr != "" {
 		opts := batchOptions{
 			algorithm:    algorithm,
-			workers:      *workers,
-			tuning:       tuning,
-			traceStages:  *traceStages,
-			metricsAddr:  *metricsAddr,
-			maxQueue:     *maxQueue,
-			retries:      *retries,
-			retryBackoff: *retryBackoff,
-			deadline:     *deadline,
-			degradeBelow: *degradeBelow,
-			banded:       *bandedMode,
-			bandMaxK:     *bandMaxK,
-			storeDir:     *storeDir,
+			workers:      f.workers,
+			traceStages:  f.traceStages,
+			metricsAddr:  f.metricsAddr,
+			maxQueue:     f.maxQueue,
+			retries:      f.retries,
+			retryBackoff: f.retryBackoff,
+			deadline:     f.deadline,
+			degradeBelow: f.degradeBelow,
+			banded:       f.bandedMode,
+			bandMaxK:     f.bandMaxK,
+			storeDir:     f.storeDir,
 		}
-		if *chaosSpec != "" {
-			rules, err := semilocal.ParseChaosSpec(*chaosSpec)
+		if f.chaosSpec != "" {
+			rules, err := semilocal.ParseChaosSpec(f.chaosSpec)
 			if err != nil {
 				return fmt.Errorf("-chaos: %w", err)
 			}
 			opts.chaosRules = rules
-			opts.chaosSeed = *chaosSeed
+			opts.chaosSeed = f.chaosSeed
 		}
-		if *serveAddr != "" {
-			return runServe(*serveAddr, *shards, *tenantQuota, opts, out)
+		if f.serveAddr != "" {
+			return runServe(f.serveAddr, f.shards, f.tenantQuota, opts, out)
 		}
-		if *batch != "" {
-			return runBatch(*batch, opts, out)
+		if f.batch != "" {
+			return runBatch(f.batch, opts, out)
 		}
-		pattern, err := loadPattern(fs.Args(), *aText, *bText, *fasta)
+		pattern, err := loadPattern(fs.Args(), f.aText, f.bText, f.fasta)
 		if err != nil {
 			return err
 		}
-		return runStream(*streamFile, pattern, opts, out)
+		return runStream(f.streamFile, pattern, opts, out)
 	}
 
-	a, b, rest, err := loadInputs(fs.Args(), *aText, *bText, *fasta)
+	a, b, rest, err := loadInputs(fs.Args(), f.aText, f.bText, f.fasta)
 	if err != nil {
 		return err
 	}
@@ -266,22 +247,22 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("missing subcommand: score, windows or query")
 	}
 
-	cfg := semilocal.Config{Algorithm: algorithm, Workers: *workers}
+	cfg := semilocal.Config{Algorithm: algorithm, Workers: f.workers}
 	sub, subArgs := rest[0], rest[1:]
-	if *bandedMode {
+	if f.bandedMode {
 		if sub != "score" {
 			return fmt.Errorf("-banded supports only the score subcommand (semi-local queries need the kernel), got %q", sub)
 		}
-		return runBandedScore(a, b, cfg, *edit, *bandMaxK, out)
+		return runBandedScore(a, b, cfg, f.edit, f.bandMaxK, out)
 	}
-	if *edit {
+	if f.edit {
 		return runEdit(a, b, cfg, sub, subArgs, out)
 	}
 	var rec *semilocal.StageRecorder
-	if *traceStages {
+	if f.traceStages {
 		rec = semilocal.NewStageRecorder()
 	}
-	k, err := semilocal.SolveTuned(a, b, cfg, rec, tuning)
+	k, err := semilocal.SolveObserved(a, b, cfg, rec)
 	if err != nil {
 		return err
 	}
@@ -322,28 +303,7 @@ var flagRules = []flagRule{
 	{flag: "-store-dir", requiresAny: []string{"-serve-batch", "-serve-addr"}},
 	{flag: "-shards", requiresAny: []string{"-serve-addr"}},
 	{flag: "-tenant-quota", requiresAny: []string{"-serve-addr"}},
-	{flag: "-calibrate", conflicts: []string{"-serve-batch", "-stream", "-serve-addr", "-edit", "-banded", "-profile", "-trace-stages"}},
-	{flag: "-tiny-grid", requiresAny: []string{"-calibrate"}},
-	{flag: "-profile", conflicts: []string{"-edit", "-banded"}},
-}
-
-// runCalibrate runs the calibration micro-benchmark suite and persists
-// the winning profile. The per-axis probe log (timings and winners)
-// goes to the normal output; the profile write is atomic, so an
-// interrupted calibration never leaves a torn profile behind.
-func runCalibrate(path string, tiny bool, out io.Writer) error {
-	grid := semilocal.DefaultCalibrationGrid()
-	if tiny {
-		grid = semilocal.TinyCalibrationGrid()
-	}
-	rec := semilocal.NewStageRecorder()
-	prof := semilocal.Calibrate(grid, rec, out)
-	if err := prof.Save(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "# calibration: %d probes, profile written to %s\n",
-		rec.Counter(semilocal.CounterTuneProbes), path)
-	return nil
+	{flag: "-chaos-seed", requiresAny: []string{"-chaos"}},
 }
 
 // validateFlags evaluates the rule table against the set of flags the
@@ -616,7 +576,6 @@ func parseQueryFields(fields []string) (semilocal.BatchRequest, error) {
 type batchOptions struct {
 	algorithm    semilocal.Algorithm
 	workers      int
-	tuning       *semilocal.Tuning
 	traceStages  bool
 	metricsAddr  string
 	maxQueue     int
@@ -681,7 +640,6 @@ func (o batchOptions) engineOptions(rec *semilocal.StageRecorder) (semilocal.Eng
 		Chaos:        inj,
 		Banded:       semilocal.BandedConfig{Enabled: o.banded, MaxK: o.bandMaxK},
 		Store:        kstore,
-		Tuning:       o.tuning,
 	}, release, nil
 }
 

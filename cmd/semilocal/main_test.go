@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -343,6 +344,8 @@ func TestFlagValidationTable(t *testing.T) {
 		{"chaos alone", []string{"-chaos", "solve:latency:10:1ms", "-a-text", "AB", "-b-text", "BA", "score"}, "requires -serve-batch or -stream"},
 		{"store-dir alone", []string{"-store-dir", "/nope", "-a-text", "AB", "-b-text", "BA", "score"}, "-store-dir requires -serve-batch"},
 		{"store-dir+stream", []string{"-store-dir", "/nope", "-a-text", "AB", "-stream", "/nope"}, "-store-dir requires -serve-batch"},
+		{"chaos-seed alone", []string{"-chaos-seed", "5", "-a-text", "AB", "-b-text", "BA", "score"}, "-chaos-seed requires -chaos"},
+		{"chaos-seed without chaos", []string{"-serve-batch", "/nope", "-chaos-seed", "5"}, "-chaos-seed requires -chaos"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -361,6 +364,7 @@ func TestFlagValidationTable(t *testing.T) {
 		{"-banded", "-band-max-k", "64", "-a-text", "ABCABBA", "-b-text", "CBABAC", "score"},
 		{"-banded", "-edit", "-a-text", "kitten", "-b-text", "sitting", "score"},
 		{"-serve-batch", filepath.Join("testdata", "batch.txt"), "-banded", "-band-max-k", "16"},
+		{"-serve-batch", filepath.Join("testdata", "batch.txt"), "-chaos", "solve:latency:10:1ms", "-chaos-seed", "5"},
 	} {
 		if err := run(args, io.Discard); err != nil {
 			t.Errorf("run(%v): %v", args, err)
@@ -375,6 +379,29 @@ func TestFlagValidationTable(t *testing.T) {
 		err := run(sub, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-banded supports only the score subcommand") {
 			t.Errorf("run(%v) = %v, want banded-subcommand error", sub, err)
+		}
+	}
+}
+
+// TestFlagUsageNamesRequiredModes keeps the help text honest: a flag
+// that flagRules allows only alongside some modes must name every one
+// of them in its usage string.
+func TestFlagUsageNamesRequiredModes(t *testing.T) {
+	fs, _ := newFlagSet()
+	for _, r := range flagRules {
+		if len(r.requiresAny) == 0 {
+			continue
+		}
+		fl := fs.Lookup(strings.TrimPrefix(r.flag, "-"))
+		if fl == nil {
+			t.Errorf("flagRules names %s, which is not a flag", r.flag)
+			continue
+		}
+		words := strings.FieldsFunc(fl.Usage, func(c rune) bool { return c == ' ' || c == ',' || c == ':' })
+		for _, mode := range r.requiresAny {
+			if !slices.Contains(words, mode) {
+				t.Errorf("%s usage %q does not name %s, which flagRules accepts", r.flag, fl.Usage, mode)
+			}
 		}
 	}
 }

@@ -77,7 +77,7 @@ func (v Version) String() string {
 }
 
 // Versions lists every implementation in a stable order; the
-// differential suites and calibration grid iterate it.
+// differential suites iterate it.
 func Versions() []Version { return []Version{Old, MemOpt, FormulaOpt, Fused} }
 
 // Options configure parallel execution.

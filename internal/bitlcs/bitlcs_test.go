@@ -89,8 +89,11 @@ func TestScoreParallel(t *testing.T) {
 		a, b := randBinary(rng, m, 0.5), randBinary(rng, n, 0.5)
 		want := lcs.PrefixRowMajor(a, b)
 		for _, v := range versions {
-			if got := Score(a, b, v, Options{Workers: 4, MinBlocks: 1}); got != want {
-				t.Fatalf("%v parallel: got %d, want %d (m=%d n=%d)", v, got, want, m, n)
+			// MinBlocks 0 is the built-in split threshold.
+			for _, mb := range []int{0, 1} {
+				if got := Score(a, b, v, Options{Workers: 4, MinBlocks: mb}); got != want {
+					t.Fatalf("%v parallel (min blocks %d): got %d, want %d (m=%d n=%d)", v, mb, got, want, m, n)
+				}
 			}
 		}
 	}

@@ -9,8 +9,8 @@ import (
 	"semilocal/internal/chaos"
 )
 
-// TestSolveInjectedNilParity: with no injector, no recorder and no
-// tuning, SolveWith is Solve — same kernel, bit for bit.
+// TestSolveInjectedNilParity: with no injector and no recorder,
+// SolveWith is Solve — same kernel, bit for bit.
 func TestSolveInjectedNilParity(t *testing.T) {
 	a, b := []byte("abracadabra"), []byte("alakazam")
 	for _, cfg := range []Config{
@@ -22,7 +22,7 @@ func TestSolveInjectedNilParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveWith(a, b, cfg, nil, nil, nil)
+		got, err := SolveWith(a, b, cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestSolveInjectedErrorPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = SolveWith(a, b, Config{}, nil, inj, nil)
+		_, err = SolveWith(a, b, Config{}, nil, inj)
 		if !errors.Is(err, chaos.ErrInjected) {
 			t.Fatalf("%s: err = %v, want ErrInjected", tc.name, err)
 		}
@@ -65,7 +65,7 @@ func TestSolveInjectedErrorPoints(t *testing.T) {
 			t.Fatalf("%s: error %q does not name its point", tc.name, err)
 		}
 		// Budget spent: the next solve succeeds and matches Solve.
-		k, err := SolveWith(a, b, Config{}, nil, inj, nil)
+		k, err := SolveWith(a, b, Config{}, nil, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestSolveInjectedErrorPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	k, err := SolveWith(a, b, Config{}, nil, inj, nil)
+	k, err := SolveWith(a, b, Config{}, nil, inj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,63 +104,51 @@ const MaxOrder = 1<<31 - 1
 // Solve computes the semi-local LCS kernel of a and b with the
 // configured algorithm.
 func Solve(a, b []byte, cfg Config) (*Kernel, error) {
-	return SolveWith(a, b, cfg, nil, nil, nil)
+	return SolveWith(a, b, cfg, nil, nil)
 }
 
-// SolveWith is Solve with the three threaded collaborators, none of
+// SolveWith is Solve with the two threaded collaborators, neither of
 // which Config stores (Config only names an algorithm and its
 // parameters):
 //
 //   - rec records stage timings and work counters;
 //   - inj is consulted before the solve (artificial latency, forced
 //     transient errors) and after it (errors that discard finished
-//     work);
-//   - tn supplies calibrated parameters in place of the built-in
-//     constants: the parallel-split chunk size, the 16-bit
-//     strand-index threshold, the hybrid switch size and depth cap, the
-//     steady-ant recursion cut-off, and the grid tile target. Tuning
-//     never changes the kernel, only which code path computes it
-//     (pinned bit-identically by the grid-sweep differential wall in
-//     internal/tune).
+//     work).
 //
 // Each nil argument disables its collaborator at the cost of a nil
-// check, so SolveWith(a, b, cfg, nil, nil, nil) is exactly Solve.
-func SolveWith(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector, tn *Tuning) (*Kernel, error) {
+// check, so SolveWith(a, b, cfg, nil, nil) is exactly Solve.
+func SolveWith(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector) (*Kernel, error) {
 	if inj.Fire(chaos.PointSolveStart) == chaos.FaultError {
 		return nil, chaos.Injected(chaos.PointSolveStart)
 	}
 	if len(a)+len(b) > MaxOrder {
 		return nil, fmt.Errorf("core: input order %d exceeds the int32 kernel limit %d", len(a)+len(b), MaxOrder)
 	}
-	mult := steadyant.ObservedMultBase(rec, tn.precalcBase()) // Multiply itself when rec == nil and base is default
-	minChunk := tn.combMinChunk()
+	mult := steadyant.ObservedMult(rec) // Multiply itself when rec == nil
 	sp := rec.Start(obs.StageSolve)
 	var p perm.Permutation
 	switch cfg.Algorithm {
 	case RowMajor:
 		p = combing.RowMajorObserved(a, b, rec)
 	case Antidiag:
-		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, MinChunk: minChunk, Rec: rec})
+		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Rec: rec})
 	case AntidiagBranchless:
-		if tn.use16(len(a), len(b)) && combing.Fits16(len(a), len(b)) {
-			p = combing.Antidiag16(a, b, combing.Options{Workers: cfg.Workers, MinChunk: minChunk, Rec: rec})
-		} else {
-			p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, MinChunk: minChunk, Rec: rec})
-		}
+		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec})
 	case LoadBalanced:
-		p = combing.LoadBalanced(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, MinChunk: minChunk, Rec: rec}, mult)
+		p = combing.LoadBalanced(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec}, mult)
 	case Recursive:
 		p = hybrid.Recursive(a, b, mult)
 	case Hybrid:
 		depth := cfg.Depth
 		if depth == 0 {
-			depth = tunedHybridDepth(len(a), len(b), cfg.Workers, tn.hybridSwitch(), tn.hybridMaxDepth())
+			depth = defaultHybridDepth(len(a), len(b), cfg.Workers)
 		}
 		p = hybrid.Hybrid(a, b, hybrid.Options{Depth: depth, Workers: cfg.Workers, Branchless: true, Mult: mult, Rec: rec})
 	case GridReduction:
 		p = hybrid.GridReduction(a, b, hybrid.GridOptions{
-			Workers: cfg.Workers, Tiles: tn.tiles(cfg.Tiles, cfg.Workers),
-			Use16: cfg.Use16 || tn.use16Enabled(), Branchless: true, Mult: mult, Rec: rec,
+			Workers: cfg.Workers, Tiles: cfg.Tiles,
+			Use16: cfg.Use16, Branchless: true, Mult: mult, Rec: rec,
 		})
 	default:
 		sp.End()
@@ -173,8 +161,8 @@ func SolveWith(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector, 
 	return NewKernel(p, len(a), len(b)), nil
 }
 
-// Built-in constants of the hybrid depth heuristic, overridable through
-// Tuning.
+// Constants of the hybrid depth heuristic: the problem size below which
+// Hybrid stops splitting and combs iteratively, and the depth cap.
 const (
 	defaultHybridSwitch   = 4096
 	defaultHybridMaxDepth = 6
@@ -184,16 +172,10 @@ const (
 // thresholds only pay off for longer inputs, and there is no point
 // splitting beyond the worker count.
 func defaultHybridDepth(m, n, workers int) int {
-	return tunedHybridDepth(m, n, workers, defaultHybridSwitch, defaultHybridMaxDepth)
-}
-
-// tunedHybridDepth is the heuristic with the switch size and depth cap
-// as parameters, so calibration can move them per machine.
-func tunedHybridDepth(m, n, workers, switchSize, maxDepth int) int {
 	depth := 0
-	for size := min(m, n); size > switchSize; size /= 2 {
+	for size := min(m, n); size > defaultHybridSwitch; size /= 2 {
 		depth++
-		if depth >= maxDepth {
+		if depth >= defaultHybridMaxDepth {
 			break
 		}
 	}

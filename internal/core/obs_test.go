@@ -27,7 +27,7 @@ func TestStageCoverage4096(t *testing.T) {
 	a := randBytes(rng, 4096, 4)
 	b := randBytes(rng, 4096, 4)
 	rec := obs.New()
-	if _, err := SolveWith(a, b, Config{Algorithm: AntidiagBranchless}, rec, nil, nil); err != nil {
+	if _, err := SolveWith(a, b, Config{Algorithm: AntidiagBranchless}, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := rec.Snapshot()
@@ -57,7 +57,7 @@ func TestSolveObservedMatchesSolve(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := obs.New()
-			got, err := SolveWith(a, b, cfg, rec, nil, nil)
+			got, err := SolveWith(a, b, cfg, rec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -115,9 +115,6 @@ const (
 	// request: the content-hash ring lookup plus any chaos- or
 	// health-driven walk to a successor shard.
 	StageServerRoute
-	// StageTuneProbe is one calibration micro-benchmark: a timed sweep
-	// of a single parameter-grid point (internal/tune).
-	StageTuneProbe
 	// StageStreamGroupAppend is one multi-pattern group mutation end to
 	// end: the shared text-side pass (chunk scan, canonical relabeling
 	// keys) plus the per-pattern fan-out. It nests
@@ -139,7 +136,6 @@ var stageNames = [NumStages]string{
 	"band_probe", "banded_bfs",
 	"store_read", "store_append", "store_compact",
 	"server_request", "server_route",
-	"tune_probe",
 	"stream_group_append", "stream_group_fanout",
 }
 
@@ -232,15 +228,6 @@ const (
 	// CounterTenantRejects counts requests rejected by per-tenant quota
 	// admission before touching any shard.
 	CounterTenantRejects
-	// CounterProfileLoads counts machine profiles successfully loaded
-	// from disk (internal/tune).
-	CounterProfileLoads
-	// CounterProfileFallbacks counts profile loads that fell back to the
-	// built-in defaults — missing, corrupt, truncated, or
-	// schema-incompatible profile files.
-	CounterProfileFallbacks
-	// CounterTuneProbes counts calibration micro-benchmark probes.
-	CounterTuneProbes
 	// CounterStreamGroupAppends counts group-wide mutations (appends and
 	// slides) applied to streaming session groups: one per published
 	// group generation. Empty appends, zero slides and rejected or
@@ -255,11 +242,6 @@ const (
 	// proven identical to another pattern's (up to joint alphabet
 	// relabeling) and reused instead of recombed.
 	CounterStreamGroupShares
-	// CounterProfileStale counts loaded machine profiles whose recorded
-	// host identity (GOOS/GOARCH/NumCPU) no longer matches the running
-	// host — rejected on platform mismatch, kept-but-flagged on a CPU
-	// count change.
-	CounterProfileStale
 	// CounterRequests counts batch requests accepted by an engine.
 	CounterRequests
 	// CounterRequestsInflight is a gauge: engine requests currently
@@ -334,13 +316,9 @@ var counterDefs = [NumCounters]struct {
 	CounterServerRequests:      {"server_requests", ScopeServer},
 	CounterServerReroutes:      {"server_reroutes", ScopeServer},
 	CounterTenantRejects:       {"tenant_rejects", ScopeServer},
-	CounterProfileLoads:        {"profile_loads", ScopeRecorder},
-	CounterProfileFallbacks:    {"profile_fallbacks", ScopeRecorder},
-	CounterTuneProbes:          {"tune_probes", ScopeRecorder},
 	CounterStreamGroupAppends:  {"stream_group_appends", ScopeRecorder},
 	CounterStreamGroupPatterns: {"stream_group_patterns", ScopeRecorder},
 	CounterStreamGroupShares:   {"stream_group_shares", ScopeRecorder},
-	CounterProfileStale:        {"profile_stale", ScopeRecorder},
 	CounterRequests:            {"requests", ScopeEngine},
 	CounterRequestsInflight:    {"requests_inflight", ScopeEngine},
 	CounterCacheHits:           {"cache_hits", ScopeEngine},

@@ -67,7 +67,7 @@ func TestSolveObservedDisabledAddsZeroAllocs(t *testing.T) {
 		}
 	})
 	disabled := testing.AllocsPerRun(200, func() {
-		if _, err := core.SolveWith(a, b, cfg, nil, nil, nil); err != nil {
+		if _, err := core.SolveWith(a, b, cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -139,7 +139,7 @@ func TestSolveInjectedDisabledAddsZeroAllocs(t *testing.T) {
 		}
 	})
 	disabled := testing.AllocsPerRun(200, func() {
-		if _, err := core.SolveWith(a, b, cfg, nil, nil, nil); err != nil {
+		if _, err := core.SolveWith(a, b, cfg, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

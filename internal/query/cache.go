@@ -49,7 +49,7 @@ type shard struct {
 type cache struct {
 	shards []*shard
 	// solve computes a missing kernel: core.SolveWith threaded with the
-	// engine's recorder, injector and tuning. It is a field only so
+	// engine's recorder and injector. It is a field only so
 	// that tests can count and gate real solves.
 	solve func(a, b []byte, cfg core.Config) (*core.Kernel, error)
 	rec   *obs.Recorder
@@ -58,7 +58,7 @@ type cache struct {
 	ctr   *obs.CounterSet
 }
 
-func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj *chaos.Injector, tn *core.Tuning, tier *storeTier) *cache {
+func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj *chaos.Injector, tier *storeTier) *cache {
 	if shards < 1 {
 		shards = 1
 	}
@@ -70,7 +70,7 @@ func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj 
 	c := &cache{
 		shards: make([]*shard, shards),
 		solve: func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
-			return core.SolveWith(a, b, cfg, rec, inj, tn)
+			return core.SolveWith(a, b, cfg, rec, inj)
 		},
 		rec:  rec,
 		inj:  inj,

@@ -91,12 +91,6 @@ type Options struct {
 	// internal/chaos). nil — the production configuration — disables
 	// injection entirely at zero cost.
 	Chaos *chaos.Injector
-	// Tuning supplies machine-calibrated solver parameters (see
-	// internal/tune); every solve the engine performs — batch, stream
-	// leaves, degraded fallbacks — reads tuned values through it. Like
-	// Config, tuning changes how a kernel is computed, never the kernel
-	// itself. nil runs the built-in defaults.
-	Tuning *core.Tuning
 	// Store, when non-nil, backs the cache with the persistent kernel
 	// store as a write-through second tier: cache misses consult the
 	// store before solving, and solved kernels are appended
@@ -133,7 +127,6 @@ type Engine struct {
 	ctr    *obs.CounterSet
 	rec    *obs.Recorder
 	inj    *chaos.Injector
-	tn     *core.Tuning
 	closed atomic.Bool
 
 	// Hardening knobs (see Options).
@@ -159,14 +152,13 @@ func newEngine(opts Options, shards int) *Engine {
 	}
 	tier := newStoreTier(opts.Store, ctr, opts.Obs, opts.Chaos)
 	return &Engine{
-		cache:        newCache(shards, maxKernels, ctr, opts.Obs, opts.Chaos, opts.Tuning, tier),
+		cache:        newCache(shards, maxKernels, ctr, opts.Obs, opts.Chaos, tier),
 		tier:         tier,
 		pool:         parallel.NewPool(opts.Workers),
 		cfg:          opts.Config,
 		ctr:          ctr,
 		rec:          opts.Obs,
 		inj:          opts.Chaos,
-		tn:           opts.Tuning,
 		maxQueue:     opts.MaxQueue,
 		retry:        opts.Retry,
 		deadline:     opts.Deadline,

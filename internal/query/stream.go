@@ -52,11 +52,10 @@ func (e *Engine) OpenStreamGroup(patterns [][]byte) (*StreamGroup, error) {
 		leafCfg = stream.DefaultSolveConfig()
 	}
 	g, err := stream.NewGroup(patterns, stream.GroupConfig{
-		Solve:  &leafCfg,
-		Obs:    e.rec,
-		Chaos:  e.inj,
-		Tuning: e.tn,
-		Pool:   e.pool,
+		Solve: &leafCfg,
+		Obs:   e.rec,
+		Chaos: e.inj,
+		Pool:  e.pool,
 	})
 	if err != nil {
 		return nil, err

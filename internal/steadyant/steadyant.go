@@ -54,9 +54,8 @@ func (v Variant) String() string {
 // implicitly of all smaller ones, which pad to the same packed keys).
 const precalcOrder = 5
 
-// MaxBase is the largest recursion cut-off order MultiplyWithBase and
-// ObservedMultBase accept — the precalc table's order. Calibration
-// (internal/tune) sweeps bases 1…MaxBase.
+// MaxBase is the largest recursion cut-off order MultiplyWithBase
+// accepts — the precalc table's order.
 const MaxBase = precalcOrder
 
 // Multiply returns the sticky braid product of p and q using both

@@ -52,9 +52,6 @@ type GroupConfig struct {
 	// pattern, so an injected fault leaves all spines on their previous
 	// generation. nil disables injection.
 	Chaos *chaos.Injector
-	// Tuning supplies machine-calibrated solver parameters for the leaf
-	// solves; nil runs the built-in defaults.
-	Tuning *core.Tuning
 	// Pool, when non-nil, fans the per-class leaf solves and per-pattern
 	// spine appends out across its workers. The group borrows the pool;
 	// it never closes it. nil runs the fan-out inline.
@@ -90,7 +87,6 @@ type Group struct {
 	cfg    core.Config
 	rec    *obs.Recorder
 	inj    *chaos.Injector
-	tn     *core.Tuning
 	pool   *parallel.Pool
 
 	mu     sync.Mutex
@@ -136,7 +132,6 @@ func NewGroup(patterns [][]byte, cfg GroupConfig) (*Group, error) {
 		idx:    make([]int, len(patterns)),
 		rec:    cfg.Obs,
 		inj:    cfg.Chaos,
-		tn:     cfg.Tuning,
 		pool:   cfg.Pool,
 		keyIdx: make(map[string]int),
 	}
@@ -343,7 +338,7 @@ func (g *Group) publishLocked() {
 
 // solveClass solves class j's leaf kernel against the current chunk.
 func (g *Group) solveClass(j int) {
-	k, err := core.SolveWith(g.states[g.reps[j]].a, g.chunk, g.cfg, g.rec, nil, g.tn)
+	k, err := core.SolveWith(g.states[g.reps[j]].a, g.chunk, g.cfg, g.rec, nil)
 	if err != nil {
 		g.errs[j] = err
 		return

@@ -23,8 +23,6 @@
 package semilocal
 
 import (
-	"io"
-
 	"semilocal/internal/banded"
 	"semilocal/internal/bitlcs"
 	"semilocal/internal/chaos"
@@ -36,7 +34,6 @@ import (
 	"semilocal/internal/server"
 	"semilocal/internal/store"
 	"semilocal/internal/stream"
-	"semilocal/internal/tune"
 )
 
 // Kernel is the implicit semi-local LCS solution; see the methods of
@@ -143,7 +140,7 @@ func NewStageRecorder() *StageRecorder { return obs.New() }
 // SolveObserved is Solve recording per-stage timings and counters into
 // rec; rec == nil behaves exactly like Solve.
 func SolveObserved(a, b []byte, cfg Config, rec *StageRecorder) (*Kernel, error) {
-	return core.SolveWith(a, b, cfg, rec, nil, nil)
+	return core.SolveWith(a, b, cfg, rec, nil)
 }
 
 // LCS returns the (global) LCS score of a and b using plain linear-space
@@ -534,66 +531,4 @@ const (
 	CounterServerRequests = obs.CounterServerRequests // server_requests
 	CounterServerReroutes = obs.CounterServerReroutes // server_reroutes
 	CounterTenantRejects  = obs.CounterTenantRejects  // tenant_rejects
-)
-
-// Autotuning: the solvers carry a handful of machine-dependent
-// constants (parallel chunk floors, the 16-bit index route, the hybrid
-// recursion cut-over, the steady-ant precalc base, tile counts, worker
-// fan-out). Calibrate micro-benchmarks the parameter grid on the
-// current machine, selects per-axis winners, and persists them as a
-// versioned JSON TuningProfile; load it at start-up and thread its
-// Tuning through SolveTuned or EngineOptions.Tuning. Tuning never
-// changes answers — every grid point produces the bit-identical kernel
-// (internal/tune's grid-sweep differential wall pins this) — so a
-// stale or foreign profile can cost performance but never correctness.
-// See cmd/semilocal's -calibrate and -profile flags.
-
-// Tuning carries calibrated solver parameters; the zero value (and a
-// nil pointer) reproduce the built-in defaults exactly.
-type Tuning = core.Tuning
-
-// TuningProfile is one machine's persisted calibration result.
-type TuningProfile = tune.Profile
-
-// CalibrationGrid is the parameter grid Calibrate sweeps.
-type CalibrationGrid = tune.Grid
-
-// DefaultCalibrationGrid is the full per-machine calibration sweep.
-func DefaultCalibrationGrid() CalibrationGrid { return tune.DefaultGrid() }
-
-// TinyCalibrationGrid is a reduced grid for CI and tests: every
-// calibration code path, none of the measurement fidelity.
-func TinyCalibrationGrid() CalibrationGrid { return tune.TinyGrid() }
-
-// Calibrate micro-benchmarks the grid and returns the winning profile;
-// log (optional) receives one line per probe and axis winner.
-func Calibrate(g CalibrationGrid, rec *StageRecorder, log io.Writer) *TuningProfile {
-	return tune.Calibrate(g, rec, log)
-}
-
-// LoadProfile reads and strictly validates a persisted profile.
-func LoadProfile(path string) (*TuningProfile, error) { return tune.Load(path) }
-
-// LoadProfileOrDefault loads the profile at path, falling back to the
-// untuned defaults on any failure — including a profile calibrated for
-// a different GOOS/GOARCH; the returned profile is never nil and a
-// non-nil error means "running untuned". A CPU count mismatch alone
-// keeps the profile (check TuningProfile.Stale for the warning).
-func LoadProfileOrDefault(path string, rec *StageRecorder) (*TuningProfile, error) {
-	return tune.LoadOrDefault(path, rec)
-}
-
-// SolveTuned is Solve threading a calibrated tuning (and optionally a
-// recorder); tn == nil behaves exactly like Solve.
-func SolveTuned(a, b []byte, cfg Config, rec *StageRecorder, tn *Tuning) (*Kernel, error) {
-	return core.SolveWith(a, b, cfg, rec, nil, tn)
-}
-
-// Calibration stages and counters for StageRecorder consumers.
-const (
-	StageTuneProbe          = obs.StageTuneProbe          // one grid-point micro-benchmark
-	CounterTuneProbes       = obs.CounterTuneProbes       // tune_probes
-	CounterProfileLoads     = obs.CounterProfileLoads     // profile_loads
-	CounterProfileFallbacks = obs.CounterProfileFallbacks // profile_fallbacks
-	CounterProfileStale     = obs.CounterProfileStale     // profile_stale (host-identity mismatches)
 )
