@@ -20,9 +20,12 @@ func init() {
 
 // ablate16 — DESIGN.md ablation: 16-bit vs 32-bit strand indices in
 // iterative combing (the paper's §4.3 reduced-precision optimization,
-// which halves the strand arrays' cache footprint).
+// which halves the strand arrays' cache footprint). The antidiag_swar
+// column is an extension beyond the paper: the same 16-bit indices run
+// four lanes per 64-bit word (combing.AntidiagSWAR), which needs
+// m+n ≤ 2¹⁵ and reads "-" on longer rows.
 func ablate16(c *cfg) {
-	t := benchkit.NewTable("length", "antidiag_32bit", "antidiag_16bit", "speedup")
+	t := benchkit.NewTable("length", "antidiag_32bit", "antidiag_16bit", "speedup", "antidiag_swar", "swar_speedup")
 	for i, n := range c.combLens {
 		if !combing.Fits16(n, n) {
 			continue
@@ -31,10 +34,16 @@ func ablate16(c *cfg) {
 		b := dataset.Normal(n, 1, c.seed+300+int64(i))
 		t32 := benchkit.Measure(c.reps, func() { combing.Antidiag(a, b, combing.Options{Branchless: true}) })
 		t16 := benchkit.Measure(c.reps, func() { combing.Antidiag16(a, b, combing.Options{}) })
-		t.AddRow(n, t32, t16, benchkit.Ratio(t32, t16))
+		var swar, swarSpeedup interface{} = "-", "-"
+		if combing.FitsSWAR(n, n) {
+			d := benchkit.Measure(c.reps, func() { combing.AntidiagSWAR(a, b, combing.Options{}) })
+			swar, swarSpeedup = d, benchkit.Ratio(t32, d)
+		}
+		t.AddRow(n, t32, t16, benchkit.Ratio(t32, t16), swar, swarSpeedup)
 	}
 	c.emit("Ablation — 16-bit vs 32-bit strand indices (sequential branchless combing)",
-		"16-bit indices halve memory traffic; the paper projects up to 2x from reduced precision", t)
+		"16-bit indices halve memory traffic; the paper projects up to 2x from reduced precision; "+
+			"four 16-bit lanes per word (antidiag_swar, extension) add subword parallelism", t)
 }
 
 // ablateBase — precalc recursion cut-off order: how much of the precalc

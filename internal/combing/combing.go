@@ -14,6 +14,11 @@
 // The result is the semi-local kernel: a permutation mapping strand start
 // index (left edge bottom-up, then top edge left-right) to end index
 // (bottom edge left-right, then right edge bottom-up).
+//
+// The paper's SIMD variant runs the branchless cell update across AVX2
+// lanes. Its portable analogs here are Antidiag with Options.Branchless
+// (one cell per operation, 32-bit strand indices) and AntidiagSWAR (four
+// cells per uint64 as 16-bit lanes, for m+n ≤ 2¹⁵; see FitsSWAR).
 package combing
 
 import (
@@ -33,8 +38,9 @@ type Options struct {
 	// Values ≤ 1 run sequentially.
 	Workers int
 	// Branchless replaces the conditional swap with the paper's
-	// branch-free bitwise selection (the portable analog of the SIMD
-	// variant).
+	// branch-free bitwise selection, one cell per operation. Its lane
+	// analog, four cells per 64-bit word, is AntidiagSWAR, which is
+	// always branchless and ignores this field.
 	Branchless bool
 	// ArithmeticSelect uses the paper's first branch-elimination form,
 	// h·(1−p) + p·v, instead of the bitwise masks — the variant §4.1

@@ -113,6 +113,8 @@ func TestVariantsAgree(t *testing.T) {
 		"AntidiagParBranchl": func(a, b []byte) perm.Permutation {
 			return Antidiag(a, b, Options{Workers: 2, Branchless: true, MinChunk: 1})
 		},
+		"AntidiagSWAR":       func(a, b []byte) perm.Permutation { return AntidiagSWAR(a, b, Options{}) },
+		"AntidiagSWARPar":    func(a, b []byte) perm.Permutation { return AntidiagSWAR(a, b, Options{Workers: 2, MinChunk: 1}) },
 		"RowMajor16":         RowMajor16,
 		"Antidiag16":         func(a, b []byte) perm.Permutation { return Antidiag16(a, b, Options{}) },
 		"Antidiag16Parallel": func(a, b []byte) perm.Permutation { return Antidiag16(a, b, Options{Workers: 2, MinChunk: 1}) },

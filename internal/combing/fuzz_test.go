@@ -34,6 +34,12 @@ func FuzzKernelAgreement(f *testing.F) {
 		if got := Antidiag(a, b, Options{Workers: 2, MinChunk: 1}); !got.Equal(want) {
 			t.Fatal("Antidiag parallel disagrees")
 		}
+		if got := AntidiagSWAR(a, b, Options{}); !got.Equal(want) {
+			t.Fatal("AntidiagSWAR disagrees")
+		}
+		if got := AntidiagSWAR(a, b, Options{Workers: 3, MinChunk: 1}); !got.Equal(want) {
+			t.Fatal("AntidiagSWAR parallel disagrees")
+		}
 		if len(a)+len(b) <= Max16 {
 			if got := RowMajor16(a, b); !got.Equal(want) {
 				t.Fatal("RowMajor16 disagrees")

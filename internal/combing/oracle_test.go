@@ -36,6 +36,12 @@ func variants() map[string]func(a, b []byte) perm.Permutation {
 		"antidiag/parallel-branchless": func(a, b []byte) perm.Permutation {
 			return combing.Antidiag(a, b, combing.Options{Workers: 2, MinChunk: 1, Branchless: true})
 		},
+		"swar": func(a, b []byte) perm.Permutation {
+			return combing.AntidiagSWAR(a, b, combing.Options{})
+		},
+		"swar/parallel": func(a, b []byte) perm.Permutation {
+			return combing.AntidiagSWAR(a, b, combing.Options{Workers: 3, MinChunk: 1})
+		},
 		"loadbalanced": func(a, b []byte) perm.Permutation {
 			return combing.LoadBalanced(a, b, combing.Options{Branchless: true}, monge.MultiplyNaive)
 		},

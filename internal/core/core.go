@@ -42,7 +42,9 @@ const (
 	// (semi_antidiag); parallelizable.
 	Antidiag
 	// AntidiagBranchless replaces the conditional with bitwise selection
-	// (the paper's semi_antidiag_SIMD analog); parallelizable.
+	// (the paper's semi_antidiag_SIMD analog); parallelizable. Inputs
+	// with m+n ≤ 2¹⁵ run it on four 16-bit lanes per word
+	// (combing.AntidiagSWAR), larger ones on the 32-bit loop.
 	AntidiagBranchless
 	// LoadBalanced computes the three anti-diagonal phases as independent
 	// braids composed by multiplication (semi_load_balanced).
@@ -134,7 +136,12 @@ func SolveWith(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector) 
 	case Antidiag:
 		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Rec: rec})
 	case AntidiagBranchless:
-		p = combing.Antidiag(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec})
+		opt := combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec}
+		if combing.FitsSWAR(len(a), len(b)) {
+			p = combing.AntidiagSWAR(a, b, opt)
+		} else {
+			p = combing.Antidiag(a, b, opt)
+		}
 	case LoadBalanced:
 		p = combing.LoadBalanced(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec}, mult)
 	case Recursive:

