@@ -76,7 +76,8 @@ FUZZ_TARGETS := \
 	FuzzBandedDistance:./internal/banded \
 	FuzzKernelRoundtrip:./internal/core \
 	FuzzStoreOpen:./internal/store \
-	FuzzServerRequest:./internal/server
+	FuzzServerRequest:./internal/server \
+	FuzzDecodeRequest:./internal/server
 
 # Short fuzzing passes over every fuzz target.
 fuzz: FUZZTIME := 30s

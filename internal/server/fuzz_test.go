@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"semilocal/internal/query"
@@ -54,6 +55,7 @@ func FuzzServerRequest(f *testing.F) {
 		{`{"requests": [`, false},
 		{`{"requestz": []}`, false},
 		{`{"requests": []} trailing`, false},
+		{`{"requests": []}]]]garbage`, false},
 		{`{"tenant":"bad tenant!","requests":[]}`, false},
 		{`null`, false},
 		{`[]`, false},
@@ -111,7 +113,7 @@ func FuzzServerRequest(f *testing.F) {
 			t.Fatalf("200 batch response undecodable: %v", err)
 		}
 		// The request decoded (we got a 200), so alignment must hold.
-		if err := decodeJSON(bytes.NewReader(body), &br); err == nil {
+		if err := decodeRequest(body, &br); err == nil {
 			if len(resp.Results) != len(br.Requests) {
 				t.Fatalf("alignment broken: %d requests, %d results", len(br.Requests), len(resp.Results))
 			}
@@ -123,6 +125,62 @@ func FuzzServerRequest(f *testing.F) {
 			if r.Error == "" && r.ErrorKind != "" {
 				t.Fatalf("error kind %q without error text", r.ErrorKind)
 			}
+		}
+	})
+}
+
+// FuzzDecodeRequest is the differential wall behind the single-pass
+// decoder: whenever it accepts a body, encoding/json (with unknown
+// fields disallowed and no trailing data) must accept the same bytes
+// and decode the same value, down to "[]" being an empty non-nil slice.
+// The seeds sit on the subset's borders: escapes, non-ASCII and invalid
+// UTF-8 text, case-folded and repeated keys, null, non-canonical
+// numbers, trailing brackets and every kind of JSON whitespace.
+func FuzzDecodeRequest(f *testing.F) {
+	seeds := []struct {
+		body   string
+		stream bool
+	}{
+		{`{"requests":[{"a":"ab\"c","b":"x","kind":"score"}]}`, false},
+		{`{"requests":[{"a":"x\\y\nz","b":"x","kind":"score"}]}`, false},
+		{`{"requests":[{"a":"é","b":"x","kind":"score"}]}`, false},
+		{"{\"requests\":[{\"a\":\"\xe2\x82\xac\",\"kind\":\"score\"}]}", false},
+		{"{\"requests\":[{\"a\":\"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\",\"kind\":\"score\"}]}", false},
+		{"{\"requests\":[{\"a\":\"abcdefg\thijklmnop\",\"kind\":\"score\"}]}", false},
+		{`{"requests":[{"KIND":"score"}]}`, false},
+		{`{"requests":[{"a":"x","kind":"score"}],"requests":[{"kind":"windows"}]}`, false},
+		{`{"requests":null}`, false},
+		{`null`, false},
+		{`{"requests":[{"kind":"score","from":-0,"to":0}]}`, false},
+		{`{"requests":[{"kind":"score","from":01}]}`, false},
+		{`{"requests":[{"kind":"score","from":1.0}]}`, false},
+		{`{"requests":[{"kind":"score","from":1e2}]}`, false},
+		{`{"requests":[{"kind":"score","timeout_ms":9223372036854775808}]}`, false},
+		{`{"requests":[{"kind":"score","timeout_ms":-9223372036854775808}]}`, false},
+		{`{"requests":[]}]`, false},
+		{`{"requests":[]}`, false},
+		{"{\t\"tenant\" :\r\n\"t\",\"requests\":[ {\"a\":\"x\" , \"b\":\"y\",\"kind\":\"score\"}\t]}\r\n", false},
+		{`{"pattern":"abc","ops":[{"op":"append","chunk":"defg"},{"op":"slide","n":1},{"op":"query","kind":"score","pat":0}]}`, true},
+		{`{"patterns64":["YWJj","ZGVm"],"ops":[{"op":"append","chunk64":"eHl6"}]}`, true},
+		{`{"patterns":[],"ops":[]}`, true},
+		{`{"patterns":["a",null],"ops":[]}`, true},
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s.body), s.stream)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, stream bool) {
+		fast, ref := any(new(BatchRequest)), any(new(BatchRequest))
+		if stream {
+			fast, ref = new(StreamRequest), new(StreamRequest)
+		}
+		if !decodeCanonical(body, fast) {
+			return
+		}
+		if err := decodeJSON(body, ref); err != nil {
+			t.Fatalf("canonical decoder accepted %q, encoding/json rejects it: %v", body, err)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("decodes of %q differ:\ncanonical %+v\nreference %+v", body, fast, ref)
 		}
 	})
 }

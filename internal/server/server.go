@@ -533,15 +533,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, map[string]int{"shards": len(s.shards), "healthy": healthy})
 }
 
-// readRequest decodes one JSON request body under the configured
-// limits, writing the 4xx response itself on failure: 405 for
-// non-POST, 413 for oversized bodies, 400 for malformed JSON.
+// readRequest reads one request body whole under the configured limits
+// and decodes it (decodeRequest), writing the 4xx response itself on
+// failure: 405 for non-POST, 413 for oversized bodies, 400 for
+// malformed JSON.
 func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "server: POST only")
 		return false
 	}
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, s.maxBody), v); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength, s.maxBody)
+	if err == nil {
+		err = decodeRequest(body, v)
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("server: body exceeds %d bytes", tooBig.Limit))

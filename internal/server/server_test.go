@@ -927,6 +927,11 @@ func TestServerHTTPErrors(t *testing.T) {
 		{"malformed JSON", "/v1/batch", `{"requests": [`, http.StatusBadRequest},
 		{"unknown field", "/v1/batch", `{"requestz": []}`, http.StatusBadRequest},
 		{"trailing garbage", "/v1/batch", `{"requests": []} extra`, http.StatusBadRequest},
+		{"trailing brackets", "/v1/batch", `{"requests": []}]]]garbage`, http.StatusBadRequest},
+		{"trailing brace", "/v1/batch", `{"requests": []}}`, http.StatusBadRequest},
+		{"stream trailing brackets", "/v1/stream", `{"pattern": "p", "ops": []}]]]garbage`, http.StatusBadRequest},
+		{"stream trailing brace", "/v1/stream", `{"pattern": "p", "ops": []}}`, http.StatusBadRequest},
+		{"escaped trailing brace", "/v1/batch", `{"tenant": "\u0061", "requests": []}}`, http.StatusBadRequest},
 		{"bad tenant", "/v1/batch", `{"tenant": "no spaces!", "requests": []}`, http.StatusBadRequest},
 		{"tenant too long", "/v1/batch", `{"tenant": "` + strings.Repeat("x", 65) + `", "requests": []}`, http.StatusBadRequest},
 		{"batch too large", "/v1/batch", `{"requests": [{"kind":"score"},{"kind":"score"},{"kind":"score"},{"kind":"score"},{"kind":"score"}]}`, http.StatusBadRequest},

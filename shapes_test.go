@@ -1,6 +1,7 @@
 package semilocal_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -73,8 +74,13 @@ func TestPaperShapes(t *testing.T) {
 		// Figure 4a / ablation: deeper lookup base trims recursion.
 		rng := rand.New(rand.NewSource(2))
 		p, q := perm.Random(200_000, rng), perm.Random(200_000, rng)
-		b1 := measure(func() { steadyant.MultiplyWithBase(p, q, 1) })
-		b5 := measure(func() { steadyant.MultiplyWithBase(p, q, 5) })
+		// Repetitions alternate (b1, b5, b1, b5, …) so load drift from
+		// packages tested in parallel hits both sides alike.
+		b1, b5 := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			b1 = min(b1, benchkit.Measure(1, func() { steadyant.MultiplyWithBase(p, q, 1) }))
+			b5 = min(b5, benchkit.Measure(1, func() { steadyant.MultiplyWithBase(p, q, 5) }))
+		}
 		if float64(b5) > float64(b1) {
 			t.Errorf("lookup base 5 (%v) slower than base 1 (%v)", b5, b1)
 		}
