@@ -100,10 +100,3 @@ func run(alg string, workers int, path string, out io.Writer) error {
 	}
 	return nil
 }
-
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}

@@ -83,10 +83,3 @@ func main() {
 	fmt.Printf("\nmost conserved %d bp window of g%d against all of g%d: [%d:%d), LCS %d\n",
 		window, bestJ, bestI, bestL, bestL+window, bestScore)
 }
-
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}

@@ -19,6 +19,14 @@
 // lanes. Its portable analogs here are Antidiag with Options.Branchless
 // (one cell per operation, 32-bit strand indices) and AntidiagSWAR (four
 // cells per uint64 as 16-bit lanes, for m+n ≤ 2¹⁵; see FitsSWAR).
+//
+// Antidiag, Antidiag16 and AntidiagSWAR share one driver: Listing 4's
+// three-phase anti-diagonal schedule, the worker pool that splits long
+// diagonals, and the stage spans and cell counters. They differ only in
+// the cell loop the driver applies to each diagonal (branching or
+// branchless on 32-bit tracks, branchless on 16-bit tracks, or four
+// 16-bit lanes per word). LoadBalanced reuses the driver's pool helper
+// and per-diagonal routine for its own paired schedule.
 package combing
 
 import (
@@ -57,8 +65,9 @@ type Options struct {
 	// splitting across workers; shorter diagonals run inline. 0 means a
 	// sensible default.
 	MinChunk int
-	// Pool optionally supplies an existing worker pool. If nil and
-	// Workers > 1, a temporary pool is created for the call.
+	// Pool optionally supplies an existing worker pool, which is never
+	// closed. If nil, Workers > 1 and some anti-diagonal reaches
+	// MinChunk cells, a temporary pool is created for the call.
 	Pool *parallel.Pool
 	// Rec receives stage timings and cell counters; nil (the default)
 	// disables instrumentation at zero cost.
@@ -72,17 +81,27 @@ func (o Options) minChunk() int {
 	return 2048
 }
 
+// startTracks returns the m+n tracks before any cell is combed: every
+// strand on its start track, horizontal tracks first.
+func startTracks[E int32 | uint16](m, n int) (hs, vs []E) {
+	tracks := make([]E, m+n)
+	for i := range tracks {
+		tracks[i] = E(i)
+	}
+	return tracks[:m:m], tracks[m:]
+}
+
 // finishKernel relabels final track occupancy into the kernel
 // permutation, as in phase 3 of Listing 1: the strand occupying
 // horizontal track l ends at index n+l, the strand occupying vertical
 // track r ends at index r.
-func finishKernel(hs, vs []int32, m, n int) perm.Permutation {
+func finishKernel[E int32 | uint16](hs, vs []E, m, n int) perm.Permutation {
 	kernel := make([]int32, m+n)
-	for l := 0; l < m; l++ {
-		kernel[hs[l]] = int32(n + l)
+	for l, s := range hs {
+		kernel[s] = int32(n + l)
 	}
-	for r := 0; r < n; r++ {
-		kernel[vs[r]] = int32(r)
+	for r, s := range vs {
+		kernel[s] = int32(r)
 	}
 	return perm.FromRowToCol(kernel)
 }
@@ -97,14 +116,7 @@ func RowMajor(a, b []byte) perm.Permutation {
 // rec (nil disables instrumentation at zero cost).
 func RowMajorObserved(a, b []byte, rec *obs.Recorder) perm.Permutation {
 	m, n := len(a), len(b)
-	hs := make([]int32, m)
-	vs := make([]int32, n)
-	for i := range hs {
-		hs[i] = int32(i)
-	}
-	for j := range vs {
-		vs[j] = int32(m + j)
-	}
+	hs, vs := startTracks[int32](m, n)
 	sp := rec.Start(obs.StageCombRows)
 	for i := 0; i < m; i++ {
 		h := hs[m-1-i] // horizontal track of row i
@@ -150,119 +162,134 @@ func ScoreFromKernel(kernel perm.Permutation, m, n int) int {
 func Antidiag(a, b []byte, opt Options) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
-		return trivialKernel(m, n)
+		return RowMajor(a, b) // no cell to comb
 	}
 	if m > n {
 		// The three-phase schedule assumes m ≤ n; solve the transposed
 		// problem and flip (Theorem 3.5).
 		return Antidiag(b, a, opt).Rotate180()
 	}
-	st := newState(a, b)
-	defer st.close(&opt)
-	run := st.runner(&opt)
+	return drive(newState(a, b), m, n, &opt, 1, opt.inner(), (*state).finish)
+}
 
+// drive is the one anti-diagonal driver behind Antidiag, Antidiag16 and
+// AntidiagSWAR: it runs Listing 4's three-phase schedule over the m×n
+// grid (0 < m ≤ n), applying comb to every anti-diagonal of the tracks t,
+// and then finish. The cell loop is the only part that varies, so it
+// comes in as a method expression over the track type: a method value
+// or closure over the tracks would escape through Pool.For and allocate
+// on every call, even a sequential one. t reaches comb once per
+// diagonal, so a track type is a pointer or a few words that travel in
+// registers. A diagonal of at least MinChunk cells is split over the
+// worker pool in multiples of width cells, the lane width of comb.
+// drive records the StageCombDiags and StageCombFinish spans and the
+// cell and diagonal counters.
+func drive[T any](t T, m, n int, opt *Options, width int,
+	comb func(t T, lo, hi, hBase, vBase int), finish func(t T, m, n int) perm.Permutation) perm.Permutation {
+	c := comber[T]{t: t, comb: comb, width: width, minChunk: opt.minChunk()}
+	var own bool
+	if c.pool, own = opt.pool(m); own {
+		defer c.pool.Close()
+	}
 	sp := opt.Rec.Start(obs.StageCombDiags)
 	// Phase 1: anti-diagonals 0 … m-2 of growing length.
 	for d := 0; d < m-1; d++ {
-		run(d+1, m-1-d, 0)
+		c.diag(d+1, m-1-d, 0)
 	}
 	// Phase 2: the n-m+1 full-length anti-diagonals.
 	for k := 0; k <= n-m; k++ {
-		run(m, 0, k)
+		c.diag(m, 0, k)
 	}
 	// Phase 3: anti-diagonals of shrinking length m-1 … 1.
 	for q := 1; q < m; q++ {
-		run(m-q, 0, n-m+q)
+		c.diag(m-q, 0, n-m+q)
 	}
 	sp.End()
 	opt.Rec.Add(obs.CounterCombCells, int64(m)*int64(n))
 	opt.Rec.Add(obs.CounterCombDiags, int64(m+n-1))
 	fsp := opt.Rec.Start(obs.StageCombFinish)
-	k := finishKernel(st.hs, st.vs, m, n)
+	k := finish(t, m, n)
 	fsp.End()
 	return k
 }
 
-// trivialKernel is the kernel of a pair involving an empty string: no
-// cell is processed, so every strand keeps its track.
-func trivialKernel(m, n int) perm.Permutation {
-	hs := make([]int32, m)
-	vs := make([]int32, n)
-	for i := range hs {
-		hs[i] = int32(i)
+// pool returns the worker pool for a comb whose longest anti-diagonal
+// has m cells: nil when the comb runs sequentially (Workers ≤ 1, or no
+// diagonal reaches MinChunk), else opt.Pool if set, else a new pool
+// that the caller must close (own).
+func (o *Options) pool(m int) (p *parallel.Pool, own bool) {
+	switch {
+	case o.Workers <= 1 || m < o.minChunk():
+		return nil, false
+	case o.Pool != nil:
+		return o.Pool, false
 	}
-	for j := range vs {
-		vs[j] = int32(m + j)
-	}
-	return finishKernel(hs, vs, m, n)
+	return parallel.NewPool(o.Workers), true
 }
 
-// state carries the strand arrays and reversed input of one combing run.
+// comber applies the cell loop comb to whole anti-diagonals of the
+// tracks t: the inloop routine of Listing 4.
+type comber[T any] struct {
+	t        T
+	comb     func(t T, lo, hi, hBase, vBase int)
+	pool     *parallel.Pool // nil: every diagonal runs inline
+	width    int            // cells per chunk unit of comb
+	minChunk int
+}
+
+// diag processes the up cells of one anti-diagonal, the k-th of which
+// pairs horizontal track hBase+k with vertical track vBase+k. With a
+// pool and at least minChunk cells the diagonal is split over the
+// workers on multiples of width cells, so only the last chunk is ragged.
+func (c *comber[T]) diag(up, hBase, vBase int) {
+	if c.pool == nil || up < c.minChunk {
+		c.comb(c.t, 0, up, hBase, vBase)
+		return
+	}
+	t, comb, w := c.t, c.comb, c.width
+	c.pool.For(0, (up+w-1)/w, func(lo, hi int) {
+		comb(t, w*lo, min(w*hi, up), hBase, vBase)
+	})
+}
+
+// state carries the strand tracks and reversed input of one 32-bit
+// combing run. The driver hands it to the cell loop of every diagonal,
+// so it travels as a pointer: one word, where the struct is twelve.
 type state struct {
 	aRev []byte // a reversed: aRev[h_index] pairs with hs[h_index]
 	b    []byte
 	hs   []int32
 	vs   []int32
-	pool *parallel.Pool
-	own  bool // pool created by us, close it
 }
 
 func newState(a, b []byte) *state {
-	m, n := len(a), len(b)
-	st := &state{
-		aRev: make([]byte, m),
-		b:    b,
-		hs:   make([]int32, m),
-		vs:   make([]int32, n),
-	}
-	for i := 0; i < m; i++ {
-		st.aRev[i] = a[m-1-i]
-		st.hs[i] = int32(i)
-	}
-	for j := 0; j < n; j++ {
-		st.vs[j] = int32(m + j)
-	}
-	return st
+	hs, vs := startTracks[int32](len(a), len(b))
+	return &state{aRev: reversed(a), b: b, hs: hs, vs: vs}
 }
 
-func (st *state) close(opt *Options) {
-	if st.own && st.pool != nil {
-		st.pool.Close()
+// reversed returns a copy of a in reverse order, so that the character
+// of horizontal track i sits at index i.
+func reversed(a []byte) []byte {
+	r := make([]byte, len(a))
+	for i, c := range a {
+		r[len(a)-1-i] = c
 	}
+	return r
 }
 
-// runner returns the inloop routine of Listing 4: process up to upBound
-// cells of one anti-diagonal, the k-th of which pairs horizontal track
-// hBase+k with vertical track vBase+k.
-func (st *state) runner(opt *Options) func(upBound, hBase, vBase int) {
-	inner := st.innerBranch
-	if opt.Branchless {
-		inner = st.innerBranchless
-		switch {
-		case opt.ArithmeticSelect:
-			inner = st.innerArithmetic
-		case opt.MinMaxSelect:
-			inner = st.innerMinMax
-		}
+func (st *state) finish(m, n int) perm.Permutation { return finishKernel(st.hs, st.vs, m, n) }
+
+// inner selects the cell loop opt asks for.
+func (o *Options) inner() func(st *state, lo, hi, hBase, vBase int) {
+	switch {
+	case !o.Branchless:
+		return (*state).innerBranch
+	case o.ArithmeticSelect:
+		return (*state).innerArithmetic
+	case o.MinMaxSelect:
+		return (*state).innerMinMax
 	}
-	if opt.Workers <= 1 {
-		return func(upBound, hBase, vBase int) { inner(0, upBound, hBase, vBase) }
-	}
-	st.pool = opt.Pool
-	if st.pool == nil {
-		st.pool = parallel.NewPool(opt.Workers)
-		st.own = true
-	}
-	minChunk := opt.minChunk()
-	return func(upBound, hBase, vBase int) {
-		if upBound < minChunk {
-			inner(0, upBound, hBase, vBase)
-			return
-		}
-		st.pool.For(0, upBound, func(lo, hi int) {
-			inner(lo, hi, hBase, vBase)
-		})
-	}
+	return (*state).innerBranchless
 }
 
 // innerBranch processes cells [lo, hi) of an anti-diagonal with the

@@ -115,7 +115,6 @@ func TestVariantsAgree(t *testing.T) {
 		},
 		"AntidiagSWAR":       func(a, b []byte) perm.Permutation { return AntidiagSWAR(a, b, Options{}) },
 		"AntidiagSWARPar":    func(a, b []byte) perm.Permutation { return AntidiagSWAR(a, b, Options{Workers: 2, MinChunk: 1}) },
-		"RowMajor16":         RowMajor16,
 		"Antidiag16":         func(a, b []byte) perm.Permutation { return Antidiag16(a, b, Options{}) },
 		"Antidiag16Parallel": func(a, b []byte) perm.Permutation { return Antidiag16(a, b, Options{Workers: 2, MinChunk: 1}) },
 		"LoadBalanced":       func(a, b []byte) perm.Permutation { return LoadBalanced(a, b, Options{}, monge.MultiplyNaive) },
@@ -209,15 +208,6 @@ func TestIdenticalStrings(t *testing.T) {
 	if got := ScoreFromKernel(k, len(s), len(s)); got != len(s) {
 		t.Fatalf("LCS(s,s) = %d, want %d", got, len(s))
 	}
-}
-
-func TestRowMajor16PanicsOnLargeOrder(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RowMajor16 accepted m+n > 2^16")
-		}
-	}()
-	RowMajor16(make([]byte, Max16), make([]byte, 1))
 }
 
 // The kernel of a vs b and the kernel of b vs a are related by 180°

@@ -40,11 +40,6 @@ func FuzzKernelAgreement(f *testing.F) {
 		if got := AntidiagSWAR(a, b, Options{Workers: 3, MinChunk: 1}); !got.Equal(want) {
 			t.Fatal("AntidiagSWAR parallel disagrees")
 		}
-		if len(a)+len(b) <= Max16 {
-			if got := RowMajor16(a, b); !got.Equal(want) {
-				t.Fatal("RowMajor16 disagrees")
-			}
-		}
 		if got := LoadBalanced(a, b, Options{}, monge.MultiplyNaive); len(a) <= 64 && len(b) <= 64 && !got.Equal(want) {
 			t.Fatal("LoadBalanced disagrees")
 		}

@@ -2,7 +2,6 @@ package combing
 
 import (
 	"semilocal/internal/obs"
-	"semilocal/internal/parallel"
 	"semilocal/internal/perm"
 )
 
@@ -16,7 +15,7 @@ import (
 func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
-		return trivialKernel(m, n)
+		return RowMajor(a, b)
 	}
 	if m > n {
 		return LoadBalanced(b, a, opt, mult).Rotate180()
@@ -25,17 +24,10 @@ func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 		// No triangular phases exist; plain anti-diagonal combing.
 		return Antidiag(a, b, opt)
 	}
-
-	var pool *parallel.Pool
-	if opt.Workers > 1 {
-		pool = opt.Pool
-		if pool == nil {
-			pool = parallel.NewPool(opt.Workers)
-			defer pool.Close()
-		}
+	pool, own := opt.pool(m)
+	if own {
+		defer pool.Close()
 	}
-	popt := opt
-	popt.Pool = pool
 
 	// Boundary relabelings between the phases. Sticky multiplication glues
 	// braids by boundary position, and along an anti-diagonal frontier the
@@ -51,46 +43,39 @@ func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 	st1 := newState(a, b) // top-left triangle; entry = canonical start order
 	st3 := newState(a, b) // bottom-right triangle
 	seedState(st3, rhoB)
-	run1 := st1.runner(&popt)
-	run3 := st3.runner(&popt)
+	inner := opt.inner()
 
 	// Paired iterations: phase-1 diagonal q-1 (length q) together with
 	// phase-3 diagonal q-1 (length m-q): exactly m cells per iteration.
 	// The two braids use disjoint state, so the pair can share one
 	// parallel loop.
-	inner1, inner3 := st1.innerBranch, st3.innerBranch
-	if opt.Branchless {
-		inner1, inner3 = st1.innerBranchless, st3.innerBranchless
-	}
 	sp := opt.Rec.Start(obs.StageCombDiags)
 	for q := 1; q < m; q++ {
 		len1, h1, v1 := q, m-q, 0
-		len3, h3, v3 := m-q, 0, n-m+q
-		if pool != nil && m >= opt.minChunk() {
-			pool.For(0, m, func(lo, hi int) {
-				// Cells [0,len1) belong to the phase-1 diagonal, cells
-				// [len1, m) to the phase-3 diagonal.
-				if lo < len1 {
-					end := min(hi, len1)
-					inner1(lo, end, h1, v1)
-				}
-				if hi > len1 {
-					start := max(lo, len1)
-					inner3(start-len1, hi-len1, h3, v3)
-				}
-			})
-		} else {
-			run1(len1, h1, v1)
-			run3(len3, h3, v3)
+		h3, v3 := 0, n-m+q
+		if pool == nil {
+			inner(st1, 0, len1, h1, v1)
+			inner(st3, 0, m-len1, h3, v3)
+			continue
 		}
+		pool.For(0, m, func(lo, hi int) {
+			// Cells [0,len1) belong to the phase-1 diagonal, cells
+			// [len1, m) to the phase-3 diagonal.
+			if lo < len1 {
+				inner(st1, lo, min(hi, len1), h1, v1)
+			}
+			if hi > len1 {
+				inner(st3, max(lo, len1)-len1, hi-len1, h3, v3)
+			}
+		})
 	}
 
 	// Phase 2: the full-length band, as its own braid.
 	st2 := newState(a, b)
 	seedState(st2, rhoA)
-	run2 := st2.runner(&popt)
+	band := comber[*state]{t: st2, comb: inner, pool: pool, width: 1, minChunk: opt.minChunk()}
 	for k := 0; k <= n-m; k++ {
-		run2(m, 0, k)
+		band.diag(m, 0, k)
 	}
 	sp.End()
 	// Phases 1+3 process m cells per paired iteration over m-1
@@ -201,18 +186,4 @@ func relabelEnds(state perm.Permutation, m, n int) perm.Permutation {
 		}
 	}
 	return perm.FromRowToCol(out)
-}
-
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}
-
-func max(x, y int) int {
-	if x > y {
-		return x
-	}
-	return y
 }

@@ -67,9 +67,6 @@ func TestCombingVariantsMatchOracle(t *testing.T) {
 				}
 			}
 			if len(a)+len(b) <= combing.Max16 {
-				if got := combing.RowMajor16(a, b); !got.Equal(ref) {
-					t.Fatal("RowMajor16 kernel differs")
-				}
 				if got := combing.Antidiag16(a, b, combing.Options{Branchless: true}); !got.Equal(ref) {
 					t.Fatal("Antidiag16 kernel differs")
 				}

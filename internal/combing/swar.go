@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"semilocal/internal/obs"
-	"semilocal/internal/parallel"
 	"semilocal/internal/perm"
 )
 
@@ -57,87 +55,57 @@ func AntidiagSWAR(a, b []byte, opt Options) perm.Permutation {
 		panic(fmt.Sprintf("combing: AntidiagSWAR needs m+n ≤ %d, got %d", MaxSWAR, m+n))
 	}
 	if m == 0 || n == 0 {
-		return trivialKernel(m, n)
+		return RowMajor(a, b)
 	}
 	if m > n {
 		return AntidiagSWAR(b, a, opt).Rotate180()
 	}
-	ln := newLanes(a, b)
-	var pool *parallel.Pool
-	if opt.Workers > 1 {
-		pool = opt.Pool
-		if pool == nil {
-			pool = parallel.NewPool(opt.Workers)
-			defer pool.Close()
-		}
-	}
-	minChunk := opt.minChunk()
-	run := func(upBound, hBase, vBase int) {
-		if pool == nil || upBound < minChunk {
-			ln.comb(0, upBound, hBase, vBase)
-			return
-		}
-		pool.For(0, (upBound+3)/4, func(lo, hi int) {
-			ln.comb(4*lo, min(4*hi, upBound), hBase, vBase)
-		})
-	}
-
-	sp := opt.Rec.Start(obs.StageCombDiags)
-	for d := 0; d < m-1; d++ {
-		run(d+1, m-1-d, 0)
-	}
-	for k := 0; k <= n-m; k++ {
-		run(m, 0, k)
-	}
-	for q := 1; q < m; q++ {
-		run(m-q, 0, n-m+q)
-	}
-	sp.End()
-	opt.Rec.Add(obs.CounterCombCells, int64(m)*int64(n))
-	opt.Rec.Add(obs.CounterCombDiags, int64(m+n-1))
-	fsp := opt.Rec.Start(obs.StageCombFinish)
-	k := ln.finish(m, n)
-	fsp.End()
-	return k
+	return drive(newLanes(a, b), m, n, &opt, 4, lanes.comb, lanes.finish)
 }
 
-// lanes holds one SWAR combing run: the horizontal strand tracks with
-// the reversed a beside them (hs, ar; index i pairs with a[m-1-i]) and
-// the vertical tracks with b (vs, bw), each entry a 16-bit little-endian
-// lane. All four share one backing allocation.
+// lanes holds one SWAR combing run in one array of 16-bit little-endian
+// lanes: the horizontal strand tracks (hs), the reversed a beside them
+// (ar; index i pairs with a[m-1-i]), the vertical tracks (vs) and b
+// (bw), 2m, 2m, 2n and 2n bytes in that order. At four words it reaches
+// the cell loop of every diagonal in registers.
 type lanes struct {
-	hs, ar, vs, bw []byte
+	buf []byte
+	m   int
 }
 
 func newLanes(a, b []byte) lanes {
 	m, n := len(a), len(b)
-	buf := make([]byte, 4*(m+n))
-	ln := lanes{
-		hs: buf[: 2*m : 2*m],
-		ar: buf[2*m : 4*m : 4*m],
-		vs: buf[4*m : 4*m+2*n : 4*m+2*n],
-		bw: buf[4*m+2*n:],
-	}
+	ln := lanes{buf: make([]byte, 4*(m+n)), m: m}
+	hs, ar, vs, bw := ln.split()
 	le := binary.LittleEndian
 	for i := 0; i < m; i++ {
-		le.PutUint16(ln.hs[2*i:], uint16(i))
-		le.PutUint16(ln.ar[2*i:], uint16(a[m-1-i]))
+		le.PutUint16(hs[2*i:], uint16(i))
+		le.PutUint16(ar[2*i:], uint16(a[m-1-i]))
 	}
 	for j := 0; j < n; j++ {
-		le.PutUint16(ln.vs[2*j:], uint16(m+j))
-		le.PutUint16(ln.bw[2*j:], uint16(b[j]))
+		le.PutUint16(vs[2*j:], uint16(m+j))
+		le.PutUint16(bw[2*j:], uint16(b[j]))
 	}
 	return ln
+}
+
+// split returns the four lane arrays of ln.
+func (ln lanes) split() (hs, ar, vs, bw []byte) {
+	m2 := 2 * ln.m
+	n2 := len(ln.buf)/2 - m2
+	buf := ln.buf
+	return buf[:m2:m2], buf[m2 : 2*m2 : 2*m2], buf[2*m2 : 2*m2+n2 : 2*m2+n2], buf[2*m2+n2:]
 }
 
 // comb processes cells [lo, hi) of the anti-diagonal whose k-th cell
 // pairs horizontal track hBase+k with vertical track vBase+k: four cells
 // per word, then the scalar tail.
 func (ln lanes) comb(lo, hi, hBase, vBase int) {
-	hs := ln.hs[2*(hBase+lo) : 2*(hBase+hi)]
-	ar := ln.ar[2*(hBase+lo) : 2*(hBase+hi)]
-	vs := ln.vs[2*(vBase+lo) : 2*(vBase+hi)]
-	bw := ln.bw[2*(vBase+lo) : 2*(vBase+hi)]
+	hs, ar, vs, bw := ln.split()
+	hs = hs[2*(hBase+lo) : 2*(hBase+hi)]
+	ar = ar[2*(hBase+lo) : 2*(hBase+hi)]
+	vs = vs[2*(vBase+lo) : 2*(vBase+hi)]
+	bw = bw[2*(vBase+lo) : 2*(vBase+hi)]
 	ar, vs, bw = ar[:len(hs)], vs[:len(hs)], bw[:len(hs)]
 	le := binary.LittleEndian
 	i := 0
@@ -172,13 +140,14 @@ func (ln lanes) comb(lo, hi, hBase, vBase int) {
 // finish relabels the final lane contents into the kernel, as
 // finishKernel does for 32-bit tracks.
 func (ln lanes) finish(m, n int) perm.Permutation {
+	hs, _, vs, _ := ln.split()
 	le := binary.LittleEndian
 	kernel := make([]int32, m+n)
 	for l := 0; l < m; l++ {
-		kernel[le.Uint16(ln.hs[2*l:])] = int32(n + l)
+		kernel[le.Uint16(hs[2*l:])] = int32(n + l)
 	}
 	for r := 0; r < n; r++ {
-		kernel[le.Uint16(ln.vs[2*r:])] = int32(r)
+		kernel[le.Uint16(vs[2*r:])] = int32(r)
 	}
 	return perm.FromRowToCol(kernel)
 }

@@ -128,44 +128,57 @@ func TestAntidiagSWARSmallShapes(t *testing.T) {
 	}
 }
 
-// TestAntidiagSWARSharedPool runs the parallel split on a caller-owned
-// pool, the way a long-lived engine would pass one in.
+// TestAntidiagSWARSharedPool runs the parallel split of every
+// anti-diagonal comb on a caller-owned pool, the way a long-lived engine
+// would pass one in. The pool is borrowed, never closed: a closed pool
+// panics on the next comb and on the deferred Close.
 func TestAntidiagSWARSharedPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	a, b := randString(rng, 97, 4), randString(rng, 211, 4)
 	want := RowMajor(a, b)
+	combs := []struct {
+		name  string
+		solve func(a, b []byte, opt Options) perm.Permutation
+	}{
+		{"AntidiagSWAR", AntidiagSWAR},
+		{"Antidiag", Antidiag},
+		{"Antidiag16", Antidiag16},
+	}
 	for _, workers := range []int{2, 3} {
 		pool := parallel.NewPool(workers)
 		defer pool.Close()
-		if got := AntidiagSWAR(a, b, Options{Workers: workers, MinChunk: 1, Pool: pool}); !got.Equal(want) {
-			t.Fatalf("AntidiagSWAR on a shared %d-worker pool disagrees with RowMajor", workers)
+		for _, c := range combs {
+			if got := c.solve(a, b, Options{Workers: workers, MinChunk: 1, Pool: pool}); !got.Equal(want) {
+				t.Fatalf("%s on a shared %d-worker pool disagrees with RowMajor", c.name, workers)
+			}
 		}
 	}
 }
 
-// TestAntidiagSWARObservesLikeAntidiag: the SWAR loop records the same
-// stages and counters as the 32-bit branchless loop it replaces, so a
-// trace cannot tell which one ran except by its timings.
+// TestAntidiagSWARObservesLikeAntidiag: the SWAR and 16-bit loops record
+// the same stages and counters as the 32-bit branchless loop, so a trace
+// cannot tell which one ran except by its timings.
 func TestAntidiagSWARObservesLikeAntidiag(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	a, b := randString(rng, 130, 4), randString(rng, 77, 4)
-	snapshot := func(solve func(rec *obs.Recorder) perm.Permutation) obs.Snapshot {
+	snapshot := func(solve func(a, b []byte, opt Options) perm.Permutation, opt Options) obs.Snapshot {
 		rec := obs.New()
-		solve(rec)
+		opt.Rec = rec
+		solve(a, b, opt)
 		return rec.Snapshot()
 	}
-	want := snapshot(func(rec *obs.Recorder) perm.Permutation {
-		return Antidiag(a, b, Options{Branchless: true, Rec: rec})
-	})
-	got := snapshot(func(rec *obs.Recorder) perm.Permutation {
-		return AntidiagSWAR(a, b, Options{Rec: rec})
-	})
-	if got.Counters != want.Counters {
-		t.Fatalf("AntidiagSWAR counters %v, Antidiag %v", got.Counters, want.Counters)
-	}
-	for st := range want.Stages {
-		if got.Stages[st].Count != want.Stages[st].Count {
-			t.Errorf("stage %d recorded %d spans, Antidiag %d", st, got.Stages[st].Count, want.Stages[st].Count)
+	want := snapshot(Antidiag, Options{Branchless: true})
+	for name, got := range map[string]obs.Snapshot{
+		"AntidiagSWAR": snapshot(AntidiagSWAR, Options{}),
+		"Antidiag16":   snapshot(Antidiag16, Options{}),
+	} {
+		if got.Counters != want.Counters {
+			t.Fatalf("%s counters %v, Antidiag %v", name, got.Counters, want.Counters)
+		}
+		for st := range want.Stages {
+			if got.Stages[st].Count != want.Stages[st].Count {
+				t.Errorf("%s: stage %d recorded %d spans, Antidiag %d", name, st, got.Stages[st].Count, want.Stages[st].Count)
+			}
 		}
 	}
 }
@@ -184,5 +197,16 @@ func BenchmarkAntidiagSWAR(b *testing.B) {
 				AntidiagSWAR(x, y, Options{})
 			}
 		})
+	}
+}
+
+// BenchmarkAntidiagLeaf times the 32-bit branchless comb at the stream
+// leaf shape: an m = 64 pattern against a 256-byte chunk.
+func BenchmarkAntidiagLeaf(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randString(rng, 64, 4), randString(rng, 256, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Antidiag(x, y, Options{Branchless: true})
 	}
 }

@@ -418,10 +418,3 @@ func (k *Kernel) BestWindow(width int) (l, score int) {
 	windowScratch.Put(scores)
 	return at, best
 }
-
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}

@@ -90,3 +90,55 @@ func TestUnmarshalKernelEmpty(t *testing.T) {
 		t.Fatal("empty kernel round trip broken")
 	}
 }
+
+func TestMarshalRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 30; trial++ {
+		a := randString(rng, rng.Intn(50), 4)
+		b := randString(rng, rng.Intn(50), 4)
+		k := mustSolve(t, a, b, Config{})
+		data, err := k.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalKernel(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.M() != k.M() || back.N() != k.N() || !back.Permutation().Equal(k.Permutation()) {
+			t.Fatal("round trip changed the kernel")
+		}
+		// Queries on the decoded kernel still work.
+		if back.Score() != k.Score() {
+			t.Fatal("decoded kernel scores differently")
+		}
+	}
+}
+
+func TestUnmarshalRejectsCorruption(t *testing.T) {
+	k := mustSolve(t, []byte("hello"), []byte("world"), Config{})
+	data, err := k.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"empty":        {},
+		"bad magic":    append([]byte("XXXX"), data[4:]...),
+		"truncated":    data[:len(data)-2],
+		"trailing":     append(append([]byte{}, data...), 0),
+		"index broken": append(append([]byte{}, data[:len(data)-1]...), 0xff, 0xff, 0xff, 0x7f),
+	}
+	for name, d := range cases {
+		if _, err := UnmarshalKernel(d); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// Duplicate column: encode a non-permutation by hand.
+	bad := append([]byte{}, data...)
+	// The last two varints are small single-byte values for this size;
+	// make them equal.
+	bad[len(bad)-1] = bad[len(bad)-2]
+	if _, err := UnmarshalKernel(bad); err == nil {
+		t.Error("non-permutation accepted")
+	}
+}

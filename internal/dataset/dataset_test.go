@@ -150,13 +150,6 @@ func lcsLen(a, b []byte) int {
 	return row[len(b)]
 }
 
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}
-
 func TestFASTARoundTrip(t *testing.T) {
 	gs := SimulateGenomes(3, 500, 12)
 	var buf bytes.Buffer

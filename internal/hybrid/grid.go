@@ -46,7 +46,7 @@ func (o GridOptions) mult() Mult {
 func GridReduction(a, b []byte, opt GridOptions) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
-		return trivialKernel(m, n)
+		return combing.RowMajor(a, b)
 	}
 	target := opt.Tiles
 	if target <= 0 {

@@ -44,7 +44,7 @@ func Recursive(a, b []byte, mult Mult) perm.Permutation {
 	m, n := len(a), len(b)
 	switch {
 	case m == 0 || n == 0:
-		return trivialKernel(m, n)
+		return combing.RowMajor(a, b)
 	case m == 1 && n == 1:
 		if a[0] == b[0] {
 			return perm.Identity(2)
@@ -61,20 +61,6 @@ func Recursive(a, b []byte, mult Mult) perm.Permutation {
 		r := Recursive(a, b[cut:], mult)
 		return composeB(l, r, m, cut, n-cut, mult)
 	}
-}
-
-// trivialKernel is the kernel of a pair involving an empty string.
-func trivialKernel(m, n int) perm.Permutation {
-	// No cell exists: every horizontal strand exits at its own level and
-	// every vertical strand at its own column.
-	out := make([]int32, m+n)
-	for s := 0; s < m; s++ {
-		out[s] = int32(n + s)
-	}
-	for s := 0; s < n; s++ {
-		out[m+s] = int32(s)
-	}
-	return perm.FromRowToCol(out)
 }
 
 // Options configure Hybrid (Listing 6).
@@ -117,7 +103,7 @@ func Hybrid(a, b []byte, opt Options) perm.Permutation {
 func hybridRec(a, b []byte, depth int, lim *parallel.Limiter, opt *Options) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
-		return trivialKernel(m, n)
+		return combing.RowMajor(a, b)
 	}
 	if depth <= 0 || m+n <= 4 {
 		return combing.Antidiag(a, b, combing.Options{Branchless: opt.Branchless, Rec: opt.Rec})

@@ -233,10 +233,3 @@ func hirschberg(a, b []byte, out []byte) []byte {
 	out = hirschberg(a[:mid], b[:split], out)
 	return hirschberg(a[mid:], b[split:], out)
 }
-
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}

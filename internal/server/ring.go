@@ -9,7 +9,7 @@ import (
 
 // ring is a consistent-hash ring mapping kernel-cache keys
 // (store.KeyOf content hashes) to engine shards. Each shard owns
-// `vnodes` points on a 64-bit circle; a key belongs to the shard owning
+// defaultVnodes points on a 64-bit circle; a key belongs to the shard owning
 // the first point clockwise of the key's hash. Adding or removing a
 // shard therefore moves only the keys in the arcs its points cover —
 // the minimal-movement property the ring_test suite pins — while the
@@ -20,7 +20,6 @@ import (
 // for the property tests). Lookups are a binary search over a sorted
 // point slice — no locks, safe for concurrent use.
 type ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash ascending
 }
 
@@ -37,13 +36,10 @@ type ringPoint struct {
 const defaultVnodes = 128
 
 // newRing builds a ring over shards 0..shards-1.
-func newRing(shards, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
-	r := &ring{vnodes: vnodes}
+func newRing(shards int) *ring {
+	r := &ring{}
 	for s := 0; s < shards; s++ {
-		r.points = append(r.points, vnodePoints(s, vnodes)...)
+		r.points = append(r.points, vnodePoints(s)...)
 	}
 	r.sortPoints()
 	return r
@@ -52,9 +48,9 @@ func newRing(shards, vnodes int) *ring {
 // vnodePoints returns shard s's virtual nodes. splitmix64 is a
 // bijection, so distinct (shard, replica) inputs can never collide on
 // the circle.
-func vnodePoints(s, vnodes int) []ringPoint {
-	pts := make([]ringPoint, vnodes)
-	for v := 0; v < vnodes; v++ {
+func vnodePoints(s int) []ringPoint {
+	pts := make([]ringPoint, defaultVnodes)
+	for v := range pts {
 		pts[v] = ringPoint{hash: splitmix64(uint64(s)<<24 | uint64(v)), shard: s}
 	}
 	return pts
@@ -66,16 +62,16 @@ func (r *ring) sortPoints() {
 
 // add returns a new ring with shard s's virtual nodes inserted.
 func (r *ring) add(s int) *ring {
-	out := &ring{vnodes: r.vnodes, points: make([]ringPoint, 0, len(r.points)+r.vnodes)}
+	out := &ring{points: make([]ringPoint, 0, len(r.points)+defaultVnodes)}
 	out.points = append(out.points, r.points...)
-	out.points = append(out.points, vnodePoints(s, r.vnodes)...)
+	out.points = append(out.points, vnodePoints(s)...)
 	out.sortPoints()
 	return out
 }
 
 // remove returns a new ring without shard s's virtual nodes.
 func (r *ring) remove(s int) *ring {
-	out := &ring{vnodes: r.vnodes, points: make([]ringPoint, 0, len(r.points))}
+	out := &ring{points: make([]ringPoint, 0, len(r.points))}
 	for _, p := range r.points {
 		if p.shard != s {
 			out.points = append(out.points, p)

@@ -29,7 +29,7 @@ func TestRingBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11a6))
 	keys := randKeys(rng, 20000)
 	for _, shards := range []int{2, 4, 8, 16} {
-		r := newRing(shards, 0)
+		r := newRing(shards)
 		counts := make([]int, shards)
 		for _, k := range keys {
 			counts[r.lookup(k)]++
@@ -52,7 +52,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingMinimalMovementOnAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11a7))
 	keys := randKeys(rng, 10000)
-	before := newRing(4, 0)
+	before := newRing(4)
 	after := before.add(4)
 	moved := 0
 	for _, k := range keys {
@@ -81,7 +81,7 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 func TestRingMinimalMovementOnRemove(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11a8))
 	keys := randKeys(rng, 10000)
-	before := newRing(5, 0)
+	before := newRing(5)
 	after := before.remove(2)
 	for _, k := range keys {
 		was, is := before.lookup(k), after.lookup(k)
@@ -103,7 +103,7 @@ func TestRingMinimalMovementOnRemove(t *testing.T) {
 func TestRingAddRemoveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11a9))
 	keys := randKeys(rng, 2000)
-	orig := newRing(3, 0)
+	orig := newRing(3)
 	round := orig.add(3).remove(3)
 	for _, k := range keys {
 		if orig.lookup(k) != round.lookup(k) {
@@ -117,7 +117,7 @@ func TestRingAddRemoveRoundTrip(t *testing.T) {
 // acceptance.
 func TestRingWalkOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11aa))
-	r := newRing(6, 0)
+	r := newRing(6)
 	for _, k := range randKeys(rng, 200) {
 		var offered []int
 		id, ok := r.walk(k, func(s int) bool {
@@ -158,7 +158,7 @@ func TestRingWalkOrder(t *testing.T) {
 // placement without coordination.
 func TestRingDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11ab))
-	a, b := newRing(7, 64), newRing(7, 64)
+	a, b := newRing(7), newRing(7)
 	for _, k := range randKeys(rng, 1000) {
 		if a.lookup(k) != b.lookup(k) {
 			t.Fatal("identically-built rings disagree on a key")

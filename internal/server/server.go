@@ -69,9 +69,6 @@ type Config struct {
 	// DefaultMaxPairBytes): a kernel solve is Θ(len(a)·len(b)), so the
 	// wire must not sell unbounded compute.
 	MaxPairBytes int
-	// Vnodes is the consistent-hash virtual-node count per shard
-	// (0 → 128).
-	Vnodes int
 }
 
 // shardSlot is one engine shard.
@@ -122,7 +119,7 @@ func New(cfg Config) (*Server, error) {
 		maxPair = DefaultMaxPairBytes
 	}
 	s := &Server{
-		ring:     newRing(n, cfg.Vnodes),
+		ring:     newRing(n),
 		tenants:  newTenantTable(cfg.TenantQuota),
 		rec:      cfg.Engine.Obs,
 		inj:      cfg.Engine.Chaos,
