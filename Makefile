@@ -41,10 +41,13 @@ bench:
 # Benchmark regression lane: run every benchmark exactly once. This
 # does not measure anything meaningful — it exists so CI catches
 # benchmarks that stop compiling, panic, or start allocating where a
-# hot path should not (inspect with -benchmem locally).
+# hot path should not (inspect with -benchmem locally). The figure run
+# executes the drivers that call combing and hybrid directly (Figures
+# 4c, 6 and 7), which otherwise only compile.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime 1x ./...
 	go run ./cmd/loadgen -shards 2 -clients 4 -duration 1s -hot 8 -size 128
+	go run ./cmd/benchsuite -scale quick -reps 1 -maxthreads 2 fig4c fig6 fig7
 
 # Regenerate every figure of the paper at moderate sizes.
 figures:

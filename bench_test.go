@@ -76,7 +76,7 @@ func BenchmarkFig4cLoadBalanced(b *testing.B) {
 	})
 	b.Run("semi_load_balanced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			combing.LoadBalanced(x, y, combing.Options{Branchless: true}, steadyant.Multiply)
+			combing.LoadBalanced(x, y, combing.Options{Branchless: true})
 		}
 	})
 }
@@ -123,7 +123,7 @@ func BenchmarkFig6HybridDepth(b *testing.B) {
 		depth := depth
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				hybrid.Hybrid(x, y, hybrid.Options{Depth: depth, Branchless: true})
+				hybrid.Hybrid(x, y, hybrid.Options{Depth: depth})
 			}
 		})
 	}
@@ -143,7 +143,7 @@ func BenchmarkFig7Threads(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("semi_load_balanced/w%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				combing.LoadBalanced(x, y, combing.Options{Workers: w, Branchless: true}, steadyant.Multiply)
+				combing.LoadBalanced(x, y, combing.Options{Workers: w, Branchless: true})
 			}
 		})
 	}

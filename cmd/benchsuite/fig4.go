@@ -64,7 +64,7 @@ func fig4c(c *cfg) {
 		b := dataset.Normal(n, 1, c.seed+1000+int64(i))
 		basic := benchkit.Measure(c.reps, func() { combing.Antidiag(a, b, combing.Options{Branchless: true}) })
 		lb := benchkit.Measure(c.reps, func() {
-			combing.LoadBalanced(a, b, combing.Options{Branchless: true}, steadyant.Multiply)
+			combing.LoadBalanced(a, b, combing.Options{Branchless: true})
 		})
 		// The load-balanced variant performs two multiplications of
 		// braids of order m+n; time them on representative inputs.

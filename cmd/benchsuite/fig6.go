@@ -36,7 +36,7 @@ func fig6(c *cfg) {
 			in := &inputs[i]
 			depth := depth
 			d := benchkit.Measure(c.reps, func() {
-				hybrid.Hybrid(in.a, in.b, hybrid.Options{Depth: depth, Branchless: true})
+				hybrid.Hybrid(in.a, in.b, hybrid.Options{Depth: depth})
 			})
 			if depth == 0 {
 				in.base = d.Seconds()

@@ -8,7 +8,6 @@ import (
 	"semilocal/internal/combing"
 	"semilocal/internal/dataset"
 	"semilocal/internal/hybrid"
-	"semilocal/internal/steadyant"
 )
 
 // parallelAlg is one line of the thread-scaling figures.
@@ -23,10 +22,10 @@ func parallelAlgs() []parallelAlg {
 			combing.Antidiag(a, b, combing.Options{Workers: w, Branchless: true})
 		}},
 		{"semi_load_balanced", func(a, b []byte, w int) {
-			combing.LoadBalanced(a, b, combing.Options{Workers: w, Branchless: true}, steadyant.Multiply)
+			combing.LoadBalanced(a, b, combing.Options{Workers: w, Branchless: true})
 		}},
 		{"semi_hybrid", func(a, b []byte, w int) {
-			hybrid.Hybrid(a, b, hybrid.Options{Depth: log2ceil(w) + 1, Workers: w, Branchless: true})
+			hybrid.Hybrid(a, b, hybrid.Options{Depth: log2ceil(w) + 1, Workers: w})
 		}},
 		{"semi_hybrid_iterative", func(a, b []byte, w int) {
 			hybrid.GridReduction(a, b, hybrid.GridOptions{Workers: w, Tiles: 2 * w, Use16: true})

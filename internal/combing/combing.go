@@ -35,11 +35,6 @@ import (
 	"semilocal/internal/perm"
 )
 
-// Multiplier performs sticky braid multiplication of two kernels of equal
-// order. It is injected (rather than imported) to keep this package free
-// of a dependency on the steady ant implementation; see package steadyant.
-type Multiplier func(p, q perm.Permutation) perm.Permutation
-
 // Options configure the anti-diagonal combing variants.
 type Options struct {
 	// Workers is the number of goroutines processing each anti-diagonal.

@@ -117,12 +117,12 @@ func TestVariantsAgree(t *testing.T) {
 		"AntidiagSWARPar":    func(a, b []byte) perm.Permutation { return AntidiagSWAR(a, b, Options{Workers: 2, MinChunk: 1}) },
 		"Antidiag16":         func(a, b []byte) perm.Permutation { return Antidiag16(a, b, Options{}) },
 		"Antidiag16Parallel": func(a, b []byte) perm.Permutation { return Antidiag16(a, b, Options{Workers: 2, MinChunk: 1}) },
-		"LoadBalanced":       func(a, b []byte) perm.Permutation { return LoadBalanced(a, b, Options{}, monge.MultiplyNaive) },
+		"LoadBalanced":       func(a, b []byte) perm.Permutation { return LoadBalanced(a, b, Options{}) },
 		"LoadBalancedBrless": func(a, b []byte) perm.Permutation {
-			return LoadBalanced(a, b, Options{Branchless: true}, monge.MultiplyNaive)
+			return LoadBalanced(a, b, Options{Branchless: true})
 		},
 		"LoadBalancedWorkers": func(a, b []byte) perm.Permutation {
-			return LoadBalanced(a, b, Options{Workers: 2, MinChunk: 1}, monge.MultiplyNaive)
+			return LoadBalanced(a, b, Options{Workers: 2, MinChunk: 1})
 		},
 	}
 	rng := rand.New(rand.NewSource(12))
@@ -149,7 +149,7 @@ func TestVariantsAgreeSkewedShapes(t *testing.T) {
 		if got := Antidiag(a, b, Options{Branchless: true}); !got.Equal(want) {
 			t.Fatalf("Antidiag disagrees on shape %v", s)
 		}
-		if got := LoadBalanced(a, b, Options{}, monge.MultiplyNaive); !got.Equal(want) {
+		if got := LoadBalanced(a, b, Options{}); !got.Equal(want) {
 			t.Fatalf("LoadBalanced disagrees on shape %v", s)
 		}
 	}

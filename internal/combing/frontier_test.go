@@ -58,17 +58,3 @@ func TestFrontierStaircaseInterleaves(t *testing.T) {
 		}
 	}
 }
-
-func TestRelabelEndsMatchesFrontier(t *testing.T) {
-	// relabelEnds must agree with the final frontier ordering.
-	rng := rand.New(rand.NewSource(18))
-	for trial := 0; trial < 30; trial++ {
-		m, n := 1+rng.Intn(15), 1+rng.Intn(15)
-		state := perm.Random(m+n, rng)
-		viaRelabel := relabelEnds(state, m, n)
-		viaFrontier := state.ApplyAfter(Frontier(m+n-1, m, n))
-		if !viaRelabel.Equal(viaFrontier) {
-			t.Fatalf("relabelEnds and Frontier disagree at m=%d n=%d", m, n)
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"semilocal/internal/lcs"
-	"semilocal/internal/monge"
 )
 
 // FuzzKernelAgreement cross-checks the combing variants and the DP score
@@ -40,7 +39,12 @@ func FuzzKernelAgreement(f *testing.F) {
 		if got := AntidiagSWAR(a, b, Options{Workers: 3, MinChunk: 1}); !got.Equal(want) {
 			t.Fatal("AntidiagSWAR parallel disagrees")
 		}
-		if got := LoadBalanced(a, b, Options{}, monge.MultiplyNaive); len(a) <= 64 && len(b) <= 64 && !got.Equal(want) {
+		if len(a)+len(b) <= Max16 {
+			if got := Antidiag16(a, b, Options{}); !got.Equal(want) {
+				t.Fatal("Antidiag16 disagrees")
+			}
+		}
+		if got := LoadBalanced(a, b, Options{}); !got.Equal(want) {
 			t.Fatal("LoadBalanced disagrees")
 		}
 		if got, dp := ScoreFromKernel(want, len(a), len(b)), lcs.ScoreFull(a, b); got != dp {

@@ -3,6 +3,7 @@ package combing
 import (
 	"semilocal/internal/obs"
 	"semilocal/internal/perm"
+	"semilocal/internal/steadyant"
 )
 
 // LoadBalanced computes the kernel as three independent sub-braids — one
@@ -10,15 +11,15 @@ import (
 // (the paper's semi_load_balanced). Phases 1 and 3 are paired so that
 // every parallel iteration processes exactly m cells, improving load
 // balance and halving the number of barriers relative to Antidiag. The
-// mult argument supplies braid multiplication (typically
-// steadyant.Multiply).
-func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
+// phases are composed with steadyant's sequential combined product,
+// which reports its compose spans and counters to opt.Rec.
+func LoadBalanced(a, b []byte, opt Options) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		return RowMajor(a, b)
 	}
 	if m > n {
-		return LoadBalanced(b, a, opt, mult).Rotate180()
+		return LoadBalanced(b, a, opt).Rotate180()
 	}
 	if m == 1 {
 		// No triangular phases exist; plain anti-diagonal combing.
@@ -88,13 +89,14 @@ func LoadBalanced(a, b []byte, opt Options, mult Multiplier) perm.Permutation {
 	// stateKernel maps a strand's value — its entry-frontier position — to
 	// its final track; relabeling the track through the exit frontier
 	// yields the braid as a permutation between frontier coordinates.
-	// The multiplications record their own compose spans (when mult is
-	// observed), so only the relabeling is attributed to comb_finish.
+	// The multiplications record their own compose spans, so only the
+	// relabeling is attributed to comb_finish.
 	fsp := opt.Rec.Start(obs.StageCombFinish)
 	p1 := stateKernel(st1, m, n).ApplyAfter(rhoA)
 	p2 := stateKernel(st2, m, n).ApplyAfter(rhoB)
 	p3 := stateKernel(st3, m, n).ApplyAfter(rhoEnd)
 	fsp.End()
+	mult := steadyant.ObservedMult(opt.Rec)
 	return mult(mult(p1, p2), p3)
 }
 
@@ -169,21 +171,6 @@ func stateKernel(st *state, m, n int) perm.Permutation {
 	}
 	for r, s := range st.vs {
 		out[s] = int32(m + r)
-	}
-	return perm.FromRowToCol(out)
-}
-
-// relabelEnds converts a track-state permutation into the kernel by
-// applying the end labeling of Listing 1 phase 3: horizontal track l ↦
-// end n+l, vertical track m+r ↦ end r.
-func relabelEnds(state perm.Permutation, m, n int) perm.Permutation {
-	out := make([]int32, m+n)
-	for s, t := range state.RowToCol() {
-		if int(t) < m {
-			out[s] = int32(n) + t
-		} else {
-			out[s] = t - int32(m)
-		}
 	}
 	return perm.FromRowToCol(out)
 }

@@ -8,7 +8,6 @@ import (
 
 	"semilocal/internal/combing"
 	"semilocal/internal/core"
-	"semilocal/internal/monge"
 	"semilocal/internal/oracle"
 	"semilocal/internal/perm"
 )
@@ -43,10 +42,10 @@ func variants() map[string]func(a, b []byte) perm.Permutation {
 			return combing.AntidiagSWAR(a, b, combing.Options{Workers: 3, MinChunk: 1})
 		},
 		"loadbalanced": func(a, b []byte) perm.Permutation {
-			return combing.LoadBalanced(a, b, combing.Options{Branchless: true}, monge.MultiplyNaive)
+			return combing.LoadBalanced(a, b, combing.Options{Branchless: true})
 		},
 		"loadbalanced/parallel": func(a, b []byte) perm.Permutation {
-			return combing.LoadBalanced(a, b, combing.Options{Workers: 2, MinChunk: 1}, monge.MultiplyNaive)
+			return combing.LoadBalanced(a, b, combing.Options{Workers: 2, MinChunk: 1})
 		},
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"semilocal/internal/obs"
 	"semilocal/internal/perm"
 	"semilocal/internal/recycle"
-	"semilocal/internal/steadyant"
 )
 
 // Algorithm names a kernel-producing semi-local LCS algorithm.
@@ -86,15 +85,10 @@ type Config struct {
 	// Algorithm to run; the zero value is RowMajor.
 	Algorithm Algorithm
 	// Workers enables thread-level parallelism where the algorithm
-	// supports it (values ≤ 1 are sequential).
+	// supports it (values ≤ 1 are sequential). Hybrid derives its
+	// recursion depth from it and the input lengths, and GridReduction
+	// cuts one tile per worker.
 	Workers int
-	// Depth is the recursion depth of Hybrid before switching to
-	// iterative combing; ignored by other algorithms. 0 lets the
-	// algorithm pick a sensible default.
-	Depth int
-	// Tiles is the target tile count for GridReduction; 0 defaults to
-	// Workers.
-	Tiles int
 	// Use16 enables 16-bit strand indices in GridReduction tiles.
 	Use16 bool
 }
@@ -127,7 +121,6 @@ func SolveWith(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector) 
 	if len(a)+len(b) > MaxOrder {
 		return nil, fmt.Errorf("core: input order %d exceeds the int32 kernel limit %d", len(a)+len(b), MaxOrder)
 	}
-	mult := steadyant.ObservedMult(rec) // Multiply itself when rec == nil
 	sp := rec.Start(obs.StageSolve)
 	var p perm.Permutation
 	switch cfg.Algorithm {
@@ -143,20 +136,14 @@ func SolveWith(a, b []byte, cfg Config, rec *obs.Recorder, inj *chaos.Injector) 
 			p = combing.Antidiag(a, b, opt)
 		}
 	case LoadBalanced:
-		p = combing.LoadBalanced(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec}, mult)
+		p = combing.LoadBalanced(a, b, combing.Options{Workers: cfg.Workers, Branchless: true, Rec: rec})
 	case Recursive:
-		p = hybrid.Recursive(a, b, mult)
+		p = hybrid.Recursive(a, b, rec)
 	case Hybrid:
-		depth := cfg.Depth
-		if depth == 0 {
-			depth = defaultHybridDepth(len(a), len(b), cfg.Workers)
-		}
-		p = hybrid.Hybrid(a, b, hybrid.Options{Depth: depth, Workers: cfg.Workers, Branchless: true, Mult: mult, Rec: rec})
+		depth := defaultHybridDepth(len(a), len(b), cfg.Workers)
+		p = hybrid.Hybrid(a, b, hybrid.Options{Depth: depth, Workers: cfg.Workers, Rec: rec})
 	case GridReduction:
-		p = hybrid.GridReduction(a, b, hybrid.GridOptions{
-			Workers: cfg.Workers, Tiles: cfg.Tiles,
-			Use16: cfg.Use16, Branchless: true, Mult: mult, Rec: rec,
-		})
+		p = hybrid.GridReduction(a, b, hybrid.GridOptions{Workers: cfg.Workers, Use16: cfg.Use16, Rec: rec})
 	default:
 		sp.End()
 		return nil, fmt.Errorf("core: unknown algorithm %d", int(cfg.Algorithm))

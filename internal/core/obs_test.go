@@ -74,3 +74,37 @@ func TestSolveObservedMatchesSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestComposingAlgorithmsReportProducts: every algorithm that composes
+// sub-kernels reports its braid products through the solve's recorder —
+// counted, with arena bytes, and timed once the order reaches
+// obs.ComposeSpanMinOrder. Hybrid and GridReduction run with two workers
+// so that they split at all.
+func TestComposingAlgorithmsReportProducts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	a := randBytes(rng, 100, 4)
+	b := randBytes(rng, 120, 4)
+	if len(a)+len(b) < obs.ComposeSpanMinOrder {
+		t.Fatalf("order %d is below the compose span threshold", len(a)+len(b))
+	}
+	for _, cfg := range []Config{
+		{Algorithm: LoadBalanced},
+		{Algorithm: Recursive},
+		{Algorithm: Hybrid, Workers: 2},
+		{Algorithm: GridReduction, Workers: 2},
+	} {
+		rec := obs.New()
+		if _, err := SolveWith(a, b, cfg, rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		s := rec.Snapshot()
+		for _, c := range []obs.CounterID{obs.CounterComposes, obs.CounterComposeOrder, obs.CounterArenaBytes} {
+			if s.Counters[c] <= 0 {
+				t.Errorf("%+v: %v = %d, want > 0", cfg, c, s.Counters[c])
+			}
+		}
+		if s.Stages[obs.StageCompose].Count == 0 {
+			t.Errorf("%+v: no compose span at order %d", cfg, len(a)+len(b))
+		}
+	}
+}

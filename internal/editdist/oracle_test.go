@@ -22,7 +22,7 @@ func TestEditKernelMatchesOracle(t *testing.T) {
 		t.Run(pair.Name, func(t *testing.T) {
 			t.Parallel()
 			a, b := pair.A, pair.B
-			k, err := editdist.Solve(a, b, core.Config{Algorithm: core.Hybrid, Workers: 2, Depth: 2})
+			k, err := editdist.Solve(a, b, core.Config{Algorithm: core.Hybrid, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

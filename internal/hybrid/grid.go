@@ -18,23 +18,12 @@ type GridOptions struct {
 	Tiles int
 	// Use16 combs tiles with 16-bit strand indices; the split then also
 	// ensures every tile satisfies m+n ≤ 2¹⁶ (the paper's second
-	// optimization for Listing 7).
+	// optimization for Listing 7). Otherwise tiles take the branchless
+	// 32-bit loop.
 	Use16 bool
-	// Branchless selects branch-free combing for 32-bit tiles.
-	Branchless bool
-	// Mult is the braid multiplication for tile composition; nil selects
-	// the sequential combined steady ant.
-	Mult Mult
-	// Rec receives grid-phase timings, tile counters and (when Mult is
-	// nil) composition stats; nil disables instrumentation.
+	// Rec receives grid-phase timings, tile counters and composition
+	// stats; nil disables instrumentation.
 	Rec *obs.Recorder
-}
-
-func (o GridOptions) mult() Mult {
-	if o.Mult != nil {
-		return o.Mult
-	}
-	return steadyant.ObservedMult(o.Rec)
 }
 
 // GridReduction computes the kernel with the optimized hybrid of
@@ -44,6 +33,10 @@ func (o GridOptions) mult() Mult {
 // keeping tile aspect balanced — with braid multiplication, also in
 // parallel within each reduction step.
 func GridReduction(a, b []byte, opt GridOptions) perm.Permutation {
+	return gridReduction(a, b, opt, steadyant.ObservedMult(opt.Rec))
+}
+
+func gridReduction(a, b []byte, opt GridOptions, mult product) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		return combing.RowMajor(a, b)
@@ -96,7 +89,6 @@ func GridReduction(a, b []byte, opt GridOptions) perm.Permutation {
 	// Phase 2: pairwise reduction along the longest tile axis.
 	heights := spans(aCuts)
 	widths := spans(bCuts)
-	mult := opt.mult()
 	rsp := opt.Rec.Start(obs.StageGridReduce)
 	for mOuter > 1 || nOuter > 1 {
 		rowReduction := decideRowReduction(mOuter, nOuter, heights, widths)
@@ -150,7 +142,7 @@ func combTile(a, b []byte, opt *GridOptions) perm.Permutation {
 	if opt.Use16 && combing.Fits16(len(a), len(b)) {
 		return combing.Antidiag16(a, b, combing.Options{Rec: opt.Rec})
 	}
-	return combing.Antidiag(a, b, combing.Options{Branchless: opt.Branchless, Rec: opt.Rec})
+	return combing.Antidiag(a, b, combing.Options{Branchless: true, Rec: opt.Rec})
 }
 
 // optimalSplit chooses the tile grid dimensions: it repeatedly doubles

@@ -33,7 +33,7 @@ func TestGridReductionCustomMult(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	a, b := randString(rng, 60, 3), randString(rng, 70, 3)
 	want := combing.RowMajor(a, b)
-	got := GridReduction(a, b, GridOptions{Tiles: 4, Mult: monge.MultiplyNaive})
+	got := gridReduction(a, b, GridOptions{Tiles: 4}, monge.MultiplyNaive)
 	if !got.Equal(want) {
 		t.Fatal("GridReduction with injected multiplier disagrees")
 	}
@@ -43,7 +43,7 @@ func TestHybridCustomMult(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	a, b := randString(rng, 40, 3), randString(rng, 50, 3)
 	want := combing.RowMajor(a, b)
-	got := Hybrid(a, b, Options{Depth: 3, Mult: monge.MultiplyNaive})
+	got := hybridRec(a, b, 3, nil, nil, monge.MultiplyNaive)
 	if !got.Equal(want) {
 		t.Fatal("Hybrid with injected multiplier disagrees")
 	}

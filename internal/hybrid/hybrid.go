@@ -19,19 +19,21 @@ import (
 	"semilocal/internal/steadyant"
 )
 
-// Mult is a sticky braid multiplication routine.
-type Mult = func(p, q perm.Permutation) perm.Permutation
+// product is a sticky braid multiplication: steadyant.ObservedMult of
+// the call's recorder, built once per Recursive, Hybrid or
+// GridReduction call and shared by every composition in it.
+type product = func(p, q perm.Permutation) perm.Permutation
 
 // composeA glues the kernels of (a', b) and (a”, b) into the kernel of
 // (a'a”, b); m1, m2 are the lengths of a', a”.
-func composeA(k1, k2 perm.Permutation, m1, m2, n int, mult Mult) perm.Permutation {
+func composeA(k1, k2 perm.Permutation, m1, m2, n int, mult product) perm.Permutation {
 	return steadyant.Compose(k1, k2, m1, m2, n, mult)
 }
 
 // composeB glues the kernels of (a, b') and (a, b”) into the kernel of
 // (a, b'b”): flip both to the transposed problem, compose along the
 // first string, flip back.
-func composeB(k1, k2 perm.Permutation, m, n1, n2 int, mult Mult) perm.Permutation {
+func composeB(k1, k2 perm.Permutation, m, n1, n2 int, mult product) perm.Permutation {
 	p := steadyant.Compose(k1.Rotate180(), k2.Rotate180(), n1, n2, m, mult)
 	return p.Rotate180()
 }
@@ -39,8 +41,13 @@ func composeB(k1, k2 perm.Permutation, m, n1, n2 int, mult Mult) perm.Permutatio
 // Recursive computes the kernel by pure recursive combing (Listing 3):
 // the grid is halved along its longer string down to single characters,
 // whose kernels are the identity (match) or the order-2 reversal
-// (mismatch), and the halves are composed by braid multiplication.
-func Recursive(a, b []byte, mult Mult) perm.Permutation {
+// (mismatch), and the halves are composed by braid multiplication. rec
+// receives the compositions' spans and counters; nil disables them.
+func Recursive(a, b []byte, rec *obs.Recorder) perm.Permutation {
+	return recursive(a, b, steadyant.ObservedMult(rec))
+}
+
+func recursive(a, b []byte, mult product) perm.Permutation {
 	m, n := len(a), len(b)
 	switch {
 	case m == 0 || n == 0:
@@ -52,13 +59,13 @@ func Recursive(a, b []byte, mult Mult) perm.Permutation {
 		return perm.Reverse(2)
 	case m >= n:
 		cut := m / 2
-		l := Recursive(a[:cut], b, mult)
-		r := Recursive(a[cut:], b, mult)
+		l := recursive(a[:cut], b, mult)
+		r := recursive(a[cut:], b, mult)
 		return composeA(l, r, cut, m-cut, n, mult)
 	default:
 		cut := n / 2
-		l := Recursive(a, b[:cut], mult)
-		r := Recursive(a, b[cut:], mult)
+		l := recursive(a, b[:cut], mult)
+		r := recursive(a, b[cut:], mult)
 		return composeB(l, r, m, cut, n-cut, mult)
 	}
 }
@@ -72,56 +79,44 @@ type Options struct {
 	// Workers bounds concurrently executing recursion branches (the
 	// paper's coarse-grained parallelism). ≤ 1 is sequential.
 	Workers int
-	// Branchless selects the branch-free iterative combing at the leaves.
-	Branchless bool
-	// Mult is the braid multiplication used for composition; nil selects
-	// the sequential combined steady ant.
-	Mult Mult
 	// Rec receives stage timings and counters from the leaf combing and
-	// (when Mult is nil) the compositions; nil disables instrumentation.
+	// the compositions; nil disables instrumentation.
 	Rec *obs.Recorder
 }
 
-func (o Options) mult() Mult {
-	if o.Mult != nil {
-		return o.Mult
-	}
-	return steadyant.ObservedMult(o.Rec)
-}
-
 // Hybrid computes the kernel by recursive splitting down to the given
-// depth and iterative combing below it (Listing 6). Sub-problems at the
-// same recursion level run as parallel tasks when opt.Workers > 1.
+// depth and branchless iterative combing below it (Listing 6).
+// Sub-problems at the same recursion level run as parallel tasks when
+// opt.Workers > 1.
 func Hybrid(a, b []byte, opt Options) perm.Permutation {
 	var lim *parallel.Limiter
 	if opt.Workers > 1 {
 		lim = parallel.NewLimiter(opt.Workers - 1)
 	}
-	return hybridRec(a, b, opt.Depth, lim, &opt)
+	return hybridRec(a, b, opt.Depth, lim, opt.Rec, steadyant.ObservedMult(opt.Rec))
 }
 
-func hybridRec(a, b []byte, depth int, lim *parallel.Limiter, opt *Options) perm.Permutation {
+func hybridRec(a, b []byte, depth int, lim *parallel.Limiter, rec *obs.Recorder, mult product) perm.Permutation {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		return combing.RowMajor(a, b)
 	}
 	if depth <= 0 || m+n <= 4 {
-		return combing.Antidiag(a, b, combing.Options{Branchless: opt.Branchless, Rec: opt.Rec})
+		return combing.Antidiag(a, b, combing.Options{Branchless: true, Rec: rec})
 	}
-	mult := opt.mult()
 	var l, r perm.Permutation
 	if m >= n {
 		cut := m / 2
 		lim.Do(
-			func() { l = hybridRec(a[:cut], b, depth-1, lim, opt) },
-			func() { r = hybridRec(a[cut:], b, depth-1, lim, opt) },
+			func() { l = hybridRec(a[:cut], b, depth-1, lim, rec, mult) },
+			func() { r = hybridRec(a[cut:], b, depth-1, lim, rec, mult) },
 		)
 		return composeA(l, r, cut, m-cut, n, mult)
 	}
 	cut := n / 2
 	lim.Do(
-		func() { l = hybridRec(a, b[:cut], depth-1, lim, opt) },
-		func() { r = hybridRec(a, b[cut:], depth-1, lim, opt) },
+		func() { l = hybridRec(a, b[:cut], depth-1, lim, rec, mult) },
+		func() { r = hybridRec(a, b[cut:], depth-1, lim, rec, mult) },
 	)
 	return composeB(l, r, m, cut, n-cut, mult)
 }

@@ -26,24 +26,24 @@ func TestRecursiveMatchesIterative(t *testing.T) {
 		sigma := 1 + rng.Intn(4)
 		a, b := randString(rng, m, sigma), randString(rng, n, sigma)
 		want := combing.RowMajor(a, b)
-		if got := Recursive(a, b, monge.MultiplyNaive); !got.Equal(want) {
+		if got := recursive(a, b, monge.MultiplyNaive); !got.Equal(want) {
 			t.Fatalf("Recursive (naive mult) disagrees on a=%v b=%v", a, b)
 		}
-		if got := Recursive(a, b, steadyant.Multiply); !got.Equal(want) {
+		if got := Recursive(a, b, nil); !got.Equal(want) {
 			t.Fatalf("Recursive (steady ant) disagrees on a=%v b=%v", a, b)
 		}
 	}
 }
 
 func TestRecursiveBaseCases(t *testing.T) {
-	if !Recursive([]byte("x"), []byte("x"), steadyant.Multiply).Equal(perm.Identity(2)) {
+	if !Recursive([]byte("x"), []byte("x"), nil).Equal(perm.Identity(2)) {
 		t.Fatal("match base case should be the identity kernel")
 	}
-	if !Recursive([]byte("x"), []byte("y"), steadyant.Multiply).Equal(perm.Reverse(2)) {
+	if !Recursive([]byte("x"), []byte("y"), nil).Equal(perm.Reverse(2)) {
 		t.Fatal("mismatch base case should be the reversal kernel")
 	}
 	for _, c := range [][2][]byte{{nil, nil}, {[]byte("ab"), nil}, {nil, []byte("ab")}} {
-		got := Recursive(c[0], c[1], steadyant.Multiply)
+		got := Recursive(c[0], c[1], nil)
 		if !got.Equal(combing.RowMajor(c[0], c[1])) {
 			t.Fatalf("empty base case wrong for %q,%q", c[0], c[1])
 		}
@@ -72,7 +72,7 @@ func TestHybridParallel(t *testing.T) {
 		m, n := 50+rng.Intn(300), 50+rng.Intn(300)
 		a, b := randString(rng, m, 4), randString(rng, n, 4)
 		want := combing.RowMajor(a, b)
-		got := Hybrid(a, b, Options{Depth: 4, Workers: 4, Branchless: true})
+		got := Hybrid(a, b, Options{Depth: 4, Workers: 4})
 		if !got.Equal(want) {
 			t.Fatalf("parallel hybrid disagrees on m=%d n=%d", m, n)
 		}
@@ -89,7 +89,7 @@ func TestGridReduction(t *testing.T) {
 		for _, opt := range []GridOptions{
 			{},
 			{Tiles: 4},
-			{Tiles: 7, Branchless: true},
+			{Tiles: 7},
 			{Workers: 3, Tiles: 8},
 			{Workers: 2, Tiles: 16, Use16: true},
 		} {

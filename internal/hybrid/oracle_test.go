@@ -12,13 +12,12 @@ import (
 	"semilocal/internal/hybrid"
 	"semilocal/internal/oracle"
 	"semilocal/internal/perm"
-	"semilocal/internal/steadyant"
 )
 
 func hybridConfigs() map[string]func(a, b []byte) perm.Permutation {
 	out := map[string]func(a, b []byte) perm.Permutation{
 		"recursive": func(a, b []byte) perm.Permutation {
-			return hybrid.Recursive(a, b, steadyant.Multiply)
+			return hybrid.Recursive(a, b, nil)
 		},
 	}
 	for _, depth := range []int{0, 1, 2, 5} {
@@ -26,7 +25,7 @@ func hybridConfigs() map[string]func(a, b []byte) perm.Permutation {
 			depth, workers := depth, workers
 			name := fmt.Sprintf("hybrid/d%d/w%d", depth, workers)
 			out[name] = func(a, b []byte) perm.Permutation {
-				return hybrid.Hybrid(a, b, hybrid.Options{Depth: depth, Workers: workers, Branchless: true})
+				return hybrid.Hybrid(a, b, hybrid.Options{Depth: depth, Workers: workers})
 			}
 		}
 	}
@@ -37,7 +36,7 @@ func hybridConfigs() map[string]func(a, b []byte) perm.Permutation {
 				name := fmt.Sprintf("grid/t%d/w%d/16=%v", tiles, workers, use16)
 				out[name] = func(a, b []byte) perm.Permutation {
 					return hybrid.GridReduction(a, b, hybrid.GridOptions{
-						Tiles: tiles, Workers: workers, Use16: use16, Branchless: true,
+						Tiles: tiles, Workers: workers, Use16: use16,
 					})
 				}
 			}

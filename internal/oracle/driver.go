@@ -6,34 +6,59 @@ import (
 	"semilocal/internal/bitlcs"
 	"semilocal/internal/core"
 	"semilocal/internal/editdist"
+	"semilocal/internal/hybrid"
+	"semilocal/internal/perm"
 )
+
+// Config is one row of the differential matrix: the label a mismatch is
+// reported under, and the solve that produces the row's kernel.
+type Config struct {
+	Name  string
+	Solve func(a, b []byte) (perm.Permutation, error)
+}
 
 // Configs enumerates every core.Algorithm across the worker counts,
 // recursion depths, tile counts and index widths that select different
 // code paths, including the deliberately out-of-range worker values that
-// Config documents as sequential. This is the configuration matrix the
-// differential driver pins to the oracle.
-func Configs() []core.Config {
-	cfgs := []core.Config{
-		{Algorithm: core.RowMajor},
-		{Algorithm: core.Recursive},
+// core.Config documents as sequential. core derives Hybrid's depth and
+// GridReduction's tile count from the workers, so the depth and tile
+// sweeps call hybrid.Hybrid and hybrid.GridReduction directly; core's own
+// GridReduction row is the one-tile-per-worker case. This is the
+// configuration matrix the differential driver pins to the oracle.
+func Configs() []Config {
+	var cfgs []Config
+	viaCore := func(cfg core.Config) {
+		cfgs = append(cfgs, Config{fmt.Sprintf("%+v", cfg), func(a, b []byte) (perm.Permutation, error) {
+			k, err := core.Solve(a, b, cfg)
+			if err != nil {
+				return perm.Permutation{}, err
+			}
+			return k.Permutation(), nil
+		}})
 	}
+	viaCore(core.Config{Algorithm: core.RowMajor})
+	viaCore(core.Config{Algorithm: core.Recursive})
 	for _, workers := range []int{-1, 0, 1, 2, 4} {
-		cfgs = append(cfgs,
-			core.Config{Algorithm: core.Antidiag, Workers: workers},
-			core.Config{Algorithm: core.AntidiagBranchless, Workers: workers},
-			core.Config{Algorithm: core.LoadBalanced, Workers: workers},
-		)
+		viaCore(core.Config{Algorithm: core.Antidiag, Workers: workers})
+		viaCore(core.Config{Algorithm: core.AntidiagBranchless, Workers: workers})
+		viaCore(core.Config{Algorithm: core.LoadBalanced, Workers: workers})
 	}
 	for _, workers := range []int{0, 2, 3} {
+		viaCore(core.Config{Algorithm: core.Hybrid, Workers: workers})
 		for _, depth := range []int{0, 1, 2, 4} {
-			cfgs = append(cfgs, core.Config{Algorithm: core.Hybrid, Workers: workers, Depth: depth})
+			opt := hybrid.Options{Depth: depth, Workers: workers}
+			cfgs = append(cfgs, Config{fmt.Sprintf("hybrid.Options%+v", opt), func(a, b []byte) (perm.Permutation, error) {
+				return hybrid.Hybrid(a, b, opt), nil
+			}})
 		}
-		for _, tiles := range []int{0, 1, 3, 7} {
-			cfgs = append(cfgs,
-				core.Config{Algorithm: core.GridReduction, Workers: workers, Tiles: tiles},
-				core.Config{Algorithm: core.GridReduction, Workers: workers, Tiles: tiles, Use16: true},
-			)
+		for _, use16 := range []bool{false, true} {
+			viaCore(core.Config{Algorithm: core.GridReduction, Workers: workers, Use16: use16})
+			for _, tiles := range []int{1, 3, 7} {
+				opt := hybrid.GridOptions{Workers: workers, Tiles: tiles, Use16: use16}
+				cfgs = append(cfgs, Config{fmt.Sprintf("hybrid.GridOptions%+v", opt), func(a, b []byte) (perm.Permutation, error) {
+					return hybrid.GridReduction(a, b, opt), nil
+				}})
+			}
 		}
 	}
 	return cfgs
@@ -55,12 +80,12 @@ func CheckAll(a, b []byte) error {
 		return fmt.Errorf("reference kernel (%v): %w", core.RowMajor, err)
 	}
 	for _, cfg := range Configs() {
-		k, err := core.Solve(a, b, cfg)
+		p, err := cfg.Solve(a, b)
 		if err != nil {
-			return fmt.Errorf("%+v: %w", cfg, err)
+			return fmt.Errorf("%s: %w", cfg.Name, err)
 		}
-		if !k.Permutation().Equal(ref.Permutation()) {
-			return fmt.Errorf("%+v: kernel differs from reference (m=%d n=%d)", cfg, len(a), len(b))
+		if !p.Equal(ref.Permutation()) {
+			return fmt.Errorf("%s: kernel differs from reference (m=%d n=%d)", cfg.Name, len(a), len(b))
 		}
 	}
 	flipped, err := core.Solve(b, a, core.Config{Algorithm: core.AntidiagBranchless})

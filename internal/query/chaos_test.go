@@ -352,9 +352,9 @@ func TestDegradeConfigMapping(t *testing.T) {
 		{core.Config{Algorithm: core.RowMajor}, core.Config{Algorithm: core.RowMajor}, false},
 		{core.Config{Algorithm: core.AntidiagBranchless}, core.Config{Algorithm: core.AntidiagBranchless}, false},
 		{core.Config{Algorithm: core.Antidiag, Workers: 8}, core.Config{Algorithm: core.Antidiag}, true},
-		{core.Config{Algorithm: core.GridReduction, Workers: 8, Tiles: 16}, core.Config{Algorithm: core.AntidiagBranchless}, true},
+		{core.Config{Algorithm: core.GridReduction, Workers: 8, Use16: true}, core.Config{Algorithm: core.AntidiagBranchless}, true},
 		{core.Config{Algorithm: core.LoadBalanced}, core.Config{Algorithm: core.AntidiagBranchless}, true},
-		{core.Config{Algorithm: core.Hybrid, Depth: 3}, core.Config{Algorithm: core.AntidiagBranchless}, true},
+		{core.Config{Algorithm: core.Hybrid}, core.Config{Algorithm: core.AntidiagBranchless}, true},
 	}
 	for _, tc := range cases {
 		got, changed := degradeConfig(tc.in)

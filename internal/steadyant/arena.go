@@ -1,6 +1,9 @@
 package steadyant
 
-import "semilocal/internal/perm"
+import (
+	"semilocal/internal/obs"
+	"semilocal/internal/perm"
+)
 
 // The memory optimization: all permutation storage lives in two arena
 // blocks of 4N words each (exactly 8N words total, as in the paper),
@@ -56,8 +59,10 @@ func (a *arena) mapsAt(depth, n int) []int32 {
 }
 
 // multiplyArena multiplies with arena-preallocated storage; base is the
-// order at which recursion stops (1, or precalcOrder for Combined).
-func multiplyArena(p, q perm.Permutation, base int) perm.Permutation {
+// order at which recursion stops (1, or precalcOrder for Combined). A
+// non-nil rec receives the arena bytes touched and the recursion depth
+// reached; a nil rec skips both.
+func multiplyArena(p, q perm.Permutation, base int, rec *obs.Recorder) perm.Permutation {
 	n := p.Size()
 	cur := newArenaBlock(n)
 	other := newArenaBlock(n)
@@ -65,7 +70,21 @@ func multiplyArena(p, q perm.Permutation, base int) perm.Permutation {
 	copy(cur.q, q.RowToCol())
 	a := &arena{n: n, colRank: make([]int32, n), base: base}
 	a.rec(cur, other, 0, 0, n)
+	if rec != nil {
+		rec.Add(obs.CounterArenaBytes, a.bytes())
+		rec.RecordComposeDepth(int64(a.maxDepth))
+	}
 	return perm.FromRowToCol(cur.p)
+}
+
+// bytes reports the storage the arena run touched: the two 4n-word
+// blocks, the split scratch, and the per-depth mapping buffers.
+func (a *arena) bytes() int64 {
+	words := int64(8*a.n) + int64(cap(a.colRank))
+	for _, m := range a.maps {
+		words += int64(cap(m))
+	}
+	return 4 * words
 }
 
 func (a *arena) rec(cur, other *arenaBlock, depth, off, n int) {

@@ -53,7 +53,7 @@ func MultiplyParallel(p, q perm.Permutation, opt ParallelOptions) perm.Permutati
 func multiplyPar(p, q []int32, depthLeft int, lim *parallel.Limiter) []int32 {
 	n := len(p)
 	if depthLeft == 0 || n <= precalcOrder {
-		return multiplyArena(perm.FromRowToCol(p), perm.FromRowToCol(q), precalcOrder).RowToCol()
+		return multiplyArena(perm.FromRowToCol(p), perm.FromRowToCol(q), precalcOrder, nil).RowToCol()
 	}
 	h := n / 2
 

@@ -14,6 +14,7 @@ package steadyant
 import (
 	"fmt"
 
+	"semilocal/internal/obs"
 	"semilocal/internal/perm"
 )
 
@@ -65,6 +66,33 @@ func Multiply(p, q perm.Permutation) perm.Permutation {
 	return MultiplyVariant(p, q, Combined)
 }
 
+// ObservedMult returns a multiplier equivalent to Multiply that reports
+// into rec: every product increments the compose counters, and products
+// of order ≥ obs.ComposeSpanMinOrder additionally record a compose span,
+// the arena bytes touched, and the recursion depth reached. Small
+// products are counted but not timed — at the bottom of a combing or
+// hybrid run there are Θ(n) of them, and two clock reads each would cost
+// more than the multiplication itself. A nil rec returns Multiply
+// unchanged, so the disabled path is the uninstrumented code, not a
+// wrapper around it.
+func ObservedMult(rec *obs.Recorder) func(p, q perm.Permutation) perm.Permutation {
+	if rec == nil {
+		return Multiply
+	}
+	return func(p, q perm.Permutation) perm.Permutation {
+		n := p.Size()
+		rec.Add(obs.CounterComposes, 1)
+		rec.Add(obs.CounterComposeOrder, int64(n))
+		if n < obs.ComposeSpanMinOrder {
+			return Multiply(p, q)
+		}
+		sp := rec.Start(obs.StageCompose)
+		out := multiplyArena(p, q, precalcOrder, rec)
+		sp.End()
+		return out
+	}
+}
+
 // MultiplyVariant returns the sticky braid product of p and q using the
 // given optimization variant.
 func MultiplyVariant(p, q perm.Permutation, v Variant) perm.Permutation {
@@ -81,9 +109,9 @@ func MultiplyVariant(p, q perm.Permutation, v Variant) perm.Permutation {
 	case Precalc:
 		return perm.FromRowToCol(multiplyAlloc(p.RowToCol(), q.RowToCol(), precalcOrder))
 	case Memory:
-		return multiplyArena(p, q, 1)
+		return multiplyArena(p, q, 1, nil)
 	case Combined:
-		return multiplyArena(p, q, precalcOrder)
+		return multiplyArena(p, q, precalcOrder, nil)
 	}
 	panic(fmt.Sprintf("steadyant: unknown variant %d", int(v)))
 }

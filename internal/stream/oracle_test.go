@@ -197,7 +197,7 @@ func TestStreamLeafConfigInvariance(t *testing.T) {
 		{Algorithm: core.RowMajor},
 		{Algorithm: core.Antidiag},
 		{Algorithm: core.Recursive},
-		{Algorithm: core.Hybrid, Depth: 2},
+		{Algorithm: core.Hybrid, Workers: 4},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

@@ -63,8 +63,8 @@ func TestPaperShapes(t *testing.T) {
 		// Figure 6: on short inputs, a deep switch threshold slows the
 		// sequential hybrid down.
 		a, b := dataset.Normal(10_000, 1, 1), dataset.Normal(10_000, 1, 2)
-		flat := measure(func() { hybrid.Hybrid(a, b, hybrid.Options{Depth: 0, Branchless: true}) })
-		deep := measure(func() { hybrid.Hybrid(a, b, hybrid.Options{Depth: 6, Branchless: true}) })
+		flat := measure(func() { hybrid.Hybrid(a, b, hybrid.Options{Depth: 0}) })
+		deep := measure(func() { hybrid.Hybrid(a, b, hybrid.Options{Depth: 6}) })
 		if float64(deep) < 1.05*float64(flat) {
 			t.Errorf("depth-6 hybrid (%v) should be slower than depth-0 (%v) sequentially", deep, flat)
 		}
