@@ -6,17 +6,21 @@
 // query after O(mn) construction; that generality is wasted on the
 // traffic that dominates comparison workloads at scale (deduplication,
 // sync, versioned documents), where the two strings differ in a small
-// number k of edits. The diagonal BFS instead spends O(m+n) building a
-// rolling-hash LCP jump table (see hash.go) and then explores only the
-// 2k+1 diagonals an optimal alignment can touch, extending each
-// frontier along runs of matches in O(log n) per jump:
+// number k of edits. The diagonal BFS trims the common prefix and
+// suffix, then explores only the 2k+1 diagonals an optimal alignment
+// can touch, extending each frontier along its run of matches by a
+// direct comparison, eight bytes per step (see lcp.go). No table is
+// built, so the cost is Myers'/Landau–Vishkin's own:
 //
-//	cost = O(m + n + k²·log n)   vs.   O(mn) for the kernel,
+//	cost = O(m + n + k²)  on non-repetitive text,
+//	       O((m + n)·k/8) word compares at worst (periodic text, whose
+//	                      snakes run long on many diagonals)
 //
-// orders of magnitude faster when k ≪ √(mn). DistanceBounded abandons
-// the search as soon as the band exceeds a budget maxK, which is what
-// lets a serving-path dispatcher probe cheaply and fall back to the
-// kernel pipeline when inputs diverge (see internal/query).
+// against Θ(mn) for the kernel. Every answer is exact: no step rests
+// on hashing or on random state. DistanceBounded abandons the search as
+// soon as the band exceeds a budget maxK, which is what lets a serving-
+// path dispatcher probe cheaply and fall back to the kernel pipeline
+// when inputs diverge (see internal/query).
 //
 // Two move sets are provided: Distance/DistanceBounded run the
 // unit-cost Levenshtein BFS (substitutions allowed, Landau–Vishkin),
@@ -36,19 +40,29 @@ import (
 // int minimum, so the +1 in transitions cannot wrap.
 const negInf = -1 << 40
 
-// workspace owns every buffer the BFS needs — hash tables, power
-// tables, frontier arrays — so repeat solves allocate nothing once the
-// buffers have grown to size (the alloc guard in alloc_test.go pins
-// this). Distance and friends recycle workspaces through a sync.Pool.
+// workspace owns the frontier arrays the BFS needs, so repeat solves
+// allocate nothing once the arrays have grown to size (the alloc guard
+// in alloc_test.go pins this). Distance and friends recycle workspaces
+// through a sync.Pool.
 type workspace struct {
-	j        jumper
 	cur, nxt []int
 }
 
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}
 
+// growInt returns a slice of length n, reusing s's backing array when
+// it is large enough (the workspace-recycling primitive behind the
+// zero-alloc guarantee of the hot loop).
+func growInt(s []int, n int) []int {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int, n)
+}
+
 // Distance returns the unit-cost Levenshtein distance of a and b in
-// O(m + n + d²·log n) time, where d is the distance itself.
+// O(m + n + d²) time on non-repetitive text, where d is the distance
+// itself (see the package doc for the worst case).
 func Distance(a, b []byte) int {
 	d, _ := distance(a, b, -1)
 	return d
@@ -66,9 +80,9 @@ func DistanceBounded(a, b []byte, maxK int) (int, bool) {
 }
 
 // LCSScore returns the LCS score of a and b via the insertion/deletion
-// BFS: O(m + n + D²·log n) where D = m + n − 2·LCS(a, b) is the indel
-// distance — the fast path for near-identical inputs, bit-identical to
-// the semi-local kernel's Score.
+// BFS: O(m + n + D²) on non-repetitive text, where D = m + n −
+// 2·LCS(a, b) is the indel distance — the fast path for near-identical
+// inputs, bit-identical to the semi-local kernel's Score.
 func LCSScore(a, b []byte) int {
 	s, _ := lcsScore(a, b, -1)
 	return s
@@ -88,10 +102,13 @@ func LCSScoreBounded(a, b []byte, maxD int) (int, bool) {
 // AutoMaxK returns the default band budget for an m×n pair: the edit
 // band up to which the BFS is expected to beat kernel construction.
 // The kernel costs Θ(mn) cell updates while the BFS costs
-// Θ(m+n+k²·log n), so the crossover sits near √(mn) scaled by the
-// ratio of per-cell to per-jump constants — measured at roughly 1/8
-// on the EXPERIMENTS.md k-scaling runs, with a floor that keeps tiny
-// inputs always eligible.
+// O(m+n+k²) on non-repetitive text, so the budget is set near √(mn)/8,
+// far left of the crossover measured in EXPERIMENTS.md, with a floor
+// that keeps tiny inputs always eligible. The worst case stays below
+// the kernel too: a snake never moves its diagonal's frontier backwards,
+// so at most 2k+1 diagonals each compare at most min(m, n) bytes, and
+// for m = n the budget caps that at about n²/32 word compares (n²/16
+// for LCSScoreBounded's indel budget 2k) against the kernel's n² cells.
 func AutoMaxK(m, n int) int {
 	k := isqrt(m*n) / 8
 	if k < 64 {
@@ -119,23 +136,12 @@ func isqrt(x int) int {
 // divergent middles and the number of matched bytes removed. Both move
 // sets are invariant under this (any optimal alignment can be rewritten
 // to match a common prefix/suffix of equal cost), and it is the single
-// biggest win on near-identical traffic: the hash tables are then built
-// over the k-sized middle, not the whole input.
+// biggest win on near-identical traffic: the BFS then starts on the
+// divergent middle, not the whole input.
 func trimCommon(a, b []byte) (ta, tb []byte, matched int) {
-	p := 0
-	max := len(a)
-	if len(b) < max {
-		max = len(b)
-	}
-	for p < max && a[p] == b[p] {
-		p++
-	}
+	p := commonPrefix(a, b)
 	a, b = a[p:], b[p:]
-	s := 0
-	max -= p
-	for s < max && a[len(a)-1-s] == b[len(b)-1-s] {
-		s++
-	}
+	s := commonSuffix(a, b)
 	return a[:len(a)-s], b[:len(b)-s], p + s
 }
 
@@ -172,7 +178,6 @@ func (ws *workspace) levenshtein(a, b []byte, maxK int) (int, bool) {
 	if kmax < 0 || kmax > m+n {
 		kmax = m + n // every pair is within max(m,n) ≤ m+n edits
 	}
-	ws.j.init(a, b)
 	// Diagonals d ∈ [−min(kmax,n), min(kmax,m)], with one sentinel slot
 	// on each side so transitions never bounds-check.
 	dlo, dhi := -min(kmax, n), min(kmax, m)
@@ -181,17 +186,21 @@ func (ws *workspace) levenshtein(a, b []byte, maxK int) (int, bool) {
 	ws.cur = growInt(ws.cur, width)
 	ws.nxt = growInt(ws.nxt, width)
 	cur, nxt := ws.cur, ws.nxt
-	for i := range cur {
-		cur[i] = negInf
-		nxt[i] = negInf
-	}
-	f0 := ws.j.lcp(0, 0)
+	f0 := commonPrefix(a, b)
 	if m == n && f0 == m {
 		return 0, true
 	}
 	cur[off] = f0
 	target := m - n
 	for e := 1; e <= kmax; e++ {
+		// Round e reads cur on [−e−1, e+1]. Round e−1 wrote [−e+1, e−1]
+		// into it, and nothing in this call has touched ±e or ±(e+1):
+		// the two arrays alternate, so each slot is cleared once per
+		// array, just before it is first read.
+		unreach(cur, off-e-1)
+		unreach(cur, off-e)
+		unreach(cur, off+e)
+		unreach(cur, off+e+1)
 		lo, hi := max(-e, dlo), min(e, dhi)
 		for d := lo; d <= hi; d++ {
 			t := cur[d+off] + 1 // substitution
@@ -212,8 +221,10 @@ func (ws *workspace) levenshtein(a, b []byte, maxK int) (int, bool) {
 			if t > n+d {
 				t = n + d
 			}
-			if t < m && t-d < n {
-				t += ws.j.lcp(t, t-d)
+			// Snake. Most jumps end at their first byte, which is
+			// checked here, without a call.
+			if t < m && t-d < n && a[t] == b[t-d] {
+				t += commonPrefix(a[t:], b[t-d:])
 			}
 			nxt[d+off] = t
 			if d == target && t == m {
@@ -223,6 +234,16 @@ func (ws *workspace) levenshtein(a, b []byte, maxK int) (int, bool) {
 		cur, nxt = nxt, cur
 	}
 	return 0, false
+}
+
+// unreach marks frontier slot i unreachable, if v has a slot i. The
+// BFS clears each slot just before its first read instead of clearing
+// all 2·budget+3 slots up front: a near-identical pair finishes in a
+// few rounds however large its budget.
+func unreach(v []int, i int) {
+	if i >= 0 && i < len(v) {
+		v[i] = negInf
+	}
 }
 
 // lcsScore runs the indel-only BFS; maxD < 0 means unbounded. The
@@ -258,22 +279,22 @@ func (ws *workspace) myers(a, b []byte, maxD int) (int, bool) {
 	if dmax < 0 || dmax > m+n {
 		dmax = m + n
 	}
-	ws.j.init(a, b)
 	dlo, dhi := -min(dmax, n), min(dmax, m)
 	off := 1 - dlo
 	width := dhi - dlo + 3
 	ws.cur = growInt(ws.cur, width)
 	v := ws.cur
-	for i := range v {
-		v[i] = negInf
-	}
-	f0 := ws.j.lcp(0, 0)
+	f0 := commonPrefix(a, b)
 	if m == n && f0 == m {
 		return 0, true
 	}
 	v[off] = f0
 	target := m - n
 	for e := 1; e <= dmax; e++ {
+		// Round e reads the opposite parity on [−e−1, e+1]; round e−1
+		// wrote it on [−e+1, e−1], so only ±(e+1) is still unset.
+		unreach(v, off-e-1)
+		unreach(v, off+e+1)
 		lo, hi := max(-e, dlo), min(e, dhi)
 		if (lo^e)&1 != 0 {
 			lo++ // d must share e's parity
@@ -296,8 +317,8 @@ func (ws *workspace) myers(a, b []byte, maxD int) (int, bool) {
 			if t > n+d {
 				t = n + d
 			}
-			if t < m && t-d < n {
-				t += ws.j.lcp(t, t-d)
+			if t < m && t-d < n && a[t] == b[t-d] {
+				t += commonPrefix(a[t:], b[t-d:])
 			}
 			v[d+off] = t
 			if d == target && t == m {

@@ -1,7 +1,7 @@
 package banded
 
 // Internal unit tests: everything here needs package internals (the
-// jumper, trimCommon, isqrt, the workspace) or deliberately avoids the
+// LCP helpers, trimCommon, isqrt, the workspace) or deliberately avoids the
 // repository oracles. internal/oracle and internal/editdist both sit
 // downstream of this package now (editdist.DistanceAuto routes through
 // the banded BFS), so the internal test files use small local quadratic
@@ -178,36 +178,6 @@ func TestNegativeBudgetRejected(t *testing.T) {
 	}
 }
 
-// TestLCPExact cross-checks the hash-jump LCP against a byte scan over
-// random small-alphabet strings (the shapes most likely to surface a
-// binary-search or fold bug).
-func TestLCPExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var ws workspace
-	for it := 0; it < 200; it++ {
-		a, b := randPair(rng, 120, 2)
-		if len(a) == 0 || len(b) == 0 {
-			continue
-		}
-		ws.j.init(a, b)
-		for probe := 0; probe < 50; probe++ {
-			i, jb := rng.Intn(len(a)), rng.Intn(len(b))
-			want := naiveLCP(a[i:], b[jb:])
-			if got := ws.j.lcp(i, jb); got != want {
-				t.Fatalf("lcp(%d, %d) = %d, want %d (a=%q b=%q)", i, jb, got, want, a, b)
-			}
-		}
-	}
-}
-
-func naiveLCP(a, b []byte) int {
-	k := 0
-	for k < len(a) && k < len(b) && a[k] == b[k] {
-		k++
-	}
-	return k
-}
-
 func TestTrimCommon(t *testing.T) {
 	cases := []struct {
 		a, b, wantA, wantB string
@@ -220,6 +190,9 @@ func TestTrimCommon(t *testing.T) {
 		{"preMIDpost", "preXYZpost", "MID", "XYZ", 7},
 		{"aaaa", "aa", "aa", "", 2},
 		{"ab", "ba", "ab", "ba", 0},
+		// Affixes longer than one 8-byte word, on both sides.
+		{"0123456789abcdefgMID0123456789abcdefg", "0123456789abcdefgXY0123456789abcdefg", "MID", "XY", 34},
+		{"0123456789abcdefg", "0123456789abcdef", "g", "", 16},
 	}
 	for _, c := range cases {
 		ta, tb, matched := trimCommon([]byte(c.a), []byte(c.b))

@@ -10,6 +10,7 @@ package banded
 // AutoMaxK encodes.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -124,4 +125,64 @@ func BenchmarkProbe(b *testing.B) {
 			ProbeBand(x, z, 4096)
 		}
 	})
+}
+
+// adversarialPair is one named input pair of BenchmarkAdversarial.
+type adversarialPair struct {
+	name   string
+	a, b   []byte
+	within bool // the indel distance fits 2·AutoMaxK
+}
+
+// adversarialPairs are the BFS's worst shapes at batch_near's size, for
+// BenchmarkAdversarial. Periodic text makes every diagonal that is a
+// multiple of the period snake far, the worst case for the LCP
+// compares:
+//   - periodic-near: a period-3 string and a copy with 16 planted edits,
+//     answered within the budget;
+//   - periodic-divergent: (ab)* against (ba)* for half the length, then
+//     unrelated random tails, so every odd diagonal snakes through the
+//     whole periodic half before the band exhausts 2·AutoMaxK. Running
+//     the whole budget, it also prices the O(D²) frontier updates.
+func adversarialPairs(n int) []adversarialPair {
+	rng := rand.New(rand.NewSource(3))
+	periodic := func(unit string, l int) []byte {
+		return bytes.Repeat([]byte(unit), l/len(unit)+1)[:l]
+	}
+	tail := func() []byte {
+		s := make([]byte, n/2)
+		for i := range s {
+			s[i] = byte('c' + rng.Intn(24))
+		}
+		return s
+	}
+	near := periodic("ACG", n)
+	return []adversarialPair{
+		{"periodic-near", near, mutateBench(rng, near, 16), true},
+		{"periodic-divergent", append(periodic("ab", n/2), tail()...), append(periodic("ba", n/2), tail()...), false},
+	}
+}
+
+// BenchmarkAdversarial runs both bounded move sets on adversarialPairs
+// at the budgets the dispatchers use (LCS: 2·AutoMaxK indels, as
+// internal/query; distance: AutoMaxK edits, as internal/editdist).
+func BenchmarkAdversarial(b *testing.B) {
+	const n = 32768
+	maxK := AutoMaxK(n, n)
+	for _, p := range adversarialPairs(n) {
+		x, y := p.a, p.b
+		if _, ok := LCSScoreBounded(x, y, 2*maxK); ok != p.within {
+			b.Fatalf("%s: within budget = %v, want %v", p.name, ok, p.within)
+		}
+		b.Run(p.name+"/lcs/n=32768", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				LCSScoreBounded(x, y, 2*maxK)
+			}
+		})
+		b.Run(p.name+"/distance/n=32768", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				DistanceBounded(x, y, maxK)
+			}
+		})
+	}
 }

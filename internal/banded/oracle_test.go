@@ -9,8 +9,8 @@ package banded_test
 // the early-exit contract at the exact budget boundary. This file is an
 // external test package by necessity: editdist (and through it oracle)
 // now imports internal/banded for DistanceAuto, so the wall runs
-// against the exported API only — the collision-stress and jumper tests
-// that need internals live in the internal test files.
+// against the exported API only — the LCP and frontier tests that need
+// internals live in the internal test files.
 
 import (
 	"bytes"

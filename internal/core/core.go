@@ -188,8 +188,9 @@ func defaultHybridDepth(m, n, workers int) int {
 // Kernel is a semi-local LCS kernel: the permutation P(a,b) together
 // with the string lengths it was computed for.
 type Kernel struct {
-	p    perm.Permutation
-	m, n int
+	p     perm.Permutation
+	m, n  int
+	score int // LCS(a, b), counted once by NewKernel
 
 	// scanned sums the strands H has counted directly; once it would
 	// exceed the tree's build cost, H builds the tree through domOnce
@@ -203,12 +204,12 @@ type Kernel struct {
 }
 
 // NewKernel wraps a kernel permutation. The permutation order must be
-// m+n.
+// m+n. It counts the global score once, in O(n), so Score is O(1).
 func NewKernel(p perm.Permutation, m, n int) *Kernel {
 	if p.Size() != m+n {
 		panic(fmt.Sprintf("core: kernel order %d does not match m+n = %d", p.Size(), m+n))
 	}
-	return &Kernel{p: p, m: m, n: n}
+	return &Kernel{p: p, m: m, n: n, score: combing.ScoreFromKernel(p, m, n)}
 }
 
 // Permutation exposes the underlying kernel permutation.
@@ -294,10 +295,9 @@ func (k *Kernel) countDominated(i, j int) int {
 	return count
 }
 
-// Score returns the global LCS score LCS(a, b).
-func (k *Kernel) Score() int {
-	return combing.ScoreFromKernel(k.p, k.m, k.n)
-}
+// Score returns the global LCS score LCS(a, b), which equals
+// StringSubstring(0, n), in O(1).
+func (k *Kernel) Score() int { return k.score }
 
 // StringSubstring returns LCS(a, b[l:r)).
 func (k *Kernel) StringSubstring(l, r int) int {

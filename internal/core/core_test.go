@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"semilocal/internal/lcs"
+	"semilocal/internal/perm"
 )
 
 func randString(rng *rand.Rand, n, sigma int) []byte {
@@ -56,6 +57,44 @@ func TestScoreMatchesDP(t *testing.T) {
 		k := mustSolve(t, a, b, Config{Algorithm: AntidiagBranchless})
 		if got, want := k.Score(), lcs.ScoreFull(a, b); got != want {
 			t.Fatalf("Score = %d, want %d", got, want)
+		}
+	}
+}
+
+// TestScoreIsStringSubstring pins the score NewKernel counts once
+// against StringSubstring(0, n), that is H(m, n), on solved kernels,
+// on arbitrary permutations (Score is a property of the kernel, not of
+// the strings) and on the empty edge shapes, each also after a
+// marshal round trip.
+func TestScoreIsStringSubstring(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	kernels := []*Kernel{
+		mustSolve(t, nil, nil, Config{}),
+		mustSolve(t, nil, []byte("abc"), Config{}),
+		mustSolve(t, []byte("abc"), nil, Config{}),
+		NewKernel(perm.Identity(0), 0, 0),
+		NewKernel(perm.Random(5, rng), 0, 5),
+		NewKernel(perm.Random(5, rng), 5, 0),
+	}
+	for trial := 0; trial < 40; trial++ {
+		m, n := rng.Intn(60), rng.Intn(60)
+		a, b := randString(rng, m, 1+rng.Intn(4)), randString(rng, n, 1+rng.Intn(4))
+		kernels = append(kernels, mustSolve(t, a, b, Config{Algorithm: AntidiagBranchless}),
+			NewKernel(perm.Random(m+n, rng), m, n))
+	}
+	for _, k := range kernels {
+		data, err := k.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalKernel(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := k.StringSubstring(0, k.N())
+		if k.Score() != want || back.Score() != want {
+			t.Fatalf("m=%d n=%d: Score = %d, after round trip %d, want StringSubstring(0, n) = %d",
+				k.M(), k.N(), k.Score(), back.Score(), want)
 		}
 	}
 }

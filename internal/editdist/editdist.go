@@ -171,7 +171,7 @@ func Distance(a, b []byte) int {
 
 // DistanceAuto computes the plain edit distance, choosing the algorithm
 // by input shape: it first runs the banded diagonal BFS under the
-// AutoMaxK budget — O(n + k²·log n) when the strings are within k edits
+// AutoMaxK budget — O(n + k²) when the strings are within k edits
 // — and falls back to the quadratic DP of Distance only when the pair
 // is more divergent than the band covers. Both paths return the exact
 // distance; only the running time differs.

@@ -4,7 +4,7 @@ package query
 // answers distance-only (Score) requests on near-identical inputs with
 // the Landau–Vishkin diagonal BFS from internal/banded instead of full
 // kernel construction. Kernel construction is Θ(mn); the BFS is
-// O(n + k²·log n) for pairs within edit distance k, so for the traffic
+// O(n + k²) for pairs within edit distance k, so for the traffic
 // this path targets — deduplication, replication checks, near-duplicate
 // detection — it is the difference between microseconds and hours at
 // n = 10⁶.

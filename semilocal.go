@@ -388,15 +388,15 @@ func SolveEdit(a, b []byte, cfg Config) (*EditKernel, error) {
 
 // EditDistance returns the unit-cost Levenshtein distance of a and b,
 // dispatching by input shape: near-identical pairs are answered by the
-// banded diagonal BFS in O(n + k²·log n), divergent pairs by
+// banded diagonal BFS in O(n + k²), divergent pairs by
 // linear-space dynamic programming. Both paths are exact.
 func EditDistance(a, b []byte) int {
 	return editdist.DistanceAuto(a, b)
 }
 
 // Banded fast path: edit distance and LCS by BFS over diagonals with
-// LCP jumps (Landau–Vishkin with a rolling-hash jump table) —
-// O(n + k²·log n) for pairs within k edits, against the kernel
+// LCP jumps (Landau–Vishkin, comparing eight bytes per step) —
+// O(n + k²) for pairs within k edits, against the kernel
 // pipeline's Θ(mn) construction. The standalone functions answer one
 // pair; EngineOptions.Banded turns the same machinery into the engine's
 // input-shape dispatcher, which routes Score requests on near-identical
