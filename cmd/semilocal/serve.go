@@ -28,7 +28,7 @@ var (
 )
 
 // runServe runs the sharded HTTP serving tier (-serve-addr): N engine
-// shards behind consistent hashing on the kernel-cache content key,
+// shards behind a consistent-hash ring placing each ordered pair,
 // sharing one stage recorder, chaos injector and (optionally) one
 // persistent kernel store. The engine hardening flags (-max-queue,
 // -retries, -deadline, -degrade-below, -chaos, -banded, -store-dir)

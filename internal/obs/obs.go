@@ -112,8 +112,8 @@ const (
 	// batches, and response encoding.
 	StageServerRequest
 	// StageServerRoute is the shard-routing step of one serving-tier
-	// request: the content-hash ring lookup plus any chaos- or
-	// health-driven walk to a successor shard.
+	// request: the pair's CRC-32C placement, the ring lookup, and any
+	// chaos- or health-driven walk to a successor shard.
 	StageServerRoute
 	// StageStreamGroupAppend is one multi-pattern group mutation end to
 	// end: the shared text-side pass (chunk scan, canonical relabeling

@@ -40,9 +40,9 @@ type shard struct {
 
 // cache is the sharded LRU kernel cache with singleflight dedup. It is
 // keyed by the pair's content hash (store.Key) alone — the identity the
-// store persists under and the server's ring routes on. The solve
-// configuration only decides how a miss is solved: every configuration
-// produces the same kernel, so a kernel cached under one serves all.
+// store persists under. The solve configuration only decides how a miss
+// is solved: every configuration produces the same kernel, so a kernel
+// cached under one serves all.
 // When a persistent store tier is attached, it sits under the LRU as a
 // write-through second tier: the singleflight spans both tiers, so at
 // most one goroutine per key reads the store or solves.

@@ -238,18 +238,16 @@ type Request struct {
 
 // WithKey returns a copy of r carrying the content key of its pair,
 // store.KeyOf(A, B): the one kernel identity the engine caches,
-// deduplicates and persists under and the server routes on. Keying a
-// keyed request costs nothing, so a pair routed by its key is hashed
-// once. Key a request only once A and B are final.
+// deduplicates and persists under. The engine keys a request only when
+// it looks up a kernel, so a score the banded path answers is never
+// hashed; keying a keyed request costs nothing. Key a request only
+// once A and B are final.
 func (r Request) WithKey() Request {
 	if !r.keyed {
 		r.key, r.keyed = store.KeyOf(r.A, r.B), true
 	}
 	return r
 }
-
-// Key returns the content key of r's pair (see WithKey).
-func (r Request) Key() store.Key { return r.WithKey().key }
 
 // Result is the answer to one Request.
 type Result struct {

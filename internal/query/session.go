@@ -14,11 +14,11 @@
 // and the CLI all answer through it.
 //
 // An Engine adds a sharded LRU cache of kernels keyed by the pair's
-// content hash (store.Key, the identity the persistent store and the
-// server's ring share), with singleflight deduplication (concurrent
-// requests for the same pair trigger exactly one solve) and a batch
-// entry point that fans independent requests across a worker pool
-// under per-request context deadlines. The solve configuration only decides how a miss is solved.
+// content hash (store.Key, the identity the persistent store shares),
+// with singleflight deduplication (concurrent requests for the same
+// pair trigger exactly one solve) and a batch entry point that fans
+// independent requests across a worker pool under per-request context
+// deadlines. The solve configuration only decides how a miss is solved.
 // Engine.Stats reports the cache traffic counters.
 package query
 

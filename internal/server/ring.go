@@ -1,19 +1,19 @@
 package server
 
 import (
-	"encoding/binary"
+	"hash/crc32"
 	"sort"
-
-	"semilocal/internal/store"
 )
 
-// ring is a consistent-hash ring mapping kernel-cache keys
-// (store.KeyOf content hashes) to engine shards. Each shard owns
-// defaultVnodes points on a 64-bit circle; a key belongs to the shard owning
-// the first point clockwise of the key's hash. Adding or removing a
-// shard therefore moves only the keys in the arcs its points cover —
-// the minimal-movement property the ring_test suite pins — while the
-// vnode fan-out keeps per-shard load balanced.
+// ring is a consistent-hash ring mapping placements (see place) to
+// engine shards. Each shard owns defaultVnodes points on a 64-bit
+// circle; a placement belongs to the shard owning the first point at or
+// clockwise of it. Adding or removing a shard therefore moves only the
+// placements in the arcs its points cover — the minimal-movement
+// property the ring_test suite pins — while the vnode fan-out keeps
+// per-shard load balanced. The ring names no kernel: the engine's
+// content key (store.KeyOf) is computed on the shard, only when a
+// kernel is looked up.
 //
 // The ring is immutable after construction from the router's point of
 // view; add/remove return fresh rings (they exist for rebalancing and
@@ -80,16 +80,30 @@ func (r *ring) remove(s int) *ring {
 	return out
 }
 
-// keyHash positions a kernel-cache key on the circle. The key is a
-// SHA-256 content hash, so its first eight bytes are already uniform.
-func keyHash(k store.Key) uint64 {
-	return binary.BigEndian.Uint64(k[:8])
+// castagnoli is the CRC-32C table; crc32.Castagnoli has hardware
+// support (SSE4.2, ARMv8 CRC) behind crc32.Checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// place positions the ordered pair (a, b) on the circle: the CRC-32C of
+// each input, each beside its length, mixed through splitmix64 in
+// order, so (a, b) and (b, a) place independently. A placement is a
+// pure function of the bytes — the same in every process and on every
+// replica — and costs one hardware CRC pass over the inputs.
+//
+// Placement never changes an answer: every shard solves bit-identical
+// kernels, so a crafted CRC collision can only pile work onto one
+// shard, which a client could already do with any public hash by
+// trying a few pairs per shard.
+func place(a, b []byte) uint64 {
+	x := uint64(crc32.Checksum(a, castagnoli)) | uint64(len(a))<<32
+	y := uint64(crc32.Checksum(b, castagnoli)) | uint64(len(b))<<32
+	return splitmix64(splitmix64(x) ^ y)
 }
 
-// lookup returns the home shard of key k: the owner of the first
-// virtual node at or clockwise of the key's position.
-func (r *ring) lookup(k store.Key) int {
-	return r.points[r.at(keyHash(k))].shard
+// lookup returns the home shard of placement pos: the owner of the
+// first virtual node at or clockwise of it.
+func (r *ring) lookup(pos uint64) int {
+	return r.points[r.at(pos)].shard
 }
 
 // at returns the index of the first point with hash ≥ h, wrapping to 0.
@@ -101,14 +115,14 @@ func (r *ring) at(h uint64) int {
 	return i
 }
 
-// walk calls visit with each distinct shard clockwise of key k — the
-// home shard first, then the failover successors — until visit returns
-// true (the shard was usable) or every shard was offered. It returns
-// the accepted shard and true, or -1 and false when visit rejected all
-// of them. The walk allocates nothing for the common case of the home
+// walk calls visit with each distinct shard clockwise of placement pos
+// — the home shard first, then the failover successors — until visit
+// returns true (the shard was usable) or every shard was offered. It
+// returns the accepted shard and true, or -1 and false when visit
+// rejected all of them. The walk allocates nothing for the common case of the home
 // shard being healthy.
-func (r *ring) walk(k store.Key, visit func(shard int) bool) (int, bool) {
-	start := r.at(keyHash(k))
+func (r *ring) walk(pos uint64, visit func(shard int) bool) (int, bool) {
+	start := r.at(pos)
 	n := len(r.points)
 	var seen uint64 // shard-id bitmap; shards are small dense ints
 	for off := 0; off < n; off++ {
@@ -143,7 +157,7 @@ func (r *ring) shards() []int {
 // splitmix64 is the standard 64-bit finalizing mixer (Vigna) — the
 // same full-avalanche hash the chaos injector uses for per-arrival
 // decisions, reused here to scatter (shard, replica) pairs over the
-// circle.
+// circle and to spread place's two CRCs over all 64 bits.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

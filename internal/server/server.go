@@ -1,20 +1,20 @@
 // Package server is the network-native sharded serving tier over the
 // batch query engine: N independent query.Engine shards behind a
-// consistent-hash ring on the kernel-cache content key (store.KeyOf),
-// fronted by an HTTP/JSON API (batch solves and query families on
-// /v1/batch, streaming op scripts on /v1/stream, Prometheus text on
-// /metrics, liveness on /healthz).
+// consistent-hash ring, fronted by an HTTP/JSON API (batch solves and
+// query families on /v1/batch, streaming op scripts on /v1/stream,
+// Prometheus text on /metrics, liveness on /healthz).
 //
-// Sharding by content hash means both cache capacity and solve
-// throughput scale horizontally in one process: every shard owns its
-// own LRU session cache, worker pool, and counters, and a given input
-// pair always lands on the same shard (so the singleflight dedup and
-// cache locality of internal/query keep working per shard). A batch
-// request's pair is hashed once: the key that routes it also keys the
-// shard's cache, singleflight and store. Per-tenant
-// quotas layer on top of the per-shard MaxQueue/Deadline/retry/shed
-// machinery: the engine bound protects the process, the tenant bound
-// protects tenants from each other.
+// Sharding scales both cache capacity and solve throughput
+// horizontally in one process: every shard owns its own LRU session
+// cache, worker pool, and counters, and a given ordered input pair
+// always lands on the same shard (so the singleflight dedup and cache
+// locality of internal/query keep working per shard). The ring places
+// a pair by a CRC-32C of its bytes (place), not by the SHA-256 content
+// key: that key is the engine's kernel identity, computed on the shard
+// only when a kernel is looked up, so a score the banded path answers
+// never pays for it. Per-tenant quotas layer on top of the per-shard
+// MaxQueue/Deadline/retry/shed machinery: the engine bound protects the
+// process, the tenant bound protects tenants from each other.
 //
 // The tier degrades rather than fails: a shard killed by chaos
 // (chaos.PointShard) or marked unhealthy is routed around by walking
@@ -38,7 +38,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/obs"
 	"semilocal/internal/query"
-	"semilocal/internal/store"
 )
 
 // MaxShards bounds Config.Shards: the ring's failover walk tracks
@@ -204,19 +203,21 @@ func (s *Server) ShardStats(i int) map[string]int64 {
 // summary (sorted names), mirroring Engine.StatsLine.
 func (s *Server) StatsLine() string { return obs.StatsLine(s.Stats()) }
 
-// route picks the shard for content key key: its home shard on the
-// ring, or — when chaos killed it for this arrival or it is marked down
-// — the next healthy shard clockwise. The reroute is the tier's
-// degraded mode: colder cache, identical answers.
-func (s *Server) route(key store.Key) (*shardSlot, error) {
+// route picks the shard for the ordered pair (a, b): the home shard of
+// its placement on the ring, or — when chaos killed it for this
+// arrival or it is marked down — the next healthy shard clockwise. The
+// reroute is the tier's degraded mode: colder cache, identical answers.
+// The route span includes the placement hash.
+func (s *Server) route(a, b []byte) (*shardSlot, error) {
 	rsp := s.rec.Start(obs.StageServerRoute)
 	defer rsp.End()
+	pos := place(a, b)
 	killed := -1
 	if s.inj.Fire(chaos.PointShard) == chaos.FaultError {
-		killed = s.ring.lookup(key)
+		killed = s.ring.lookup(pos)
 	}
 	home := -1
-	id, ok := s.ring.walk(key, func(sh int) bool {
+	id, ok := s.ring.walk(pos, func(sh int) bool {
 		if home == -1 {
 			home = sh
 		}
@@ -239,14 +240,14 @@ type routedReq struct {
 
 // solveRouted routes each request to its shard, runs the per-shard
 // sub-batches concurrently (shards are independent engines), and
-// scatters answers back into results by original index. Each pair is
-// hashed once: the keyed request carries its content key on into the
-// shard's cache and store.
+// scatters answers back into results by original index. Routing
+// computes no content key: the shard's engine keys a request only when
+// it looks up a kernel, so a banded answer is never SHA-256-hashed and
+// a kernel request is hashed once, on the engine worker.
 func (s *Server) solveRouted(ctx context.Context, reqs []routedReq, results []WireResult) {
 	groups := make([][]routedReq, len(s.shards))
 	for _, rr := range reqs {
-		rr.req = rr.req.WithKey()
-		slot, err := s.route(rr.req.Key())
+		slot, err := s.route(rr.req.A, rr.req.B)
 		if err != nil {
 			results[rr.idx] = WireResult{Shard: -1, Error: err.Error(), ErrorKind: errorKind(err)}
 			continue
@@ -321,7 +322,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves POST /v1/stream: the pattern set — one pattern
 // (pattern/pattern64) or several (patterns/patterns64) — opens one
-// session group on the shard owning the set's content hash, and the
+// session group on the shard owning the set's placement, and the
 // whole op script runs against it in order. A single pattern is a group
 // of one. A failed mutation reports in its slot and touched no spine, so
 // later ops still answer against a consistent generation — the same
@@ -359,7 +360,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tenants.release(sr.Tenant, n)
 
-	slot, err := s.route(store.KeyOf(groupRouteKey(patterns), nil))
+	slot, err := s.route(groupRouteKey(patterns), nil)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
@@ -430,7 +431,8 @@ func (s *Server) streamPatterns(sr StreamRequest) ([][]byte, error) {
 
 // groupRouteKey frames the pattern set into one routing key: each
 // pattern length-prefixed, so distinct sets never collide by
-// concatenation. The whole group lives on this key's home shard.
+// concatenation. The whole group lives on the home shard of the key's
+// placement, place(key, nil) — the same function that places pairs.
 func groupRouteKey(patterns [][]byte) []byte {
 	key := make([]byte, 0, 4*len(patterns)+64)
 	for _, p := range patterns {

@@ -450,31 +450,89 @@ func TestServerRebalanceDrill(t *testing.T) {
 	// Ring-level rebalance property on this tier's own ring: the health
 	// toggle above is routing-equivalent to this remove/add pair.
 	rng := rand.New(rand.NewSource(0x11aa))
-	keys := randKeys(rng, 4000)
+	pos := randPlacements(rng, 4000)
 	removed := s.ring.remove(2)
 	moved := 0
-	for _, k := range keys {
-		was, is := s.ring.lookup(k), removed.lookup(k)
+	for _, p := range pos {
+		was, is := s.ring.lookup(p), removed.lookup(p)
 		if was != is {
 			if was != 2 {
-				t.Fatalf("key on surviving shard moved %d → %d on removal of shard 2", was, is)
+				t.Fatalf("placement on surviving shard moved %d → %d on removal of shard 2", was, is)
 			}
 			moved++
 		} else if was == 2 {
-			t.Fatal("key still maps to the removed shard")
+			t.Fatal("placement still maps to the removed shard")
 		}
 	}
 	if moved == 0 {
-		t.Fatal("removing a shard moved no keys")
+		t.Fatal("removing a shard moved no placements")
 	}
-	if moved > len(keys)/2 {
-		t.Errorf("removing 1 of 4 shards moved %d/%d keys, want ≤ half", moved, len(keys))
+	if moved > len(pos)/2 {
+		t.Errorf("removing 1 of 4 shards moved %d/%d placements, want ≤ half", moved, len(pos))
 	}
 	rejoined := removed.add(2)
-	for _, k := range keys {
-		if rejoined.lookup(k) != s.ring.lookup(k) {
+	for _, p := range pos {
+		if rejoined.lookup(p) != s.ring.lookup(p) {
 			t.Fatal("re-adding the shard did not restore the original assignment")
 		}
+	}
+}
+
+// TestPlacementDeterministic pins placement as a pure function of the
+// ordered pair: two fresh tiers given the same mixed batch — score
+// requests the banded path answers, kernel queries, and every pair also
+// swapped to (b, a) — put each request on the same shard, that shard is
+// the home of place(a, b) on the ring, and every answer matches the
+// plain-engine oracle.
+func TestPlacementDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x11ac))
+	var wire []WireRequest
+	var direct []query.Request
+	add := func(a, b, kind string, from, to, width int) {
+		k, err := query.ParseKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, WireRequest{A: a, B: b, Kind: kind, From: from, To: to, Width: width})
+		direct = append(direct, query.Request{A: []byte(a), B: []byte(b), Kind: k, From: from, To: to, Width: width})
+	}
+	for i := 0; i < 6; i++ {
+		a, b := nearPair(rng, 1500, 3)
+		for _, p := range [][2]string{{a, b}, {b, a}} {
+			add(p[0], p[1], "score", 0, 0, 0)
+			add(p[0][:120], p[1][:100], "string-substring", 10, 90, 0)
+			add(p[0][:120], p[1][:100], "windows", 0, 0, 32)
+		}
+	}
+	want := directOracle(t, direct)
+
+	var shards [2][]int
+	for run := range shards {
+		s, err := New(Config{Shards: 4, Engine: query.Options{Workers: 2, Banded: query.BandedConfig{Enabled: true}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp BatchResponse
+		serveJSON(t, s, "/v1/batch", BatchRequest{Requests: wire}, &resp)
+		for i, r := range resp.Results {
+			if r.Error != "" {
+				t.Fatalf("run %d request %d failed: %s (%s)", run, i, r.Error, r.ErrorKind)
+			}
+			if !sameAnswer(r, want[i]) {
+				t.Errorf("run %d request %d: answer %+v != oracle %+v", run, i, r, want[i])
+			}
+			if home := s.ring.lookup(place(direct[i].A, direct[i].B)); r.Shard != home {
+				t.Errorf("run %d request %d: shard %d, want the placement's home %d", run, i, r.Shard, home)
+			}
+			shards[run] = append(shards[run], r.Shard)
+		}
+		if got := s.Stats()["requests_banded"]; got == 0 {
+			t.Errorf("run %d: no score request was answered on the banded path", run)
+		}
+		s.Close()
+	}
+	if !reflect.DeepEqual(shards[0], shards[1]) {
+		t.Errorf("fresh tiers placed the batch differently:\n%v\n%v", shards[0], shards[1])
 	}
 }
 

@@ -76,7 +76,7 @@ type BatchResponse struct {
 
 // StreamRequest is the body of POST /v1/stream: one op script executed
 // in order against a session group over the pattern set, on the shard
-// owning the length-framed patterns' content hash. Every append/slide
+// owning the length-framed patterns' placement. Every append/slide
 // mutates all pattern spines in lockstep with the chunk's text-side
 // work shared across patterns, and query ops address a pattern by
 // index via WireOp.Pat.

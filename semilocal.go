@@ -488,8 +488,8 @@ const (
 	CounterStoreCorrupt = obs.CounterStoreCorrupt // store_corrupt_records
 )
 
-// Network serving tier: N engine shards behind consistent hashing on
-// the kernel-cache content key, fronted by an HTTP/JSON API (batch
+// Network serving tier: N engine shards behind a consistent-hash ring
+// placing each ordered pair, fronted by an HTTP/JSON API (batch
 // solves and query families on /v1/batch, streaming op scripts on
 // /v1/stream, Prometheus text on /metrics, liveness on /healthz).
 // Because kernels are config-invariant, every shard answers every pair
@@ -527,7 +527,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Serving-tier stages and counters for StageRecorder consumers.
 const (
 	StageServerRequest    = obs.StageServerRequest    // one HTTP call end to end
-	StageServerRoute      = obs.StageServerRoute      // ring lookup + failover walk
+	StageServerRoute      = obs.StageServerRoute      // placement + ring lookup + failover walk
 	CounterServerRequests = obs.CounterServerRequests // server_requests
 	CounterServerReroutes = obs.CounterServerReroutes // server_reroutes
 	CounterTenantRejects  = obs.CounterTenantRejects  // tenant_rejects
