@@ -77,6 +77,7 @@ FUZZ_TARGETS := \
 	FuzzStreamGroup:./internal/stream \
 	FuzzComposeB:./internal/stream \
 	FuzzBandedDistance:./internal/banded \
+	FuzzProbeBand:./internal/banded \
 	FuzzKernelRoundtrip:./internal/core \
 	FuzzStoreOpen:./internal/store \
 	FuzzServerRequest:./internal/server \

@@ -36,13 +36,7 @@ func nearPair(r *rand.Rand, n, edits int) (string, string) {
 // request is answered by the banded BFS, so the call is decode, route,
 // probe, BFS and encode — no kernel, and so no content key.
 func BenchmarkHandleBatchNear(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	var br BatchRequest
-	for i := 0; i < 4; i++ {
-		a, bb := nearPair(r, 32768, 16)
-		br.Requests = append(br.Requests, WireRequest{A: a, B: bb, Kind: "score"})
-	}
-	body, err := json.Marshal(br)
+	body, err := json.Marshal(nearBatch(rand.New(rand.NewSource(1)), false))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -107,15 +107,15 @@ func FuzzServerRequest(f *testing.F) {
 			}
 			return
 		}
-		var br BatchRequest
+		var bc batchCall
 		var resp BatchResponse
 		if err := json.Unmarshal(raw, &resp); err != nil {
 			t.Fatalf("200 batch response undecodable: %v", err)
 		}
 		// The request decoded (we got a 200), so alignment must hold.
-		if err := decodeRequest(body, &br); err == nil {
-			if len(resp.Results) != len(br.Requests) {
-				t.Fatalf("alignment broken: %d requests, %d results", len(br.Requests), len(resp.Results))
+		if err := decodeRequest(body, &bc); err == nil {
+			if len(resp.Results) != len(bc.reqs) {
+				t.Fatalf("alignment broken: %d requests, %d results", len(bc.reqs), len(resp.Results))
 			}
 		}
 		for _, r := range resp.Results {
@@ -131,8 +131,10 @@ func FuzzServerRequest(f *testing.F) {
 
 // FuzzDecodeRequest is the differential wall behind the single-pass
 // decoder: whenever it accepts a body, encoding/json (with unknown
-// fields disallowed and no trailing data) must accept the same bytes
-// and decode the same value, down to "[]" being an empty non-nil slice.
+// fields disallowed and no trailing data) must accept the same bytes,
+// and the fallback's copy of its value into the handler's decoded form
+// must equal the canonical decode, down to "[]" being an empty non-nil
+// slice.
 // The seeds sit on the subset's borders: escapes, non-ASCII and invalid
 // UTF-8 text, case-folded and repeated keys, null, non-canonical
 // numbers, trailing brackets and every kind of JSON whitespace.
@@ -169,14 +171,14 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(s.body), s.stream)
 	}
 	f.Fuzz(func(t *testing.T, body []byte, stream bool) {
-		fast, ref := any(new(BatchRequest)), any(new(BatchRequest))
+		fast, ref := any(new(batchCall)), any(new(batchCall))
 		if stream {
-			fast, ref = new(StreamRequest), new(StreamRequest)
+			fast, ref = new(streamCall), new(streamCall)
 		}
 		if !decodeCanonical(body, fast) {
 			return
 		}
-		if err := decodeJSON(body, ref); err != nil {
+		if err := decodeFallback(body, ref); err != nil {
 			t.Fatalf("canonical decoder accepted %q, encoding/json rejects it: %v", body, err)
 		}
 		if !reflect.DeepEqual(fast, ref) {

@@ -4,15 +4,16 @@
 // query families on /v1/batch, streaming op scripts on /v1/stream,
 // Prometheus text on /metrics, liveness on /healthz).
 //
-// Sharding scales both cache capacity and solve throughput
-// horizontally in one process: every shard owns its own LRU session
-// cache, worker pool, and counters, and a given ordered input pair
-// always lands on the same shard (so the singleflight dedup and cache
-// locality of internal/query keep working per shard). The ring places
-// a pair by a CRC-32C of its bytes (place), not by the SHA-256 content
-// key: that key is the engine's kernel identity, computed on the shard
-// only when a kernel is looked up, so a score the banded path answers
-// never pays for it. Per-tenant quotas layer on top of the per-shard
+// Sharding scales cache capacity in one process: every shard owns its
+// own LRU session cache, worker pool, and counters, and a given ordered
+// input pair always lands on the same shard (so the singleflight dedup
+// and cache locality of internal/query keep working per shard). It adds
+// no CPU, as the shards share the process's cores: the gain measured
+// for more shards is that of the larger aggregate cache (EXPERIMENTS.md,
+// "Sharded serving tier"). The ring places a pair by a CRC-32C of its
+// bytes (place), not by the SHA-256 content key: that key is the
+// engine's kernel identity, computed on the shard only when a kernel is
+// looked up, so a score the banded path answers never pays for it. Per-tenant quotas layer on top of the per-shard
 // MaxQueue/Deadline/retry/shed machinery: the engine bound protects the
 // process, the tenant bound protects tenants from each other.
 //
@@ -26,7 +27,6 @@ package server
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -279,27 +279,27 @@ func (s *Server) solveRouted(ctx context.Context, reqs []routedReq, results []Wi
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start(obs.StageServerRequest)
 	defer sp.End()
-	var br BatchRequest
-	if !s.readRequest(w, r, &br) {
+	var bc batchCall
+	if !s.readRequest(w, r, &bc) {
 		return
 	}
-	if !validTenant(br.Tenant) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: invalid tenant %q", br.Tenant))
+	if !validTenant(bc.tenant) {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: invalid tenant %q", bc.tenant))
 		return
 	}
-	if len(br.Requests) > s.maxBatch {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: batch of %d exceeds limit %d", len(br.Requests), s.maxBatch))
+	if len(bc.reqs) > s.maxBatch {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: batch of %d exceeds limit %d", len(bc.reqs), s.maxBatch))
 		return
 	}
-	n := len(br.Requests)
+	n := len(bc.reqs)
 	s.ctr.Add(obs.CounterServerRequests, int64(n))
 	results := make([]WireResult, n)
 
 	// Tenant admission at arrival, mirroring the engine's MaxQueue
 	// semantics: the head of the batch takes the free quota, the tail is
 	// rejected typed. Slots are held until the batch answers.
-	admitted := s.tenants.admit(br.Tenant, n)
-	defer s.tenants.release(br.Tenant, admitted)
+	admitted := s.tenants.admit(bc.tenant, n)
+	defer s.tenants.release(bc.tenant, admitted)
 	if admitted < n {
 		s.ctr.Add(obs.CounterTenantRejects, int64(n-admitted))
 		for i := admitted; i < n; i++ {
@@ -309,7 +309,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	routed := make([]routedReq, 0, admitted)
 	for i := 0; i < admitted; i++ {
-		req, err := toEngineRequest(br.Requests[i], s.maxPair)
+		req, err := toEngineRequest(bc.reqs[i], s.maxPair)
 		if err != nil {
 			results[i] = WireResult{Shard: -1, Error: err.Error(), ErrorKind: errorKind(err)}
 			continue
@@ -330,35 +330,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sp := s.rec.Start(obs.StageServerRequest)
 	defer sp.End()
-	var sr StreamRequest
-	if !s.readRequest(w, r, &sr) {
+	var sc streamCall
+	if !s.readRequest(w, r, &sc) {
 		return
 	}
-	if !validTenant(sr.Tenant) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: invalid tenant %q", sr.Tenant))
+	if !validTenant(sc.tenant) {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: invalid tenant %q", sc.tenant))
 		return
 	}
-	if len(sr.Ops) > s.maxBatch {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: script of %d ops exceeds limit %d", len(sr.Ops), s.maxBatch))
+	if len(sc.ops) > s.maxBatch {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: script of %d ops exceeds limit %d", len(sc.ops), s.maxBatch))
 		return
 	}
-	patterns, err := s.streamPatterns(sr)
+	patterns, err := s.streamPatterns(sc)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	n := len(sr.Ops)
+	n := len(sc.ops)
 	s.ctr.Add(obs.CounterServerRequests, int64(n))
 
 	// Stream scripts admit all-or-nothing: ops are stateful and ordered,
 	// so shedding a prefix would corrupt the meaning of the suffix.
-	if admitted := s.tenants.admit(sr.Tenant, n); admitted < n {
-		s.tenants.release(sr.Tenant, admitted)
+	if admitted := s.tenants.admit(sc.tenant, n); admitted < n {
+		s.tenants.release(sc.tenant, admitted)
 		s.ctr.Add(obs.CounterTenantRejects, int64(n))
 		httpError(w, http.StatusTooManyRequests, ErrTenantQuota.Error())
 		return
 	}
-	defer s.tenants.release(sr.Tenant, n)
+	defer s.tenants.release(sc.tenant, n)
 
 	slot, err := s.route(groupRouteKey(patterns), nil)
 	if err != nil {
@@ -372,7 +372,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]StreamOpResult, n)
 	ctx := r.Context()
-	for i, op := range sr.Ops {
+	for i, op := range sc.ops {
 		results[i] = s.streamGroupOp(ctx, sg, op)
 	}
 	writeJSON(w, http.StatusOK, StreamResponse{
@@ -387,29 +387,28 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // request: one spelling only, at most maxBatch patterns, and at most
 // maxPair total pattern bytes (group leaf work per append scales with
 // the distinct pattern mass, so the wire bounds it like an input pair).
-// A lone pattern/pattern64 is the one-element set.
-func (s *Server) streamPatterns(sr StreamRequest) ([][]byte, error) {
+// A lone pattern/pattern64 is the one-element set. Text patterns come
+// back as decoded (sub-slices of the body on the canonical path);
+// base64 ones are decoded into a fresh buffer each.
+func (s *Server) streamPatterns(sc streamCall) ([][]byte, error) {
 	var patterns [][]byte
 	switch {
-	case len(sr.Patterns) == 0 && len(sr.Patterns64) == 0:
-		p, err := pairBytes(sr.Pattern, sr.Pattern64, "pattern")
+	case len(sc.patterns) == 0 && len(sc.patterns64) == 0:
+		p, err := pairBytes(sc.pattern, sc.pattern64, "pattern")
 		if err != nil {
 			return nil, err
 		}
 		patterns = [][]byte{p}
-	case sr.Pattern != "" || sr.Pattern64 != "":
+	case len(sc.pattern) > 0 || len(sc.pattern64) > 0:
 		return nil, errors.New("server: both pattern and patterns set")
-	case len(sr.Patterns) > 0 && len(sr.Patterns64) > 0:
+	case len(sc.patterns) > 0 && len(sc.patterns64) > 0:
 		return nil, errors.New("server: both patterns and patterns64 set")
-	case len(sr.Patterns) > 0:
-		patterns = make([][]byte, len(sr.Patterns))
-		for i, p := range sr.Patterns {
-			patterns[i] = []byte(p)
-		}
+	case len(sc.patterns) > 0:
+		patterns = sc.patterns
 	default:
-		patterns = make([][]byte, len(sr.Patterns64))
-		for i, p64 := range sr.Patterns64 {
-			raw, err := base64.StdEncoding.DecodeString(p64)
+		patterns = make([][]byte, len(sc.patterns64))
+		for i, p64 := range sc.patterns64 {
+			raw, err := decode64(p64)
 			if err != nil {
 				return nil, fmt.Errorf("server: bad patterns64[%d]: %w", i, err)
 			}
@@ -443,13 +442,13 @@ func groupRouteKey(patterns [][]byte) []byte {
 }
 
 // streamGroupOp executes one op against the session group.
-func (s *Server) streamGroupOp(ctx context.Context, sg *query.StreamGroup, op WireOp) StreamOpResult {
+func (s *Server) streamGroupOp(ctx context.Context, sg *query.StreamGroup, op callOp) StreamOpResult {
 	fail := func(err error) StreamOpResult {
 		return StreamOpResult{Error: err.Error(), ErrorKind: errorKind(err)}
 	}
-	switch op.Op {
+	switch op.op {
 	case "append":
-		chunk, err := pairBytes(op.Chunk, op.Chunk64, "chunk")
+		chunk, err := pairBytes(op.chunk, op.chunk64, "chunk")
 		if err != nil {
 			return fail(err)
 		}
@@ -460,28 +459,28 @@ func (s *Server) streamGroupOp(ctx context.Context, sg *query.StreamGroup, op Wi
 			return fail(err)
 		}
 	case "slide":
-		if err := sg.Slide(ctx, op.N); err != nil {
+		if err := sg.Slide(ctx, op.n); err != nil {
 			return fail(err)
 		}
 	case "query":
-		if op.Pat < 0 || op.Pat >= sg.Patterns() {
-			return fail(fmt.Errorf("server: pattern index %d out of range (%d patterns)", op.Pat, sg.Patterns()))
+		if op.pat < 0 || op.pat >= sg.Patterns() {
+			return fail(fmt.Errorf("server: pattern index %d out of range (%d patterns)", op.pat, sg.Patterns()))
 		}
-		kind, err := query.ParseKind(op.Kind)
+		kind, err := query.ParseKind(op.kind)
 		if err != nil {
 			return fail(err)
 		}
-		res := sg.Query(op.Pat, query.Request{Kind: kind, From: op.From, To: op.To, Width: op.Width})
+		res := sg.Query(op.pat, query.Request{Kind: kind, From: op.from, To: op.to, Width: op.width})
 		if res.Err != nil {
 			return fail(res.Err)
 		}
 		return StreamOpResult{
-			Pat:   op.Pat,
+			Pat:   op.pat,
 			Score: res.Score, From: res.From, Windows: res.Windows,
 			Gen: sg.Generation(), Window: sg.Window(), Leaves: sg.Leaves(),
 		}
 	default:
-		return fail(fmt.Errorf("server: unknown op %q (want append, slide or query)", op.Op))
+		return fail(fmt.Errorf("server: unknown op %q (want append, slide or query)", op.op))
 	}
 	return StreamOpResult{Gen: sg.Generation(), Window: sg.Window(), Leaves: sg.Leaves()}
 }

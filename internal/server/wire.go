@@ -152,7 +152,9 @@ const (
 
 // readBody reads a whole request body, presized from its declared
 // length (capped at limit, so a client cannot make the server reserve
-// more than it would accept).
+// more than it would accept). The buffer it returns belongs to the
+// handler for the whole call, and nothing writes to it after the read:
+// the decoded call's text inputs are sub-slices of it (see batchCall).
 func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	if declared < 0 || declared > limit {
 		declared = 0
@@ -162,23 +164,151 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// batchCall is a decoded /v1/batch body: the one form the handler
+// validates (toEngineRequest), whichever decoder produced it.
+//
+// Body ownership. On the canonical path every text input (a, b,
+// pattern, patterns, chunk) is a sub-slice of the request body, cut
+// with a full slice expression so that its capacity ends at its length
+// and no append downstream can write into the body. A base64 spelling
+// holds the body's base64 text until toEngineRequest or streamPatterns
+// decodes it into one fresh buffer. The body is never written after
+// readBody, and whatever outlives the call copies its inputs (a kernel
+// solve that outlives its request clones the pair; a stream group
+// copies its patterns and keeps no chunk), so the aliases are valid for
+// the whole call. The encoding/json fallback copies each string once
+// into the same form (batchCallOf, streamCallOf).
+type batchCall struct {
+	tenant string
+	reqs   []callRequest
+}
+
+// callRequest is one WireRequest with its inputs as bytes; an absent
+// or empty input is nil.
+type callRequest struct {
+	a, b, a64, b64  []byte
+	kind            string
+	from, to, width int
+	timeoutMS       int64
+}
+
+// streamCall is a decoded /v1/stream body; see batchCall.
+type streamCall struct {
+	tenant               string
+	pattern, pattern64   []byte
+	patterns, patterns64 [][]byte
+	ops                  []callOp
+}
+
+// callOp is one WireOp with its chunk as bytes.
+type callOp struct {
+	op              string
+	chunk, chunk64  []byte
+	n, pat          int
+	kind            string
+	from, to, width int
+}
+
+// batchCallOf copies a batch body decoded by encoding/json into the
+// decoded form, one copy per input.
+func batchCallOf(br BatchRequest) batchCall {
+	bc := batchCall{tenant: br.Tenant}
+	if br.Requests != nil {
+		bc.reqs = make([]callRequest, len(br.Requests))
+	}
+	for i, w := range br.Requests {
+		bc.reqs[i] = callRequest{
+			a: bytesOf(w.A), b: bytesOf(w.B), a64: bytesOf(w.A64), b64: bytesOf(w.B64),
+			kind: w.Kind, from: w.From, to: w.To, width: w.Width, timeoutMS: w.TimeoutMS,
+		}
+	}
+	return bc
+}
+
+// streamCallOf copies a stream body decoded by encoding/json into the
+// decoded form, one copy per input.
+func streamCallOf(sr StreamRequest) streamCall {
+	sc := streamCall{
+		tenant:  sr.Tenant,
+		pattern: bytesOf(sr.Pattern), pattern64: bytesOf(sr.Pattern64),
+		patterns: bytesList(sr.Patterns), patterns64: bytesList(sr.Patterns64),
+	}
+	if sr.Ops != nil {
+		sc.ops = make([]callOp, len(sr.Ops))
+	}
+	for i, op := range sr.Ops {
+		sc.ops[i] = callOp{
+			op: op.Op, chunk: bytesOf(op.Chunk), chunk64: bytesOf(op.Chunk64),
+			n: op.N, pat: op.Pat, kind: op.Kind, from: op.From, to: op.To, width: op.Width,
+		}
+	}
+	return sc
+}
+
+// bytesOf copies s, with "" as nil, as the canonical decoder reads it.
+func bytesOf(s string) []byte {
+	if s == "" {
+		return nil
+	}
+	return []byte(s)
+}
+
+// bytesList copies ss element by element; a nil list stays nil and
+// "[]" stays empty, as encoding/json decodes them.
+func bytesList(ss []string) [][]byte {
+	if ss == nil {
+		return nil
+	}
+	out := make([][]byte, len(ss))
+	for i, s := range ss {
+		out[i] = bytesOf(s)
+	}
+	return out
+}
+
 // decodeRequest strictly decodes one whole request body into v, a
-// *BatchRequest or *StreamRequest: unknown fields and anything but
-// JSON whitespace after the value are errors, so a malformed request
-// can never silently half-parse (FuzzServerRequest leans on this).
+// *batchCall or *streamCall: unknown fields and anything but JSON
+// whitespace after the value are errors, so a malformed request can
+// never silently half-parse (FuzzServerRequest leans on this).
 //
 // A body in the canonical subset that json.Marshal emits takes one
-// pass (decodeCanonical). Every other body goes to encoding/json
-// (decodeJSON), which alone handles escapes, non-ASCII text, null,
-// case-folded keys and repeated keys, where its semantics are subtle
-// (U+FFFD substitution, slice elements reused when a key repeats). The
-// choice is made by the input alone; both paths agree on every body
-// the canonical one accepts (FuzzDecodeRequest pins this).
+// pass (decodeCanonical), and its text inputs alias body. Every other
+// body goes to encoding/json and is copied into the same form
+// (decodeFallback): encoding/json alone handles escapes, non-ASCII
+// text, null, case-folded keys and repeated keys, where its semantics
+// are subtle (U+FFFD substitution, slice elements reused when a key
+// repeats). The choice is made by the input alone; both paths agree
+// on every body the canonical one accepts (FuzzDecodeRequest pins
+// this).
 func decodeRequest(body []byte, v any) error {
 	if decodeCanonical(body, v) {
 		return nil
 	}
-	return decodeJSON(body, v)
+	return decodeFallback(body, v)
+}
+
+// decodeFallback decodes body into v (a *batchCall or *streamCall)
+// through the wire type encoding/json fills, copying each input once.
+func decodeFallback(body []byte, v any) error {
+	switch v := v.(type) {
+	case *batchCall:
+		var br BatchRequest
+		if err := decodeJSON(body, &br); err != nil {
+			return err
+		}
+		*v = batchCallOf(br)
+	case *streamCall:
+		var sr StreamRequest
+		if err := decodeJSON(body, &sr); err != nil {
+			return err
+		}
+		*v = streamCallOf(sr)
+	default:
+		// v is not formatted here: that would move every caller's
+		// decoded call to the heap.
+		return errors.New("server: request decoded into an unknown type")
+	}
+	return nil
 }
 
 // decodeJSON decodes body into v with encoding/json, disallowing
@@ -196,9 +326,9 @@ func decodeJSON(body []byte, v any) error {
 	return nil
 }
 
-// decodeCanonical decodes body into v (a *BatchRequest or
-// *StreamRequest) if the body lies in the canonical subset, reporting
-// whether it did; v is untouched otherwise. The subset is:
+// decodeCanonical decodes body into v (a *batchCall or *streamCall)
+// if the body lies in the canonical subset, reporting whether it did;
+// v is untouched otherwise. The subset is:
 //   - exact lowercase field tags, each at most once per object;
 //   - strings with no byte below 0x20, no backslash and no byte ≥ 0x80;
 //   - integers matching -?(0|[1-9][0-9]*) that fit their Go field;
@@ -209,18 +339,18 @@ func decodeJSON(body []byte, v any) error {
 func decodeCanonical(body []byte, v any) bool {
 	c := canon{buf: body}
 	switch v := v.(type) {
-	case *BatchRequest:
-		var br BatchRequest
-		if !c.batch(&br) || !c.end() {
+	case *batchCall:
+		var bc batchCall
+		if !c.batch(&bc) || !c.end() {
 			return false
 		}
-		*v = br
-	case *StreamRequest:
-		var sr StreamRequest
-		if !c.stream(&sr) || !c.end() {
+		*v = bc
+	case *streamCall:
+		var sc streamCall
+		if !c.stream(&sc) || !c.end() {
 			return false
 		}
-		*v = sr
+		*v = sc
 	default:
 		return false
 	}
@@ -243,95 +373,102 @@ var (
 	opFields      = []string{"op", "chunk", "chunk64", "n", "pat", "kind", "from", "to", "width"}
 )
 
-func (c *canon) batch(br *BatchRequest) bool {
+// wireNames are the query kind and stream op names. canon.name returns
+// these constants instead of copying a known name out of the body.
+var wireNames = [...]string{
+	"score", "string-substring", "substring-string", "suffix-prefix", "prefix-suffix", "windows", "best-window",
+	"append", "slide", "query",
+}
+
+func (c *canon) batch(bc *batchCall) bool {
 	return c.object(batchFields, func(field string) bool {
 		switch field {
 		case "tenant":
-			return c.str(&br.Tenant)
+			return c.str(&bc.tenant)
 		case "requests":
-			br.Requests = []WireRequest{}
+			bc.reqs = []callRequest{}
 			return c.array(func() bool {
-				br.Requests = append(br.Requests, WireRequest{})
-				return c.request(&br.Requests[len(br.Requests)-1])
+				bc.reqs = append(bc.reqs, callRequest{})
+				return c.request(&bc.reqs[len(bc.reqs)-1])
 			})
 		}
 		return false
 	})
 }
 
-func (c *canon) request(w *WireRequest) bool {
+func (c *canon) request(w *callRequest) bool {
 	return c.object(requestFields, func(field string) bool {
 		switch field {
 		case "a":
-			return c.str(&w.A)
+			return c.text(&w.a)
 		case "b":
-			return c.str(&w.B)
+			return c.text(&w.b)
 		case "a64":
-			return c.str(&w.A64)
+			return c.text(&w.a64)
 		case "b64":
-			return c.str(&w.B64)
+			return c.text(&w.b64)
 		case "kind":
-			return c.str(&w.Kind)
+			return c.name(&w.kind)
 		case "from":
-			return c.int(&w.From)
+			return c.int(&w.from)
 		case "to":
-			return c.int(&w.To)
+			return c.int(&w.to)
 		case "width":
-			return c.int(&w.Width)
+			return c.int(&w.width)
 		case "timeout_ms":
 			n, ok := c.integer(64)
-			w.TimeoutMS = n
+			w.timeoutMS = n
 			return ok
 		}
 		return false
 	})
 }
 
-func (c *canon) stream(sr *StreamRequest) bool {
+func (c *canon) stream(sc *streamCall) bool {
 	return c.object(streamFields, func(field string) bool {
 		switch field {
 		case "tenant":
-			return c.str(&sr.Tenant)
+			return c.str(&sc.tenant)
 		case "pattern":
-			return c.str(&sr.Pattern)
+			return c.text(&sc.pattern)
 		case "pattern64":
-			return c.str(&sr.Pattern64)
+			return c.text(&sc.pattern64)
 		case "patterns":
-			return c.strs(&sr.Patterns)
+			return c.texts(&sc.patterns)
 		case "patterns64":
-			return c.strs(&sr.Patterns64)
+			return c.texts(&sc.patterns64)
 		case "ops":
-			sr.Ops = []WireOp{}
+			sc.ops = []callOp{}
 			return c.array(func() bool {
-				sr.Ops = append(sr.Ops, WireOp{})
-				return c.op(&sr.Ops[len(sr.Ops)-1])
+				sc.ops = append(sc.ops, callOp{})
+				return c.op(&sc.ops[len(sc.ops)-1])
 			})
 		}
 		return false
 	})
 }
 
-func (c *canon) op(op *WireOp) bool {
+func (c *canon) op(op *callOp) bool {
 	return c.object(opFields, func(field string) bool {
 		switch field {
 		case "op":
-			return c.str(&op.Op)
+			return c.name(&op.op)
 		case "chunk":
-			return c.str(&op.Chunk)
+			return c.text(&op.chunk)
 		case "chunk64":
-			return c.str(&op.Chunk64)
+			return c.text(&op.chunk64)
 		case "n":
-			return c.int(&op.N)
+			return c.int(&op.n)
 		case "pat":
-			return c.int(&op.Pat)
+			return c.int(&op.pat)
 		case "kind":
-			return c.str(&op.Kind)
+			return c.name(&op.kind)
 		case "from":
-			return c.int(&op.From)
+			return c.int(&op.from)
 		case "to":
-			return c.int(&op.To)
+			return c.int(&op.to)
 		case "width":
-			return c.int(&op.Width)
+			return c.int(&op.width)
 		}
 		return false
 	})
@@ -384,19 +521,45 @@ func (c *canon) array(elem func() bool) bool {
 	}
 }
 
-// strs reads an array of strings.
-func (c *canon) strs(p *[]string) bool {
-	*p = []string{}
+// texts reads an array of strings as sub-slices of the body.
+func (c *canon) texts(p *[][]byte) bool {
+	*p = [][]byte{}
 	return c.array(func() bool {
-		var s string
-		ok := c.str(&s)
+		var s []byte
+		ok := c.text(&s)
 		*p = append(*p, s)
 		return ok
 	})
 }
 
+// text reads a string as a sub-slice of the body (see raw), or nil
+// when it is empty.
+func (c *canon) text(p *[]byte) bool {
+	raw, ok := c.raw()
+	if len(raw) == 0 {
+		raw = nil
+	}
+	*p = raw
+	return ok
+}
+
+// str reads a string into a fresh copy.
 func (c *canon) str(p *string) bool {
 	raw, ok := c.raw()
+	*p = string(raw)
+	return ok
+}
+
+// name reads a string that is usually one of wireNames, copying it
+// only when it is not.
+func (c *canon) name(p *string) bool {
+	raw, ok := c.raw()
+	for _, n := range wireNames {
+		if string(raw) == n {
+			*p = n
+			return ok
+		}
+	}
 	*p = string(raw)
 	return ok
 }
@@ -410,36 +573,71 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// raw reads a string's bytes, which alias buf. Request bodies are
-// almost all string bytes, so it skips eight plain bytes at a time.
+// raw reads a string's bytes as a sub-slice of buf whose capacity ends
+// at its length, so appending to it cannot write into buf. The closing
+// quote is the first one (bytes.IndexByte); plainRun then checks the
+// bytes before it in one pass.
 func (c *canon) raw() ([]byte, bool) {
 	if !c.punct('"') {
 		return nil, false
 	}
-	buf, start := c.buf, c.pos
-	i := start
-	for i+8 <= len(buf) && !special(binary.LittleEndian.Uint64(buf[i:])) {
-		i += 8
-	}
-	for i < len(buf) && plain[buf[i]] {
-		i++
-	}
-	if i == len(buf) || buf[i] != '"' {
+	start := c.pos
+	n := bytes.IndexByte(c.buf[start:], '"')
+	if n < 0 {
 		return nil, false
 	}
-	c.pos = i + 1
-	return buf[start:i], true
+	end := start + n
+	s := c.buf[start:end:end]
+	if !plainRun(s) {
+		return nil, false
+	}
+	c.pos = end + 1
+	return s, true
 }
 
-// special reports whether any of the eight bytes in x is not plain: a
-// control byte, a quote, a backslash or a byte ≥ 0x80. (v-ones)&^v has
-// a byte's high bit set where that byte of v is zero, and only above
-// the first such byte otherwise.
-func special(x uint64) bool {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	quote, slash := x^(ones*'"'), x^(ones*'\\')
-	ctl := (x - ones*0x20) & ^x
-	return (ctl|(quote-ones)&^quote|(slash-ones)&^slash|x)&highs != 0
+// plainRun reports whether every byte of s, which holds no quote, is
+// plain. Request bodies are almost all string bytes, so it ORs the
+// unplain terms of four words together and branches once per 32 bytes.
+func plainRun(s []byte) bool {
+	const highs = 0x8080808080808080
+	for len(s) >= 32 {
+		w := s[:32:32]
+		acc := unplain(binary.LittleEndian.Uint64(w[0:8])) |
+			unplain(binary.LittleEndian.Uint64(w[8:16])) |
+			unplain(binary.LittleEndian.Uint64(w[16:24])) |
+			unplain(binary.LittleEndian.Uint64(w[24:32]))
+		if acc&highs != 0 {
+			return false
+		}
+		s = s[32:]
+	}
+	for len(s) >= 8 {
+		if unplain(binary.LittleEndian.Uint64(s))&highs != 0 {
+			return false
+		}
+		s = s[8:]
+	}
+	for _, b := range s {
+		if !plain[b] {
+			return false
+		}
+	}
+	return true
+}
+
+// unplain sets the high bit of every byte of x that is a control
+// byte, a backslash or ≥ 0x80, and perhaps of bytes above the first of
+// them, but of no byte when x holds none: x holds a byte that is not
+// plain exactly when unplain(x)&0x80…80 ≠ 0 (a quote cannot occur, as
+// raw cuts the run at the first). It ORs three terms:
+//   - x−0x20…20 sets a byte's high bit, and borrows from the next, only
+//     at a byte below 0x20 (a byte in [0x20, 0x80) stays below 0x60);
+//   - (v−0x01…01)&^v does the same at each zero byte of v = x^'\'…'\';
+//   - x itself marks the bytes ≥ 0x80.
+func unplain(x uint64) uint64 {
+	const ones = 0x0101010101010101
+	slash := x ^ (ones * '\\')
+	return (x - ones*0x20) | (slash-ones)&^slash | x
 }
 
 func (c *canon) int(p *int) bool {
@@ -501,48 +699,58 @@ func (c *canon) space() {
 	}
 }
 
+// decode64 base64-decodes src into one fresh buffer.
+func decode64(src []byte) ([]byte, error) {
+	dst := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
+	n, err := base64.StdEncoding.Decode(dst, src)
+	return dst[:n], err
+}
+
 // pairBytes resolves one input field given its two spellings, rejecting
-// ambiguous requests that set both.
-func pairBytes(text, b64, name string) ([]byte, error) {
-	if b64 == "" {
-		return []byte(text), nil
+// ambiguous requests that set both. Text comes back as it is (on the
+// canonical path, a sub-slice of the body); base64 is decoded into a
+// fresh buffer.
+func pairBytes(text, b64 []byte, name string) ([]byte, error) {
+	if len(b64) == 0 {
+		return text, nil
 	}
-	if text != "" {
+	if len(text) > 0 {
 		return nil, fmt.Errorf("server: both %s and %s64 set", name, name)
 	}
-	raw, err := base64.StdEncoding.DecodeString(b64)
+	raw, err := decode64(b64)
 	if err != nil {
 		return nil, fmt.Errorf("server: bad %s64: %w", name, err)
 	}
 	return raw, nil
 }
 
-// toEngineRequest validates one wire request into an engine request.
-// maxPair bounds len(a)+len(b): a kernel solve is Θ(len(a)·len(b))
-// work, so the wire must not let one request buy unbounded compute.
-func toEngineRequest(w WireRequest, maxPair int) (query.Request, error) {
-	a, err := pairBytes(w.A, w.A64, "a")
+// toEngineRequest validates one decoded request into an engine
+// request. maxPair bounds len(a)+len(b): a kernel solve is
+// Θ(len(a)·len(b)) work, so the wire must not let one request buy
+// unbounded compute.
+func toEngineRequest(w callRequest, maxPair int) (query.Request, error) {
+	a, err := pairBytes(w.a, w.a64, "a")
 	if err != nil {
 		return query.Request{}, err
 	}
-	b, err := pairBytes(w.B, w.B64, "b")
+	b, err := pairBytes(w.b, w.b64, "b")
 	if err != nil {
 		return query.Request{}, err
 	}
 	if len(a)+len(b) > maxPair {
 		return query.Request{}, fmt.Errorf("server: input pair %d bytes exceeds limit %d: %w", len(a)+len(b), maxPair, errPairTooLarge)
 	}
-	kind, err := query.ParseKind(w.Kind)
+	kind, err := query.ParseKind(w.kind)
 	if err != nil {
 		return query.Request{}, err
 	}
-	if w.TimeoutMS < 0 {
-		return query.Request{}, fmt.Errorf("server: negative timeout_ms %d", w.TimeoutMS)
+	if w.timeoutMS < 0 {
+		return query.Request{}, fmt.Errorf("server: negative timeout_ms %d", w.timeoutMS)
 	}
 	return query.Request{
 		A: a, B: b, Kind: kind,
-		From: w.From, To: w.To, Width: w.Width,
-		Timeout: time.Duration(w.TimeoutMS) * time.Millisecond,
+		From: w.from, To: w.to, Width: w.width,
+		Timeout: time.Duration(w.timeoutMS) * time.Millisecond,
 	}, nil
 }
 
