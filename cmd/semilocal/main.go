@@ -159,7 +159,7 @@ func newFlagSet() (*flag.FlagSet, *cliFlags) {
 	fs.IntVar(&f.bandMaxK, "band-max-k", 0, "with -banded: edit budget of the band (0 = derive from the measured crossover)")
 	fs.StringVar(&f.storeDir, "store-dir", "", "with -serve-batch or -serve-addr: back the kernel cache with a persistent on-disk store in this directory (crash-safe, shared across runs)")
 	fs.StringVar(&f.serveAddr, "serve-addr", "", "run the sharded HTTP serving tier on this address (e.g. :8080) until SIGINT/SIGTERM; the engine flags apply per shard")
-	fs.IntVar(&f.shards, "shards", 0, "with -serve-addr: engine shard count behind the consistent-hash ring (0 = 1)")
+	fs.IntVar(&f.shards, "shards", 0, "with -serve-addr: engine shard count, each ordered pair placed on one by rendezvous hashing (0 = 1)")
 	fs.IntVar(&f.tenantQuota, "tenant-quota", 0, "with -serve-addr: per-tenant bound on outstanding requests across the tier (0 = unlimited)")
 	return fs, f
 }

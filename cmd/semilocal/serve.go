@@ -28,8 +28,8 @@ var (
 )
 
 // runServe runs the sharded HTTP serving tier (-serve-addr): N engine
-// shards behind a consistent-hash ring placing each ordered pair,
-// sharing one stage recorder, chaos injector and (optionally) one
+// shards behind rendezvous placement of each ordered pair, sharing
+// one stage recorder, chaos injector and (optionally) one
 // persistent kernel store. The engine hardening flags (-max-queue,
 // -retries, -deadline, -degrade-below, -chaos, -banded, -store-dir)
 // apply per shard; -tenant-quota layers tier-wide per-tenant admission

@@ -133,21 +133,21 @@ func isqrt(x int) int {
 }
 
 // trimCommon strips the longest common prefix and suffix, returning the
-// divergent middles and the number of matched bytes removed. Both move
+// divergent middles and the lengths pre and suf removed. Both move
 // sets are invariant under this (any optimal alignment can be rewritten
 // to match a common prefix/suffix of equal cost), and it is the single
 // biggest win on near-identical traffic: the BFS then starts on the
 // divergent middle, not the whole input.
-func trimCommon(a, b []byte) (ta, tb []byte, matched int) {
-	p := commonPrefix(a, b)
-	a, b = a[p:], b[p:]
-	s := commonSuffix(a, b)
-	return a[:len(a)-s], b[:len(b)-s], p + s
+func trimCommon(a, b []byte) (ta, tb []byte, pre, suf int) {
+	pre = commonPrefix(a, b)
+	a, b = a[pre:], b[pre:]
+	suf = commonSuffix(a, b)
+	return a[:len(a)-suf], b[:len(b)-suf], pre, suf
 }
 
 // distance runs the Levenshtein BFS; maxK < 0 means unbounded.
 func distance(a, b []byte, maxK int) (int, bool) {
-	a, b, _ = trimCommon(a, b)
+	a, b, _, _ = trimCommon(a, b)
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		d := m + n
@@ -249,7 +249,8 @@ func unreach(v []int, i int) {
 // lcsScore runs the indel-only BFS; maxD < 0 means unbounded. The
 // returned score already includes the trimmed common prefix/suffix.
 func lcsScore(a, b []byte, maxD int) (int, bool) {
-	a, b, matched := trimCommon(a, b)
+	a, b, pre, suf := trimCommon(a, b)
+	matched := pre + suf
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		if maxD >= 0 && m+n > maxD {
@@ -334,9 +335,13 @@ func (ws *workspace) myers(a, b []byte, maxD int) (int, bool) {
 // banded path. It is a routing hint, never a correctness claim — the
 // bounded BFS still abandons the band if the probe underestimates.
 type Probe struct {
-	// M and N are the lengths of the divergent middles after trimming
-	// the common prefix and suffix.
-	M, N int
+	// Prefix and Suffix are the lengths of the longest common prefix and
+	// suffix the probe trimmed; M and N are the lengths of the divergent
+	// middles a[Prefix:Prefix+M] and b[Prefix:Prefix+N] left between
+	// them. Every trimmed byte is matched, so a caller can run the BFS on
+	// the middles and add Prefix+Suffix back instead of trimming again.
+	Prefix, Suffix int
+	M, N           int
 	// Anchors is how many sample windows were probed; Mismatched is how
 	// many of them could not be re-located in the other string within
 	// the shift tolerance.
@@ -368,8 +373,8 @@ const (
 // the full window alone; it just reads ~3·anchorLen bytes per anchor
 // instead of ~2·tol on the pairs the banded path exists for.
 func ProbeBand(a, b []byte, maxK int) Probe {
-	ta, tb, _ := trimCommon(a, b)
-	p := Probe{M: len(ta), N: len(tb)}
+	ta, tb, pre, suf := trimCommon(a, b)
+	p := Probe{Prefix: pre, Suffix: suf, M: len(ta), N: len(tb)}
 	tol := maxK
 	if tol < minTolerance {
 		tol = minTolerance

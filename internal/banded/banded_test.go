@@ -181,24 +181,24 @@ func TestNegativeBudgetRejected(t *testing.T) {
 func TestTrimCommon(t *testing.T) {
 	cases := []struct {
 		a, b, wantA, wantB string
-		matched            int
+		pre, suf           int
 	}{
-		{"", "", "", "", 0},
-		{"abc", "abc", "", "", 3},
-		{"abcX", "abcY", "X", "Y", 3},
-		{"Xabc", "Yabc", "X", "Y", 3},
-		{"preMIDpost", "preXYZpost", "MID", "XYZ", 7},
-		{"aaaa", "aa", "aa", "", 2},
-		{"ab", "ba", "ab", "ba", 0},
+		{"", "", "", "", 0, 0},
+		{"abc", "abc", "", "", 3, 0},
+		{"abcX", "abcY", "X", "Y", 3, 0},
+		{"Xabc", "Yabc", "X", "Y", 0, 3},
+		{"preMIDpost", "preXYZpost", "MID", "XYZ", 3, 4},
+		{"aaaa", "aa", "aa", "", 2, 0},
+		{"ab", "ba", "ab", "ba", 0, 0},
 		// Affixes longer than one 8-byte word, on both sides.
-		{"0123456789abcdefgMID0123456789abcdefg", "0123456789abcdefgXY0123456789abcdefg", "MID", "XY", 34},
-		{"0123456789abcdefg", "0123456789abcdef", "g", "", 16},
+		{"0123456789abcdefgMID0123456789abcdefg", "0123456789abcdefgXY0123456789abcdefg", "MID", "XY", 17, 17},
+		{"0123456789abcdefg", "0123456789abcdef", "g", "", 16, 0},
 	}
 	for _, c := range cases {
-		ta, tb, matched := trimCommon([]byte(c.a), []byte(c.b))
-		if string(ta) != c.wantA || string(tb) != c.wantB || matched != c.matched {
-			t.Errorf("trimCommon(%q, %q) = (%q, %q, %d), want (%q, %q, %d)",
-				c.a, c.b, ta, tb, matched, c.wantA, c.wantB, c.matched)
+		ta, tb, pre, suf := trimCommon([]byte(c.a), []byte(c.b))
+		if string(ta) != c.wantA || string(tb) != c.wantB || pre != c.pre || suf != c.suf {
+			t.Errorf("trimCommon(%q, %q) = (%q, %q, %d, %d), want (%q, %q, %d, %d)",
+				c.a, c.b, ta, tb, pre, suf, c.wantA, c.wantB, c.pre, c.suf)
 		}
 	}
 }

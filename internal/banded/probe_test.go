@@ -15,8 +15,8 @@ import (
 // probeBandFull is the reference probe: every anchor searched in its
 // whole tolerance window, clamped to tb.
 func probeBandFull(a, b []byte, maxK int) Probe {
-	ta, tb, _ := trimCommon(a, b)
-	p := Probe{M: len(ta), N: len(tb)}
+	ta, tb, pre, suf := trimCommon(a, b)
+	p := Probe{Prefix: pre, Suffix: suf, M: len(ta), N: len(tb)}
 	tol := maxK
 	if tol < minTolerance {
 		tol = minTolerance
@@ -162,4 +162,39 @@ func FuzzProbeBand(f *testing.F) {
 		checkProbe(t, "pair", a, b, maxK)
 		checkProbe(t, "edited", a, editCopy(a, b), maxK)
 	})
+}
+
+// TestProbeMiddles pins the split the dispatcher relies on: the probe's
+// Prefix and Suffix are the longest common affixes, the middles fill
+// the rest, and the bounded LCS of the middles plus Prefix+Suffix is
+// the bounded LCS of the whole pair, under the same budget.
+func TestProbeMiddles(t *testing.T) {
+	r := rand.New(rand.NewSource(0x9e0bf))
+	for it := 0; it < 300; it++ {
+		a := randomBytes(r, r.Intn(400), 4)
+		script := make([]byte, 3*r.Intn(8))
+		r.Read(script)
+		b := editCopy(a, script)
+		if it%5 == 0 {
+			b = randomBytes(r, r.Intn(400), 4)
+		}
+		p := ProbeBand(a, b, 64)
+		if p.Prefix+p.M+p.Suffix != len(a) || p.Prefix+p.N+p.Suffix != len(b) {
+			t.Fatalf("probe %+v does not split |a|=%d, |b|=%d", p, len(a), len(b))
+		}
+		ma, mb := a[p.Prefix:p.Prefix+p.M], b[p.Prefix:p.Prefix+p.N]
+		if !bytes.Equal(a[:p.Prefix], b[:p.Prefix]) || !bytes.Equal(a[len(a)-p.Suffix:], b[len(b)-p.Suffix:]) {
+			t.Fatalf("probe %+v: affixes differ", p)
+		}
+		if len(ma) > 0 && len(mb) > 0 && (ma[0] == mb[0] || ma[len(ma)-1] == mb[len(mb)-1]) {
+			t.Fatalf("probe %+v: affixes not maximal", p)
+		}
+		for _, maxD := range []int{0, 4, 16, 1 << 10} {
+			want, wantOK := LCSScoreBounded(a, b, maxD)
+			got, ok := LCSScoreBounded(ma, mb, maxD)
+			if ok != wantOK || (ok && got+p.Prefix+p.Suffix != want) {
+				t.Fatalf("maxD=%d: middles give (%d, %v) + %d, whole pair (%d, %v)", maxD, got, ok, p.Prefix+p.Suffix, want, wantOK)
+			}
+		}
+	}
 }

@@ -72,8 +72,8 @@ const (
 	PointStore
 	// PointShard fires when the sharded serving tier routes a request to
 	// its home engine shard (latency, error). An injected error "kills"
-	// the home shard for that arrival — the router walks the consistent-
-	// hash ring to the next healthy shard, so the tier degrades to a
+	// the home shard for that arrival — the router takes the healthy
+	// shard of next-highest rendezvous weight, so the tier degrades to a
 	// colder cache instead of failing; injected latency models one slow
 	// shard. Answers stay bit-identical either way.
 	PointShard

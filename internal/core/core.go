@@ -385,7 +385,7 @@ func (k *Kernel) WindowScoresInto(width int, out []int) []int {
 // discards. Kernels are queried from any goroutine, so this is the
 // synchronized recycler flavor; the alloc-parity guards pin that the
 // steady-state path stays allocation-free through it.
-var windowScratch = recycle.NewShared[int](0)
+var windowScratch recycle.Shared[int]
 
 // BestWindow returns the left edge and score of the width-wide window
 // of b with the highest LCS against a (the leftmost on ties). It panics

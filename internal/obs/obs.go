@@ -112,8 +112,9 @@ const (
 	// batches, and response encoding.
 	StageServerRequest
 	// StageServerRoute is the shard-routing step of one serving-tier
-	// request: the pair's CRC-32C placement, the ring lookup, and any
-	// chaos- or health-driven walk to a successor shard.
+	// request: the pair's CRC-32C placement and the pass over the shard
+	// weights that picks its home or, under a chaos kill or a down
+	// shard, the healthy shard of next-highest weight.
 	StageServerRoute
 	// StageStreamGroupAppend is one multi-pattern group mutation end to
 	// end: the shared text-side pass (chunk scan, canonical relabeling

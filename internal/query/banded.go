@@ -67,13 +67,19 @@ func (e *Engine) tryBanded(ctx context.Context, req Request) (Result, bool) {
 		return e.bandFallback(), false
 	}
 	// Score is LCS similarity; an edit budget of maxK unit-cost edits
-	// corresponds to an indel budget of 2·maxK in the LCS metric.
+	// corresponds to an indel budget of 2·maxK in the LCS metric. The
+	// probe already trimmed the common prefix and suffix, so the BFS
+	// runs on the two middles and every trimmed byte is added back as
+	// matched.
 	bsp := e.rec.Start(obs.StageBandedBFS)
-	score, ok := banded.LCSScoreBounded(req.A, req.B, 2*maxK)
+	a := req.A[probe.Prefix : probe.Prefix+probe.M]
+	b := req.B[probe.Prefix : probe.Prefix+probe.N]
+	score, ok := banded.LCSScoreBounded(a, b, 2*maxK)
 	bsp.End()
 	if !ok {
 		return e.bandFallback(), false
 	}
+	score += probe.Prefix + probe.Suffix
 	if err := ctx.Err(); err != nil {
 		return Result{Err: err}, true
 	}

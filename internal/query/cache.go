@@ -123,9 +123,9 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 	if traced {
 		t0 = time.Now()
 	}
-	// The shard pick reads key bytes the server's ring does not (it
-	// positions keys by key[:8]), so one server shard's keys still spread
-	// over all of its cache shards.
+	// The server tier places a pair by a CRC-32C of its bytes, never by
+	// this content key, so one server shard's keys still spread over all
+	// of its cache shards.
 	sh := c.shards[binary.LittleEndian.Uint64(key[8:16])%uint64(len(c.shards))]
 
 	sh.mu.Lock()

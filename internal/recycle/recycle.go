@@ -16,35 +16,23 @@
 //	            session queries arriving from any goroutine.
 //
 // Both are bounded: at most MaxRetained retired slices are held (the
-// default matches the old stream freelist), and anything beyond that is
-// left to the garbage collector — a recycler must never become a leak.
+// old stream freelist's bound), and anything beyond that is left to the
+// garbage collector — a recycler must never become a leak.
 // The existing AllocsPerRun zero-alloc guards in steadyant, stream and
 // query pin the steady-state behavior end to end.
 package recycle
 
 import "sync"
 
-// DefaultMaxRetained bounds how many retired buffers a pool holds when
-// the caller does not choose; it inherits the streaming freelist's
-// historical bound.
-const DefaultMaxRetained = 8
+// MaxRetained bounds how many retired buffers a pool holds; it
+// inherits the streaming freelist's historical bound.
+const MaxRetained = 8
 
 // Pool is an unsynchronized recycler of []T buffers. The zero value is
 // ready to use. Callers that share one Pool across goroutines must hold
 // their own lock around Get/Put (or use Shared).
 type Pool[T any] struct {
-	// MaxRetained bounds the retired buffers held; 0 means
-	// DefaultMaxRetained. Set before first use.
-	MaxRetained int
-
 	free [][]T
-}
-
-func (p *Pool[T]) max() int {
-	if p.MaxRetained > 0 {
-		return p.MaxRetained
-	}
-	return DefaultMaxRetained
 }
 
 // Get returns a length-n slice, reusing a retired buffer when one with
@@ -70,7 +58,7 @@ func (p *Pool[T]) Get(n int) []T {
 // collector. The caller must not use b afterwards: the next Get may
 // hand it to someone else.
 func (p *Pool[T]) Put(b []T) {
-	if cap(b) == 0 || len(p.free) >= p.max() {
+	if cap(b) == 0 || len(p.free) >= MaxRetained {
 		return
 	}
 	p.free = append(p.free, b)
@@ -79,16 +67,11 @@ func (p *Pool[T]) Put(b []T) {
 // Retained reports the number of retired buffers currently held.
 func (p *Pool[T]) Retained() int { return len(p.free) }
 
-// Shared is a Pool safe for concurrent use from any goroutine.
+// Shared is a Pool safe for concurrent use from any goroutine. The
+// zero value is ready to use.
 type Shared[T any] struct {
 	mu sync.Mutex
 	p  Pool[T]
-}
-
-// NewShared returns a concurrent pool retaining at most maxRetained
-// buffers (0 means DefaultMaxRetained).
-func NewShared[T any](maxRetained int) *Shared[T] {
-	return &Shared[T]{p: Pool[T]{MaxRetained: maxRetained}}
 }
 
 // Get is Pool.Get under the pool's lock.

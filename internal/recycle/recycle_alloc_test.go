@@ -21,7 +21,7 @@ func TestPoolSteadyStateZeroAllocs(t *testing.T) {
 // TestSharedSteadyStateZeroAllocs pins the same for the mutex-guarded
 // flavor the concurrent query paths use.
 func TestSharedSteadyStateZeroAllocs(t *testing.T) {
-	s := NewShared[int](0)
+	var s Shared[int]
 	s.Put(make([]int, 512))
 	allocs := testing.AllocsPerRun(100, func() {
 		b := s.Get(512)

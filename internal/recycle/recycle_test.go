@@ -61,21 +61,14 @@ func TestPoolTooSmallAllocates(t *testing.T) {
 }
 
 // TestPoolBounded checks the retention bound: Puts beyond MaxRetained
-// are dropped, and the zero value inherits DefaultMaxRetained.
+// are dropped.
 func TestPoolBounded(t *testing.T) {
 	var p Pool[int32]
-	for i := 0; i < DefaultMaxRetained+5; i++ {
+	for i := 0; i < MaxRetained+5; i++ {
 		p.Put(make([]int32, 8))
 	}
-	if p.Retained() != DefaultMaxRetained {
-		t.Fatalf("Retained = %d, want %d", p.Retained(), DefaultMaxRetained)
-	}
-	q := Pool[int32]{MaxRetained: 2}
-	for i := 0; i < 5; i++ {
-		q.Put(make([]int32, 8))
-	}
-	if q.Retained() != 2 {
-		t.Fatalf("Retained = %d, want 2", q.Retained())
+	if p.Retained() != MaxRetained {
+		t.Fatalf("Retained = %d, want %d", p.Retained(), MaxRetained)
 	}
 }
 
@@ -125,7 +118,7 @@ func TestPoolRandomized(t *testing.T) {
 				break
 			}
 		}
-		if p.Retained() > DefaultMaxRetained {
+		if p.Retained() > MaxRetained {
 			t.Fatalf("step %d: retention bound exceeded: %d", step, p.Retained())
 		}
 	}
@@ -134,7 +127,7 @@ func TestPoolRandomized(t *testing.T) {
 // TestSharedConcurrent hammers one Shared pool from many goroutines;
 // run under -race this is the data-race gate for the query-layer use.
 func TestSharedConcurrent(t *testing.T) {
-	s := NewShared[int](0)
+	var s Shared[int]
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -158,7 +151,7 @@ func TestSharedConcurrent(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	if s.Retained() > DefaultMaxRetained {
+	if s.Retained() > MaxRetained {
 		t.Fatalf("retention bound exceeded: %d", s.Retained())
 	}
 }

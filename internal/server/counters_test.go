@@ -152,8 +152,8 @@ func TestServerCountersReconcile(t *testing.T) {
 		sessions += len(shards)
 	}
 	cached := 0
-	for _, sh := range s.shards {
-		cached += sh.eng.CachedKernels()
+	for _, eng := range s.shards {
+		cached += eng.CachedKernels()
 	}
 	if cached != sessions {
 		t.Fatalf("%d resident sessions, the load accounts for %d", cached, sessions)

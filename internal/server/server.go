@@ -1,6 +1,6 @@
 // Package server is the network-native sharded serving tier over the
-// batch query engine: N independent query.Engine shards behind a
-// consistent-hash ring, fronted by an HTTP/JSON API (batch solves and
+// batch query engine: N independent query.Engine shards behind
+// rendezvous placement, fronted by an HTTP/JSON API (batch solves and
 // query families on /v1/batch, streaming op scripts on /v1/stream,
 // Prometheus text on /metrics, liveness on /healthz).
 //
@@ -10,19 +10,21 @@
 // and cache locality of internal/query keep working per shard). It adds
 // no CPU, as the shards share the process's cores: the gain measured
 // for more shards is that of the larger aggregate cache (EXPERIMENTS.md,
-// "Sharded serving tier"). The ring places a pair by a CRC-32C of its
-// bytes (place), not by the SHA-256 content key: that key is the
-// engine's kernel identity, computed on the shard only when a kernel is
-// looked up, so a score the banded path answers never pays for it. Per-tenant quotas layer on top of the per-shard
-// MaxQueue/Deadline/retry/shed machinery: the engine bound protects the
-// process, the tenant bound protects tenants from each other.
+// "Sharded serving tier"). A pair is placed by a CRC-32C of its bytes
+// (place), not by the SHA-256 content key: that key is the engine's
+// kernel identity, computed on the shard only when a kernel is looked
+// up, so a score the banded path answers never pays for it. Per-tenant
+// quotas layer on top of the per-shard MaxQueue/Deadline/retry/shed
+// machinery: the engine bound protects the process, the tenant bound
+// protects tenants from each other.
 //
 // The tier degrades rather than fails: a shard killed by chaos
-// (chaos.PointShard) or marked unhealthy is routed around by walking
-// the ring to the next healthy shard — answers stay bit-identical
-// (every shard solves the same kernels), only cache locality suffers.
-// Requests fail typed (shed, quota, deadline, canceled, injected,
-// unavailable) and only when there is genuinely no way to answer.
+// (chaos.PointShard) or marked unhealthy is routed around to the
+// healthy shard of next-highest rendezvous weight (place.go) — answers
+// stay bit-identical (every shard solves the same kernels), only cache
+// locality suffers. Requests fail typed (shed, quota, deadline,
+// canceled, injected, unavailable) and only when there is genuinely no
+// way to answer.
 package server
 
 import (
@@ -40,9 +42,9 @@ import (
 	"semilocal/internal/query"
 )
 
-// MaxShards bounds Config.Shards: the ring's failover walk tracks
-// visited shards in a 64-bit set, and one process has no business
-// running more engine shards than that anyway.
+// MaxShards bounds Config.Shards. Every shard is a whole engine with
+// its own worker pool and cache, and route weighs every shard on every
+// request, so one process has no business running more than this.
 const MaxShards = 64
 
 // Config configures a Server.
@@ -70,18 +72,11 @@ type Config struct {
 	MaxPairBytes int
 }
 
-// shardSlot is one engine shard.
-type shardSlot struct {
-	id  int
-	eng *query.Engine
-}
-
 // Server is the sharded serving tier. Construct with New, expose
 // Handler through an http.Server, Close when done (closes the shard
 // engines; the caller owns listener and store lifecycles).
 type Server struct {
-	shards  []*shardSlot
-	ring    *ring
+	shards  []*query.Engine
 	tenants *tenantTable
 	rec     *obs.Recorder
 	inj     *chaos.Injector
@@ -95,8 +90,8 @@ type Server struct {
 	maxPair  int
 }
 
-// New builds the tier: the shard engines, the ring, the quota table,
-// and the HTTP mux.
+// New builds the tier: the shard engines, the quota table and the HTTP
+// mux.
 func New(cfg Config) (*Server, error) {
 	n := cfg.Shards
 	if n == 0 {
@@ -118,7 +113,6 @@ func New(cfg Config) (*Server, error) {
 		maxPair = DefaultMaxPairBytes
 	}
 	s := &Server{
-		ring:     newRing(n),
 		tenants:  newTenantTable(cfg.TenantQuota),
 		rec:      cfg.Engine.Obs,
 		inj:      cfg.Engine.Chaos,
@@ -129,7 +123,7 @@ func New(cfg Config) (*Server, error) {
 		maxPair:  maxPair,
 	}
 	for i := 0; i < n; i++ {
-		s.shards = append(s.shards, &shardSlot{id: i, eng: query.NewEngine(cfg.Engine)})
+		s.shards = append(s.shards, query.NewEngine(cfg.Engine))
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
@@ -148,8 +142,8 @@ func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	for _, sh := range s.shards {
-		sh.eng.Close()
+	for _, eng := range s.shards {
+		eng.Close()
 	}
 }
 
@@ -182,8 +176,8 @@ func (s *Server) healthyShards() int {
 // server_reroutes / tenant_rejects.
 func (s *Server) Stats() map[string]int64 {
 	out := s.ctr.Snapshot()
-	for _, sh := range s.shards {
-		for k, v := range sh.eng.Stats() {
+	for _, eng := range s.shards {
+		for k, v := range eng.Stats() {
 			out[k] += v
 		}
 	}
@@ -196,40 +190,34 @@ func (s *Server) ShardStats(i int) map[string]int64 {
 	if i < 0 || i >= len(s.shards) {
 		return nil
 	}
-	return s.shards[i].eng.Stats()
+	return s.shards[i].Stats()
 }
 
 // StatsLine renders the aggregate counters as a stable one-line
 // summary (sorted names), mirroring Engine.StatsLine.
 func (s *Server) StatsLine() string { return obs.StatsLine(s.Stats()) }
 
-// route picks the shard for the ordered pair (a, b): the home shard of
-// its placement on the ring, or — when chaos killed it for this
-// arrival or it is marked down — the next healthy shard clockwise. The
-// reroute is the tier's degraded mode: colder cache, identical answers.
-// The route span includes the placement hash.
-func (s *Server) route(a, b []byte) (*shardSlot, error) {
+// route picks the shard for the ordered pair (a, b): the home of its
+// placement, or — when chaos killed the home for this arrival or it is
+// marked down — the healthy shard of next-highest weight. The reroute
+// is the tier's degraded mode: colder cache, identical answers. The
+// route span includes the placement hash.
+func (s *Server) route(a, b []byte) (int, error) {
 	rsp := s.rec.Start(obs.StageServerRoute)
 	defer rsp.End()
 	pos := place(a, b)
-	killed := -1
-	if s.inj.Fire(chaos.PointShard) == chaos.FaultError {
-		killed = s.ring.lookup(pos)
+	killed := s.inj.Fire(chaos.PointShard) == chaos.FaultError
+	home, id := pick(pos, s.down, -1)
+	if killed && id == home {
+		_, id = pick(pos, s.down, home)
 	}
-	home := -1
-	id, ok := s.ring.walk(pos, func(sh int) bool {
-		if home == -1 {
-			home = sh
-		}
-		return sh != killed && !s.down[sh].Load()
-	})
-	if !ok {
-		return nil, errNoHealthyShard
+	if id < 0 {
+		return -1, errNoHealthyShard
 	}
 	if id != home {
 		s.ctr.Add(obs.CounterServerReroutes, 1)
 	}
-	return s.shards[id], nil
+	return id, nil
 }
 
 // routed pairs one decoded request with its slot in the response.
@@ -247,12 +235,12 @@ type routedReq struct {
 func (s *Server) solveRouted(ctx context.Context, reqs []routedReq, results []WireResult) {
 	groups := make([][]routedReq, len(s.shards))
 	for _, rr := range reqs {
-		slot, err := s.route(rr.req.A, rr.req.B)
+		id, err := s.route(rr.req.A, rr.req.B)
 		if err != nil {
 			results[rr.idx] = WireResult{Shard: -1, Error: err.Error(), ErrorKind: errorKind(err)}
 			continue
 		}
-		groups[slot.id] = append(groups[slot.id], rr)
+		groups[id] = append(groups[id], rr)
 	}
 	var wg sync.WaitGroup
 	for id, group := range groups {
@@ -260,17 +248,17 @@ func (s *Server) solveRouted(ctx context.Context, reqs []routedReq, results []Wi
 			continue
 		}
 		wg.Add(1)
-		go func(slot *shardSlot, group []routedReq) {
+		go func(id int, group []routedReq) {
 			defer wg.Done()
 			sub := make([]query.Request, len(group))
 			for j, rr := range group {
 				sub[j] = rr.req
 			}
-			res := slot.eng.BatchSolve(ctx, sub)
+			res := s.shards[id].BatchSolve(ctx, sub)
 			for j, rr := range group {
-				results[rr.idx] = toWireResult(res[j], slot.id)
+				results[rr.idx] = toWireResult(res[j], id)
 			}
-		}(s.shards[id], group)
+		}(id, group)
 	}
 	wg.Wait()
 }
@@ -360,12 +348,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.tenants.release(sc.tenant, n)
 
-	slot, err := s.route(groupRouteKey(patterns), nil)
+	id, err := s.route(groupRouteKey(patterns), nil)
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	sg, err := slot.eng.OpenStreamGroup(patterns)
+	sg, err := s.shards[id].OpenStreamGroup(patterns)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -376,7 +364,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		results[i] = s.streamGroupOp(ctx, sg, op)
 	}
 	writeJSON(w, http.StatusOK, StreamResponse{
-		Shard:    slot.id,
+		Shard:    id,
 		Patterns: sg.Patterns(),
 		Distinct: sg.DistinctPatterns(),
 		Results:  results,
@@ -503,10 +491,10 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	obs.WriteMetrics(w, s.rec.Snapshot(), s.Stats())
 	fmt.Fprintf(w, "# HELP semilocal_shard_counter Per-shard engine counters.\n")
 	fmt.Fprintf(w, "# TYPE semilocal_shard_counter gauge\n")
-	for _, sh := range s.shards {
-		snap := sh.eng.Stats()
+	for i, eng := range s.shards {
+		snap := eng.Stats()
 		for _, name := range obs.SortedNames(snap) {
-			fmt.Fprintf(w, "semilocal_shard_counter{shard=\"%d\",name=%q} %d\n", sh.id, name, snap[name])
+			fmt.Fprintf(w, "semilocal_shard_counter{shard=\"%d\",name=%q} %d\n", i, name, snap[name])
 		}
 	}
 	fmt.Fprintf(w, "# HELP semilocal_shard_healthy Shard health (1 = routable).\n")

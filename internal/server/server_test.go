@@ -368,16 +368,15 @@ func TestServerHealthDownShards(t *testing.T) {
 	}
 }
 
-// TestServerRebalanceDrill is the ring rebalance drill: shards leave
-// and rejoin the tier mid-load — SetShardHealth is operationally the
-// routing change of a ring remove/add — while concurrent differential
-// batches keep flowing. Every answer stays bit-identical to the
-// fault-free oracle through both transitions, the traffic that left
-// the down shard is visible in server_reroutes, and the ring-level
-// rebalance property is pinned on the same tier: removing a shard
-// moves exactly the keys it owned (each to a survivor, within the
-// fair-share movement bound) and re-adding it restores the original
-// assignment key for key.
+// TestServerRebalanceDrill is the rebalance drill: shards leave and
+// rejoin the tier mid-load through SetShardHealth while concurrent
+// differential batches keep flowing. Every answer stays bit-identical
+// to the fault-free oracle through both transitions, the traffic that
+// left the down shard is visible in server_reroutes, and the rebalance
+// property is pinned on the same live tier: marking a shard down moves
+// exactly the pairs it was home to (each to a survivor, within the
+// fair-share movement bound) and marking it up again restores the
+// original assignment pair for pair.
 func TestServerRebalanceDrill(t *testing.T) {
 	wire, direct := wireWorkload()
 	want := directOracle(t, direct)
@@ -447,34 +446,46 @@ func TestServerRebalanceDrill(t *testing.T) {
 		t.Error("a drill that downs two home shards must reroute some traffic")
 	}
 
-	// Ring-level rebalance property on this tier's own ring: the health
-	// toggle above is routing-equivalent to this remove/add pair.
-	rng := rand.New(rand.NewSource(0x11aa))
-	pos := randPlacements(rng, 4000)
-	removed := s.ring.remove(2)
+	// The rebalance property on this tier's own routing: shard 2 goes
+	// down and comes back up, and route sees every pair before, during
+	// and after.
+	pairs := randPairs(rand.New(rand.NewSource(0x11aa)), 4000)
+	routeAll := func() []int {
+		ids := make([]int, len(pairs))
+		for i, p := range pairs {
+			id, err := s.route(p[0], p[1])
+			if err != nil {
+				t.Fatalf("route: %v", err)
+			}
+			ids[i] = id
+		}
+		return ids
+	}
+	before := routeAll()
+	s.SetShardHealth(2, false)
+	during := routeAll()
+	s.SetShardHealth(2, true)
+	after := routeAll()
 	moved := 0
-	for _, p := range pos {
-		was, is := s.ring.lookup(p), removed.lookup(p)
+	for i := range pairs {
+		was, is := before[i], during[i]
 		if was != is {
 			if was != 2 {
-				t.Fatalf("placement on surviving shard moved %d → %d on removal of shard 2", was, is)
+				t.Fatalf("pair on surviving shard moved %d → %d when shard 2 went down", was, is)
 			}
 			moved++
 		} else if was == 2 {
-			t.Fatal("placement still maps to the removed shard")
+			t.Fatal("a pair still routes to the down shard")
+		}
+		if after[i] != was {
+			t.Fatalf("marking shard 2 up again routed a pair to %d, was %d", after[i], was)
 		}
 	}
 	if moved == 0 {
-		t.Fatal("removing a shard moved no placements")
+		t.Fatal("marking a shard down moved no pairs")
 	}
-	if moved > len(pos)/2 {
-		t.Errorf("removing 1 of 4 shards moved %d/%d placements, want ≤ half", moved, len(pos))
-	}
-	rejoined := removed.add(2)
-	for _, p := range pos {
-		if rejoined.lookup(p) != s.ring.lookup(p) {
-			t.Fatal("re-adding the shard did not restore the original assignment")
-		}
+	if moved > len(pairs)/2 {
+		t.Errorf("downing 1 of 4 shards moved %d/%d pairs, want ≤ half", moved, len(pairs))
 	}
 }
 
@@ -482,7 +493,7 @@ func TestServerRebalanceDrill(t *testing.T) {
 // ordered pair: two fresh tiers given the same mixed batch — score
 // requests the banded path answers, kernel queries, and every pair also
 // swapped to (b, a) — put each request on the same shard, that shard is
-// the home of place(a, b) on the ring, and every answer matches the
+// the rendezvous home of place(a, b), and every answer matches the
 // plain-engine oracle.
 func TestPlacementDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11ac))
@@ -521,7 +532,7 @@ func TestPlacementDeterministic(t *testing.T) {
 			if !sameAnswer(r, want[i]) {
 				t.Errorf("run %d request %d: answer %+v != oracle %+v", run, i, r, want[i])
 			}
-			if home := s.ring.lookup(place(direct[i].A, direct[i].B)); r.Shard != home {
+			if home, _ := pick(place(direct[i].A, direct[i].B), s.down, -1); r.Shard != home {
 				t.Errorf("run %d request %d: shard %d, want the placement's home %d", run, i, r.Shard, home)
 			}
 			shards[run] = append(shards[run], r.Shard)

@@ -758,8 +758,8 @@ func toEngineRequest(w callRequest, maxPair int) (query.Request, error) {
 // "too_large"); the pair never reaches a shard.
 var errPairTooLarge = errors.New("server: input pair too large")
 
-// errNoHealthyShard is returned when every shard on the ring was
-// killed or marked down — the only way the tier answers worse than
+// errNoHealthyShard is returned when every shard was killed or marked
+// down — the only way the tier answers worse than
 // "degraded".
 var errNoHealthyShard = errors.New("server: no healthy shard")
 

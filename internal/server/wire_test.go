@@ -341,7 +341,7 @@ func TestDetachedSolveOwnsItsInputs(t *testing.T) {
 	}
 	results := make([]WireResult, 1)
 	s.solveRouted(context.Background(), []routedReq{{idx: 0, req: req}}, results)
-	eng := s.shards[0].eng
+	eng := s.shards[0]
 	if results[0].ErrorKind != "deadline" || eng.Stats()["cache_misses"] != 1 {
 		t.Fatalf("request answered %+v after %d solves started, want a deadline error while its solve runs", results[0], eng.Stats()["cache_misses"])
 	}

@@ -99,7 +99,6 @@ const (
 	StageGridComb   = obs.StageGridComb   // grid-reduction tile combing phase
 	StageGridReduce = obs.StageGridReduce // grid-reduction pairwise reduction
 	StageBitBlocks  = obs.StageBitBlocks  // bit-parallel block loop
-	StagePrepare    = obs.StagePrepare    // no producer; kept for existing readers
 	StageCacheHit   = obs.StageCacheHit   // acquire served by a resident session
 	StageCacheMiss  = obs.StageCacheMiss  // acquire that waited for a solve
 	StageQueueWait  = obs.StageQueueWait  // batch submission → worker pickup
@@ -358,7 +357,6 @@ type EngineStreamGroup = query.StreamGroup
 
 // Streaming stages and counters for StageRecorder consumers.
 const (
-	StageStreamAppend          = obs.StageStreamAppend          // no producer; kept for existing readers
 	StageStreamCompose         = obs.StageStreamCompose         // one spine composition
 	StageStreamGroupAppend     = obs.StageStreamGroupAppend     // one group append/slide end to end
 	StageStreamGroupFanout     = obs.StageStreamGroupFanout     // class solves + per-spine surgery
@@ -488,8 +486,8 @@ const (
 	CounterStoreCorrupt = obs.CounterStoreCorrupt // store_corrupt_records
 )
 
-// Network serving tier: N engine shards behind a consistent-hash ring
-// placing each ordered pair, fronted by an HTTP/JSON API (batch
+// Network serving tier: N engine shards, each ordered pair placed on
+// one by rendezvous hashing, fronted by an HTTP/JSON API (batch
 // solves and query families on /v1/batch, streaming op scripts on
 // /v1/stream, Prometheus text on /metrics, liveness on /healthz).
 // Because kernels are config-invariant, every shard answers every pair
@@ -527,7 +525,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Serving-tier stages and counters for StageRecorder consumers.
 const (
 	StageServerRequest    = obs.StageServerRequest    // one HTTP call end to end
-	StageServerRoute      = obs.StageServerRoute      // placement + ring lookup + failover walk
+	StageServerRoute      = obs.StageServerRoute      // placement + shard weights + failover
 	CounterServerRequests = obs.CounterServerRequests // server_requests
 	CounterServerReroutes = obs.CounterServerReroutes // server_reroutes
 	CounterTenantRejects  = obs.CounterTenantRejects  // tenant_rejects
