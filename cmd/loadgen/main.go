@@ -240,10 +240,10 @@ func drive(cfg config, base string, srv *semilocal.Server, out io.Writer) error 
 	fmt.Fprintf(out, "slo(%v)=%.1f%%\n", cfg.slo, 100*float64(within)/float64(calls))
 	if srv != nil {
 		stats := srv.Stats()
-		fmt.Fprintf(out, "tier: hits=%d misses=%d sheds=%d reroutes=%d tenant-rejects=%d\n",
+		fmt.Fprintf(out, "tier: hits=%d misses=%d evictions=%d sheds=%d reroutes=%d tenant-rejects=%d\n",
 			stats[obs.CounterCacheHits.String()], stats[obs.CounterCacheMisses.String()],
-			stats[obs.CounterSheds.String()], stats[obs.CounterServerReroutes.String()],
-			stats[obs.CounterTenantRejects.String()])
+			stats[obs.CounterCacheEvictions.String()], stats[obs.CounterSheds.String()],
+			stats[obs.CounterServerReroutes.String()], stats[obs.CounterTenantRejects.String()])
 	}
 	return nil
 }

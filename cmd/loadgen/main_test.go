@@ -24,7 +24,7 @@ func TestLoadgenSmoke(t *testing.T) {
 		"# self-hosting 2 shard(s)",
 		"calls=", "qps=", "call-errors=0", "request-errors=0",
 		"latency p50=", "slo(50ms)=",
-		"tier: hits=",
+		"tier: hits=", " misses=", " evictions=", " sheds=",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)

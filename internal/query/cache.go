@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"context"
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -28,26 +27,22 @@ type entry struct {
 	k   *core.Kernel
 }
 
-// shard is an independently locked slice of the cache: an LRU of
-// resident kernels plus the in-flight solve table.
-type shard struct {
+// cache is the engine's LRU kernel cache with singleflight dedup: one
+// mutex guards the resident LRU and the in-flight solve table, and at
+// most capacity kernels stay resident. It is keyed by the pair's
+// content hash (store.Key) alone — the identity the store persists
+// under. The solve configuration only decides how a miss is solved:
+// every configuration produces the same kernel, so a kernel cached
+// under one serves all.
+// When a persistent store tier is attached, it sits under the LRU as a
+// write-through second tier: the singleflight spans both tiers, so at
+// most one goroutine per key reads the store or solves.
+type cache struct {
 	mu       sync.Mutex
 	resident map[store.Key]*list.Element // values are *entry
 	lru      *list.List                  // front = most recently used
 	inflight map[store.Key]*flight
 	capacity int
-}
-
-// cache is the sharded LRU kernel cache with singleflight dedup. It is
-// keyed by the pair's content hash (store.Key) alone — the identity the
-// store persists under. The solve configuration only decides how a miss
-// is solved: every configuration produces the same kernel, so a kernel
-// cached under one serves all.
-// When a persistent store tier is attached, it sits under the LRU as a
-// write-through second tier: the singleflight spans both tiers, so at
-// most one goroutine per key reads the store or solves.
-type cache struct {
-	shards []*shard
 	// solve computes a missing kernel: core.SolveWith threaded with the
 	// engine's recorder and injector. It is a field only so
 	// that tests can count and gate real solves.
@@ -58,17 +53,13 @@ type cache struct {
 	ctr   *obs.CounterSet
 }
 
-func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj *chaos.Injector, tier *storeTier) *cache {
-	if shards < 1 {
-		shards = 1
-	}
-	if capacity < shards {
-		// Every shard owns at least one slot so a live working set of one
-		// key per shard can never thrash.
-		capacity = shards
-	}
-	c := &cache{
-		shards: make([]*shard, shards),
+// newCache returns a cache holding at most capacity (≥ 1) kernels.
+func newCache(capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj *chaos.Injector, tier *storeTier) *cache {
+	return &cache{
+		resident: make(map[store.Key]*list.Element),
+		lru:      list.New(),
+		inflight: make(map[store.Key]*flight),
+		capacity: capacity,
 		solve: func(a, b []byte, cfg core.Config) (*core.Kernel, error) {
 			return core.SolveWith(a, b, cfg, rec, inj)
 		},
@@ -77,16 +68,6 @@ func newCache(shards, capacity int, ctr *obs.CounterSet, rec *obs.Recorder, inj 
 		tier: tier,
 		ctr:  ctr,
 	}
-	per := (capacity + shards - 1) / shards
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			resident: make(map[store.Key]*list.Element),
-			lru:      list.New(),
-			inflight: make(map[store.Key]*flight),
-			capacity: per,
-		}
-	}
-	return c
 }
 
 // acquire returns the kernel for key, the content key of (a, b),
@@ -115,7 +96,7 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 		c.evictAll(store.Key{}, false)
 	}
 	// cache_hit / cache_miss histograms split acquire latency by
-	// outcome: a hit is a map lookup under the shard lock, a miss (or a
+	// outcome: a hit is a map lookup under the cache lock, a miss (or a
 	// dedup join) waits for the solve. The clock is read only when
 	// tracing is on.
 	var t0 time.Time
@@ -123,32 +104,27 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 	if traced {
 		t0 = time.Now()
 	}
-	// The server tier places a pair by a CRC-32C of its bytes, never by
-	// this content key, so one server shard's keys still spread over all
-	// of its cache shards.
-	sh := c.shards[binary.LittleEndian.Uint64(key[8:16])%uint64(len(c.shards))]
-
-	sh.mu.Lock()
-	if el, ok := sh.resident[key]; ok {
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if el, ok := c.resident[key]; ok {
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
 		c.ctr.Add(obs.CounterCacheHits, 1)
 		if traced {
 			c.rec.Observe(obs.StageCacheHit, time.Since(t0))
 		}
 		return el.Value.(*entry).k, nil
 	}
-	fl, joined := sh.inflight[key]
+	fl, joined := c.inflight[key]
 	if !joined {
 		fl = &flight{done: make(chan struct{})}
-		sh.inflight[key] = fl
+		c.inflight[key] = fl
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if joined {
 		c.ctr.Add(obs.CounterCacheDeduped, 1)
 	} else {
 		c.ctr.Add(obs.CounterCacheMisses, 1)
-		go c.runFlight(sh, key, bytes.Clone(a), bytes.Clone(b), cfg, fl)
+		go c.runFlight(key, bytes.Clone(a), bytes.Clone(b), cfg, fl)
 	}
 	select {
 	case <-fl.done:
@@ -163,15 +139,16 @@ func (c *cache) acquire(ctx context.Context, key store.Key, a, b []byte, cfg cor
 
 // runFlight fills one flight — from the persistent store when it holds
 // the kernel, by solving otherwise — publishes the kernel into the
-// shard's LRU (evicting past capacity, charging each kernel's
-// MemoryBytes reservation to cache_bytes), and releases every waiter.
+// LRU (evicting the least recently used past capacity, charging each
+// kernel's MemoryBytes reservation to cache_bytes), and releases every
+// waiter.
 // The flight owns a and b.
 //
 // The kernel is cached unprepared: most cached kernels answer a handful
 // of queries, which direct counting serves without the tree (see
 // core.Kernel.H). A kernel queried past its scan budget builds the tree
 // inside that query's StageQuery span.
-func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config, fl *flight) {
+func (c *cache) runFlight(key store.Key, a, b []byte, cfg core.Config, fl *flight) {
 	fl.k = c.tier.lookup(key)
 	if fl.k == nil {
 		fl.k, fl.err = c.solve(a, b, cfg)
@@ -182,21 +159,16 @@ func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config
 
 	storm := c.inj.Fire(chaos.PointPublish) == chaos.FaultEvict
 
-	sh.mu.Lock()
-	delete(sh.inflight, key)
+	c.mu.Lock()
+	delete(c.inflight, key)
 	if fl.k != nil {
-		sh.resident[key] = sh.lru.PushFront(&entry{key: key, k: fl.k})
+		c.resident[key] = c.lru.PushFront(&entry{key: key, k: fl.k})
 		c.ctr.Add(obs.CounterCacheBytes, int64(fl.k.MemoryBytes()))
-		for sh.lru.Len() > sh.capacity {
-			oldest := sh.lru.Back()
-			e := oldest.Value.(*entry)
-			sh.lru.Remove(oldest)
-			delete(sh.resident, e.key)
-			c.ctr.Add(obs.CounterCacheBytes, -int64(e.k.MemoryBytes()))
-			c.ctr.Add(obs.CounterCacheEvictions, 1)
+		for c.lru.Len() > c.capacity {
+			c.evict(c.lru.Back())
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if storm {
 		// Eviction storm: flush every other resident kernel, keeping
 		// only the one just published — the worst-case cold cache a
@@ -207,34 +179,32 @@ func (c *cache) runFlight(sh *shard, key store.Key, a, b []byte, cfg core.Config
 }
 
 // evictAll drops every resident kernel (keeping only `keep` when
-// haveKeep is set), counting each drop as an eviction. Shard locks are
-// taken one at a time, never nested. Evicted kernels stay valid for
-// holders; only future acquires re-solve.
+// haveKeep is set), counting each drop as an eviction. Evicted kernels
+// stay valid for holders; only future acquires re-solve.
 func (c *cache) evictAll(keep store.Key, haveKeep bool) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry)
-			if !haveKeep || e.key != keep {
-				sh.lru.Remove(el)
-				delete(sh.resident, e.key)
-				c.ctr.Add(obs.CounterCacheBytes, -int64(e.k.MemoryBytes()))
-				c.ctr.Add(obs.CounterCacheEvictions, 1)
-			}
-			el = next
+	c.mu.Lock()
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if !haveKeep || el.Value.(*entry).key != keep {
+			c.evict(el)
 		}
-		sh.mu.Unlock()
+		el = next
 	}
+	c.mu.Unlock()
 }
 
-// len reports the number of resident kernels across all shards.
+// evict drops one resident kernel, releasing its cache_bytes charge and
+// counting the eviction. The caller holds c.mu.
+func (c *cache) evict(el *list.Element) {
+	e := c.lru.Remove(el).(*entry)
+	delete(c.resident, e.key)
+	c.ctr.Add(obs.CounterCacheBytes, -int64(e.k.MemoryBytes()))
+	c.ctr.Add(obs.CounterCacheEvictions, 1)
+}
+
+// len reports the number of resident kernels.
 func (c *cache) len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }

@@ -57,9 +57,9 @@ type Options struct {
 	// batches sequentially). This is independent of Config.Workers,
 	// which parallelizes the inside of a single solve.
 	Workers int
-	// MaxKernels caps the number of resident cached kernels; 0 means
-	// DefaultMaxKernels. Capacity is split evenly across the cache's
-	// DefaultShards lock shards, each keeping at least one slot.
+	// MaxKernels is the number of kernels the engine's LRU cache keeps
+	// resident; a solve past it evicts the least recently used kernel.
+	// Values ≤ 0 mean DefaultMaxKernels.
 	MaxKernels int
 	// Obs receives stage timings (queue wait, cache hit/miss latency,
 	// per-request end-to-end, solver stages) and work counters. nil (the
@@ -107,14 +107,10 @@ type Options struct {
 	Banded BandedConfig
 }
 
-// DefaultMaxKernels is the cache capacity of a zero Options;
-// DefaultShards is the cache's lock-sharding factor.
-const (
-	DefaultMaxKernels = 128
-	DefaultShards     = 8
-)
+// DefaultMaxKernels is the cache capacity of a zero Options.
+const DefaultMaxKernels = 128
 
-// Engine amortizes kernel solves across queries: a sharded LRU cache of
+// Engine amortizes kernel solves across queries: an LRU cache of
 // kernels (their query index built on demand) with singleflight
 // deduplication, and a batch front end that fans independent requests
 // across a worker pool. All methods are safe for concurrent use; Close
@@ -140,19 +136,15 @@ type Engine struct {
 }
 
 // NewEngine builds an engine; the caller owns it and must Close it.
-func NewEngine(opts Options) *Engine { return newEngine(opts, DefaultShards) }
-
-// newEngine is NewEngine with the cache split into the given number of
-// lock shards.
-func newEngine(opts Options, shards int) *Engine {
+func NewEngine(opts Options) *Engine {
 	ctr := obs.NewCounterSet(obs.ScopeEngine, opts.Obs)
 	maxKernels := opts.MaxKernels
-	if maxKernels == 0 {
+	if maxKernels <= 0 {
 		maxKernels = DefaultMaxKernels
 	}
 	tier := newStoreTier(opts.Store, ctr, opts.Obs, opts.Chaos)
 	return &Engine{
-		cache:        newCache(shards, maxKernels, ctr, opts.Obs, opts.Chaos, tier),
+		cache:        newCache(maxKernels, ctr, opts.Obs, opts.Chaos, tier),
 		tier:         tier,
 		pool:         parallel.NewPool(opts.Workers),
 		cfg:          opts.Config,

@@ -5,6 +5,7 @@ package query
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
 	"semilocal/internal/oracle"
+	"semilocal/internal/store"
 )
 
 // install wraps the engine's solver so tests can count and gate real
@@ -274,8 +276,8 @@ func TestSolveErrorPropagatesAndIsNotCached(t *testing.T) {
 }
 
 func TestEvictionKeepsLRUBound(t *testing.T) {
-	// One shard makes the LRU order observable; capacity 2 forces churn.
-	e := newEngine(Options{MaxKernels: 2}, 1)
+	// Capacity 2 forces churn.
+	e := NewEngine(Options{MaxKernels: 2})
 	defer e.Close()
 	ctx := context.Background()
 	pairs := [][2]string{{"aa", "ba"}, {"bb", "cb"}, {"cc", "dc"}, {"dd", "ed"}}
@@ -303,6 +305,65 @@ func TestEvictionKeepsLRUBound(t *testing.T) {
 	}
 	if e.Stats()["cache_bytes"] <= 0 {
 		t.Fatal("cache_bytes gauge went non-positive under eviction")
+	}
+}
+
+// TestCacheHoldsExactlyMaxKernels: an engine keeps exactly MaxKernels
+// kernels resident (values ≤ 0 mean DefaultMaxKernels). Every key is
+// chosen to share one slice of the key space (key[8:16] mod 8), so a
+// cache that splits its capacity over lock shards by key would evict
+// long before the bound. The next key evicts exactly the least
+// recently used one.
+func TestCacheHoldsExactlyMaxKernels(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct{ maxKernels, want int }{
+		{1, 1},
+		{2, 2},
+		{3, 3},
+		{16, 16},
+		{0, DefaultMaxKernels},
+		{-1, DefaultMaxKernels},
+	} {
+		t.Run(fmt.Sprint(tc.maxKernels), func(t *testing.T) {
+			e := NewEngine(Options{MaxKernels: tc.maxKernels})
+			defer e.Close()
+			var pairs [][2][]byte
+			var keys []store.Key
+			for i := 0; len(pairs) < tc.want+1; i++ {
+				a, b := []byte(fmt.Sprintf("k%d", i)), []byte("xk")
+				key := store.KeyOf(a, b)
+				if binary.LittleEndian.Uint64(key[8:16])%8 == 0 {
+					pairs, keys = append(pairs, [2][]byte{a, b}), append(keys, key)
+				}
+			}
+			acquire := func(p [2][]byte) {
+				t.Helper()
+				if _, err := e.Acquire(ctx, p[0], p[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range pairs[:tc.want] {
+				acquire(p)
+			}
+			if got, ev := e.CachedKernels(), e.Stats()["cache_evictions"]; got != tc.want || ev != 0 {
+				t.Fatalf("%d keys: resident %d with %d evictions, want %d with 0", tc.want, got, ev, tc.want)
+			}
+			// Touch the oldest key, so the least recently used is the
+			// second oldest (the only one when the capacity is 1).
+			acquire(pairs[0])
+			victim := 1 % tc.want
+			acquire(pairs[tc.want])
+			if got, ev := e.CachedKernels(), e.Stats()["cache_evictions"]; got != tc.want || ev != 1 {
+				t.Fatalf("key %d: resident %d with %d evictions, want %d with 1", tc.want+1, got, ev, tc.want)
+			}
+			e.cache.mu.Lock()
+			defer e.cache.mu.Unlock()
+			for i, key := range keys {
+				if _, ok := e.cache.resident[key]; ok == (i == victim) {
+					t.Errorf("key %d resident = %v, want %v (victim %d)", i, ok, i != victim, victim)
+				}
+			}
+		})
 	}
 }
 
@@ -480,10 +541,8 @@ func TestEngineSoak(t *testing.T) {
 	)
 	_, reqSets, want := soakPairs(t, nPairs)
 
-	e := newEngine(Options{
-		Workers:    4,
-		MaxKernels: 3, // far below the working set: constant eviction churn
-	}, 2)
+	const maxKernels = 3 // far below the working set: constant eviction churn
+	e := NewEngine(Options{Workers: 4, MaxKernels: maxKernels})
 	defer e.Close()
 	var solves atomic.Int64
 	inner := e.cache.solve
@@ -537,7 +596,7 @@ func TestEngineSoak(t *testing.T) {
 	wg.Wait()
 
 	snap := e.Stats()
-	if got := e.CachedKernels(); got > 4 { // 2 shards × ceil(3/2) slots
+	if got := e.CachedKernels(); got > maxKernels {
 		t.Fatalf("resident sessions = %d, above the configured bound", got)
 	}
 	if snap["cache_misses"] != solves.Load() {

@@ -12,12 +12,10 @@ import (
 // residentKernels lists every kernel the cache currently holds.
 func residentKernels(c *cache) []*core.Kernel {
 	var out []*core.Kernel
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			out = append(out, el.Value.(*entry).k)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*entry).k)
 	}
 	return out
 }
@@ -39,7 +37,7 @@ func TestCacheIndexOnDemand(t *testing.T) {
 	}
 
 	t.Run("cold load stays unprepared", func(t *testing.T) {
-		e := newEngine(Options{Workers: 2, MaxKernels: 16}, 1)
+		e := NewEngine(Options{Workers: 2, MaxKernels: 16})
 		defer e.Close()
 		for p := 0; p < 48; p++ {
 			a, b := pair(64)

@@ -13,7 +13,7 @@
 // validated dispatch of a Request onto a kernel; the engine, streams
 // and the CLI all answer through it.
 //
-// An Engine adds a sharded LRU cache of kernels keyed by the pair's
+// An Engine adds an LRU cache of MaxKernels kernels keyed by the pair's
 // content hash (store.Key, the identity the persistent store shares),
 // with singleflight deduplication (concurrent requests for the same
 // pair trigger exactly one solve) and a batch entry point that fans

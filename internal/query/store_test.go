@@ -233,7 +233,7 @@ func TestStoreEngineConcurrentSoak(t *testing.T) {
 	dir := t.TempDir()
 	st := openStoreT(t, dir)
 	defer st.Close()
-	e := newEngine(Options{Workers: 4, MaxKernels: 1, Store: st}, 1)
+	e := NewEngine(Options{Workers: 4, MaxKernels: 1, Store: st})
 	defer e.Close()
 
 	const goroutines = 8

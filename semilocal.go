@@ -87,23 +87,12 @@ type StageSnapshot = obs.Snapshot
 // stage.
 type Stage = obs.Stage
 
-// The traced stages. Solver stages (comb/compose/grid/bit) nest inside
-// StageSolve; serving stages (cache/queue/query/request) come from the
-// Engine.
+// Two traced stages: every solver stage (comb/compose/grid/bit) nests
+// inside StageSolve, and StageRequest is one Engine request end to end.
+// WriteBreakdown lists every stage by name.
 const (
-	StageSolve      = obs.StageSolve      // one whole kernel solve
-	StageCombRows   = obs.StageCombRows   // row-major combing pass
-	StageCombDiags  = obs.StageCombDiags  // anti-diagonal combing passes
-	StageCombFinish = obs.StageCombFinish // track relabeling into the kernel
-	StageCompose    = obs.StageCompose    // steady-ant braid multiplication
-	StageGridComb   = obs.StageGridComb   // grid-reduction tile combing phase
-	StageGridReduce = obs.StageGridReduce // grid-reduction pairwise reduction
-	StageBitBlocks  = obs.StageBitBlocks  // bit-parallel block loop
-	StageCacheHit   = obs.StageCacheHit   // acquire served by a resident session
-	StageCacheMiss  = obs.StageCacheMiss  // acquire that waited for a solve
-	StageQueueWait  = obs.StageQueueWait  // batch submission → worker pickup
-	StageQuery      = obs.StageQuery      // answering one query on a session
-	StageRequest    = obs.StageRequest    // one request end to end
+	StageSolve   = obs.StageSolve   // one whole kernel solve
+	StageRequest = obs.StageRequest // one request end to end
 )
 
 // StageCounter indexes StageSnapshot.Counters: work volume counters
@@ -111,26 +100,9 @@ const (
 // tiles, bit blocks, currently open spans).
 type StageCounter = obs.CounterID
 
-// The work counters.
-const (
-	CounterCombCells    = obs.CounterCombCells
-	CounterCombDiags    = obs.CounterCombDiags
-	CounterComposes     = obs.CounterComposes
-	CounterComposeOrder = obs.CounterComposeOrder
-	CounterArenaBytes   = obs.CounterArenaBytes
-	CounterGridTiles    = obs.CounterGridTiles
-	CounterBitBlocks    = obs.CounterBitBlocks
-	CounterOpenSpans    = obs.CounterOpenSpans
-	CounterRetries      = obs.CounterRetries
-	CounterSheds        = obs.CounterSheds
-	CounterDegradations = obs.CounterDegradations
-	CounterFaults       = obs.CounterFaultsInjected
-	CounterCacheMisses  = obs.CounterCacheMisses
-)
-
-// StageBackoff times the waits between retry attempts of transiently
-// failed solves (see RetryPolicy).
-const StageBackoff = obs.StageBackoff
+// CounterCacheMisses counts engine acquires that found no resident or
+// in-flight kernel (cache_misses).
+const CounterCacheMisses = obs.CounterCacheMisses
 
 // NewStageRecorder returns an enabled recorder. Pass it to
 // SolveObserved or EngineOptions.Obs.
@@ -169,10 +141,10 @@ func GeneralBitLCS(a, b []byte, workers int) int {
 }
 
 // Serving layer: one kernel solve pays for unlimited sublinear queries,
-// and the Engine amortizes solves across requests — a sharded LRU cache
-// of kernels with singleflight deduplication and a batch front end
-// over a worker pool. See internal/query for details and
-// cmd/semilocal's -serve-batch mode for a file-driven harness.
+// and the Engine amortizes solves across requests — an LRU cache of
+// EngineOptions.MaxKernels kernels with singleflight deduplication and
+// a batch front end over a worker pool. See internal/query for details
+// and cmd/semilocal's -serve-batch mode for a file-driven harness.
 
 // Engine is a concurrent batch query engine over cached kernels.
 type Engine = query.Engine
@@ -355,17 +327,6 @@ func NewStreamGroup(patterns [][]byte, cfg StreamGroupConfig) (*StreamGroup, err
 // per generation. Open one with Engine.OpenStreamGroup.
 type EngineStreamGroup = query.StreamGroup
 
-// Streaming stages and counters for StageRecorder consumers.
-const (
-	StageStreamCompose         = obs.StageStreamCompose         // one spine composition
-	StageStreamGroupAppend     = obs.StageStreamGroupAppend     // one group append/slide end to end
-	StageStreamGroupFanout     = obs.StageStreamGroupFanout     // class solves + per-spine surgery
-	CounterStreamComposes      = obs.CounterStreamComposes      // compositions_total
-	CounterStreamGroupAppends  = obs.CounterStreamGroupAppends  // stream_group_appends
-	CounterStreamGroupPatterns = obs.CounterStreamGroupPatterns // stream_group_patterns
-	CounterStreamGroupShares   = obs.CounterStreamGroupShares   // stream_group_shares
-)
-
 // UnmarshalKernel decodes a kernel previously encoded with
 // Kernel.MarshalBinary, allowing substring queries without re-solving.
 func UnmarshalKernel(data []byte) (*Kernel, error) {
@@ -426,14 +387,6 @@ func BandedLCS(a, b []byte, maxD int) (int, bool) {
 	return banded.LCSScoreBounded(a, b, maxD)
 }
 
-// Banded stages and counters for StageRecorder consumers.
-const (
-	StageBandProbe        = obs.StageBandProbe        // the dispatcher's divergence probe
-	StageBandedBFS        = obs.StageBandedBFS        // one banded diagonal-BFS solve
-	CounterBandedRequests = obs.CounterBandedRequests // requests_banded
-	CounterBandFallbacks  = obs.CounterBandFallbacks  // band_fallbacks
-)
-
 // Persistent kernel store: a crash-safe, content-hash-keyed append log
 // of solved kernels on disk, backing the engine's LRU cache as a
 // write-through second tier. Restarts and new replicas start warm —
@@ -475,17 +428,6 @@ func StoreKeyOf(a, b []byte) store.Key {
 	return store.KeyOf(a, b)
 }
 
-// Store stages and counters for StageRecorder consumers.
-const (
-	StageStoreRead      = obs.StageStoreRead      // one store lookup on a cache miss
-	StageStoreAppend    = obs.StageStoreAppend    // one background store append
-	StageStoreCompact   = obs.StageStoreCompact   // one compaction pass
-	CounterStoreHits    = obs.CounterStoreHits    // store_hits
-	CounterStoreMisses  = obs.CounterStoreMisses  // store_misses
-	CounterStoreAppends = obs.CounterStoreAppends // store_appends
-	CounterStoreCorrupt = obs.CounterStoreCorrupt // store_corrupt_records
-)
-
 // Network serving tier: N engine shards, each ordered pair placed on
 // one by rendezvous hashing, fronted by an HTTP/JSON API (batch
 // solves and query families on /v1/batch, streaming op scripts on
@@ -521,12 +463,3 @@ var ErrTenantQuota = server.ErrTenantQuota
 func NewServer(cfg ServerConfig) (*Server, error) {
 	return server.New(cfg)
 }
-
-// Serving-tier stages and counters for StageRecorder consumers.
-const (
-	StageServerRequest    = obs.StageServerRequest    // one HTTP call end to end
-	StageServerRoute      = obs.StageServerRoute      // placement + shard weights + failover
-	CounterServerRequests = obs.CounterServerRequests // server_requests
-	CounterServerReroutes = obs.CounterServerReroutes // server_reroutes
-	CounterTenantRejects  = obs.CounterTenantRejects  // tenant_rejects
-)

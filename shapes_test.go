@@ -10,6 +10,7 @@ import (
 	"semilocal/internal/combing"
 	"semilocal/internal/dataset"
 	"semilocal/internal/hybrid"
+	"semilocal/internal/obs"
 	"semilocal/internal/perm"
 	"semilocal/internal/steadyant"
 
@@ -85,4 +86,27 @@ func TestPaperShapes(t *testing.T) {
 			t.Errorf("lookup base 5 (%v) slower than base 1 (%v)", b5, b1)
 		}
 	})
+}
+
+// TestDeepHybridCountedWork is the counted-work half of Figure 6, beside
+// the wall-clock TestPaperShapes/DeepHybridCostsSequentialTime: at 10⁴ a
+// depth-6 hybrid combs exactly the m·n cells depth 0 combs and pays
+// for braid compositions on top, so the extra sequential time the
+// figure shows is composition work, whatever the host's noise.
+func TestDeepHybridCountedWork(t *testing.T) {
+	a, b := dataset.Normal(10_000, 1, 1), dataset.Normal(10_000, 1, 2)
+	counted := func(depth int) (cells, composeOrder int64) {
+		rec := obs.New()
+		hybrid.Hybrid(a, b, hybrid.Options{Depth: depth, Rec: rec})
+		return rec.Counter(obs.CounterCombCells), rec.Counter(obs.CounterComposeOrder)
+	}
+	cells := int64(len(a)) * int64(len(b))
+	flatCells, flatOrder := counted(0)
+	deepCells, deepOrder := counted(6)
+	if flatCells != cells || deepCells != cells {
+		t.Errorf("comb_cells = %d at depth 0, %d at depth 6; want m·n = %d at both", flatCells, deepCells, cells)
+	}
+	if deepOrder <= flatOrder {
+		t.Errorf("compose_order = %d at depth 6, %d at depth 0; depth 6 must compose more", deepOrder, flatOrder)
+	}
 }
