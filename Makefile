@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race check bench bench-smoke figures figures-paper examples fuzz fuzz-smoke fuzz-list
+.PHONY: all build test test-race check bench bench-smoke figures figures-paper examples fuzz fuzz-smoke fuzz-list linkcheck
 
 all: build test
 
@@ -19,18 +19,20 @@ test:
 test-race:
 	go test -race ./...
 
-# The one pre-merge gate: static checks (gofmt must list no file, and
-# FUZZ_TARGETS must name exactly the tree's fuzz functions), build,
-# the whole test suite (alloc guards included), the race lane, and the
-# bench module's vet and tests (bench/ is its own Go module, compiled
-# against the engine, server, stream and obs APIs, so a break there
-# surfaces nowhere else).
+# The one pre-merge gate: static checks (gofmt must list no file,
+# FUZZ_TARGETS must name exactly the tree's fuzz functions, and every
+# non-test function must be linked into some binary), build, the whole
+# test suite (alloc guards included), the race lane, and the bench
+# module's vet and tests (bench/ is its own Go module, compiled against
+# the engine, server, stream and obs APIs, so a break there surfaces
+# nowhere else).
 # CI runs exactly this, plus fuzz-smoke and bench-smoke.
 check:
 	test -z "$$(gofmt -l .)"
 	$(MAKE) fuzz-list
 	go vet ./...
 	go build ./...
+	$(MAKE) linkcheck
 	go test ./...
 	$(MAKE) test-race
 	cd bench && go vet ./... && go test ./...
@@ -106,3 +108,9 @@ fuzz-list:
 	[ -z "$$extra" ] || echo "FUZZ_TARGETS names no such fuzz function: $$extra"; \
 	[ -z "$$missing" ] || echo "fuzz functions missing from FUZZ_TARGETS: $$missing"; \
 	[ -z "$$extra$$missing" ]
+
+# Fails when a non-test function of the root package or internal/ is
+# linked into none of the binaries (cmd/*, examples/* and bench) and is
+# not on tools/linkcheck/allow.txt, which gives each entry's reason.
+linkcheck:
+	go run ./tools/linkcheck

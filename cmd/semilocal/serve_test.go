@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"semilocal"
+	"semilocal/internal/lcs"
 )
 
 // TestServeAddrEndToEnd boots the CLI serve mode on a dynamic port via
@@ -56,7 +56,7 @@ func TestServeAddrEndToEnd(t *testing.T) {
 			t.Fatalf("request %d: %s", i, r.Error)
 		}
 	}
-	if want := semilocal.LCS([]byte("abracadabra"), []byte("alakazam")); br.Results[0].Score != want {
+	if want := lcs.PrefixRowMajor([]byte("abracadabra"), []byte("alakazam")); br.Results[0].Score != want {
 		t.Errorf("score = %d, want %d", br.Results[0].Score, want)
 	}
 

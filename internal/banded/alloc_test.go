@@ -3,7 +3,7 @@
 package banded
 
 // Zero-alloc guards for the banded hot loop. Once the pooled workspace
-// has grown to size, Distance/LCSScore/DistanceBounded must not touch
+// has grown to size, DistanceBounded and LCSScoreBounded must not touch
 // the heap: the fast path exists to serve high-QPS near-identical
 // traffic, where a per-call allocation is a per-call GC tax. Like every
 // AllocsPerRun-based gate, this only measures without the race
@@ -20,17 +20,18 @@ func TestDistanceZeroAllocs(t *testing.T) {
 	b := []byte("the quick brown fax jumps over the lazy dog, repeatedly and at length!")
 	a = append(a, a...)
 	b = append(b, b...)
-	Distance(a, b) // warm the pool to steady-state capacity
-	benchkit.AssertMaxAllocs(t, "banded.Distance", 0, 200, func() {
-		Distance(a, b)
+	full := len(a) + len(b)     // a budget no pair exceeds
+	DistanceBounded(a, b, full) // warm the pool to steady-state capacity
+	benchkit.AssertMaxAllocs(t, "banded.DistanceBounded(full)", 0, 200, func() {
+		DistanceBounded(a, b, full)
 	})
 	DistanceBounded(a, b, 16)
 	benchkit.AssertMaxAllocs(t, "banded.DistanceBounded", 0, 200, func() {
 		DistanceBounded(a, b, 16)
 	})
-	LCSScore(a, b)
-	benchkit.AssertMaxAllocs(t, "banded.LCSScore", 0, 200, func() {
-		LCSScore(a, b)
+	LCSScoreBounded(a, b, full)
+	benchkit.AssertMaxAllocs(t, "banded.LCSScoreBounded(full)", 0, 200, func() {
+		LCSScoreBounded(a, b, full)
 	})
 }
 

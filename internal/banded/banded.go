@@ -22,9 +22,9 @@
 // path dispatcher probe cheaply and fall back to the kernel pipeline
 // when inputs diverge (see internal/query).
 //
-// Two move sets are provided: Distance/DistanceBounded run the
-// unit-cost Levenshtein BFS (substitutions allowed, Landau–Vishkin),
-// and LCSScore/LCSScoreBounded run the insertion/deletion-only BFS
+// Two move sets are provided: DistanceBounded runs the unit-cost
+// Levenshtein BFS (substitutions allowed, Landau–Vishkin), and
+// LCSScoreBounded runs the insertion/deletion-only BFS
 // (Myers' O(ND) with snake jumps), whose distance D relates to the LCS
 // by LCS = (m+n−D)/2 — bit-identical to the kernel's Score and to the
 // quadratic oracle, which is what the differential wall pins.
@@ -42,8 +42,8 @@ const negInf = -1 << 40
 
 // workspace owns the frontier arrays the BFS needs, so repeat solves
 // allocate nothing once the arrays have grown to size (the alloc guard
-// in alloc_test.go pins this). Distance and friends recycle workspaces
-// through a sync.Pool.
+// in alloc_test.go pins this). DistanceBounded and LCSScoreBounded
+// recycle workspaces through a sync.Pool.
 type workspace struct {
 	cur, nxt []int
 }
@@ -60,43 +60,65 @@ func growInt(s []int, n int) []int {
 	return make([]int, n)
 }
 
-// Distance returns the unit-cost Levenshtein distance of a and b in
+// DistanceBounded returns the unit-cost Levenshtein distance of a and b
+// with a band budget: (distance, true) when ed(a, b) ≤ maxK, and
+// (0, false) as soon as the search proves the distance exceeds maxK —
+// without ever exploring more than 2·maxK+1 diagonals. It runs in
 // O(m + n + d²) time on non-repetitive text, where d is the distance
-// itself (see the package doc for the worst case).
-func Distance(a, b []byte) int {
-	d, _ := distance(a, b, -1)
-	return d
-}
-
-// DistanceBounded is Distance with a band budget: it returns
-// (distance, true) when ed(a, b) ≤ maxK, and (0, false) as soon as the
-// search proves the distance exceeds maxK — without ever exploring
-// more than 2·maxK+1 diagonals. maxK < 0 is rejected as (0, false).
+// itself (see the package doc for the worst case); a budget of
+// len(a)+len(b) never runs out. maxK < 0 is rejected as (0, false).
 func DistanceBounded(a, b []byte, maxK int) (int, bool) {
 	if maxK < 0 {
 		return 0, false
 	}
-	return distance(a, b, maxK)
+	a, b, _, _ = trimCommon(a, b)
+	m, n := len(a), len(b)
+	if m == 0 || n == 0 {
+		if d := m + n; d <= maxK {
+			return d, true
+		}
+		return 0, false
+	}
+	if abs(m-n) > maxK {
+		return 0, false
+	}
+	ws := wsPool.Get().(*workspace)
+	d, ok := ws.levenshtein(a, b, maxK)
+	wsPool.Put(ws)
+	return d, ok
 }
 
-// LCSScore returns the LCS score of a and b via the insertion/deletion
-// BFS: O(m + n + D²) on non-repetitive text, where D = m + n −
-// 2·LCS(a, b) is the indel distance — the fast path for near-identical
-// inputs, bit-identical to the semi-local kernel's Score.
-func LCSScore(a, b []byte) int {
-	s, _ := lcsScore(a, b, -1)
-	return s
-}
-
-// LCSScoreBounded is LCSScore with a budget on the indel distance D:
-// it returns (score, true) when D ≤ maxD and (0, false) once the band
-// exceeds maxD. A unit-cost edit budget k corresponds to maxD = 2k
-// (a substitution costs two indels). maxD < 0 is rejected.
+// LCSScoreBounded returns the LCS score of a and b via the
+// insertion/deletion BFS, with a budget on the indel distance
+// D = m + n − 2·LCS(a, b): (score, true) when D ≤ maxD and (0, false)
+// once the band exceeds maxD. It runs in O(m + n + D²) on
+// non-repetitive text — the fast path for near-identical inputs,
+// bit-identical to the semi-local kernel's Score. A unit-cost edit
+// budget k corresponds to maxD = 2k (a substitution costs two indels),
+// and a budget of len(a)+len(b) never runs out. maxD < 0 is rejected.
 func LCSScoreBounded(a, b []byte, maxD int) (int, bool) {
 	if maxD < 0 {
 		return 0, false
 	}
-	return lcsScore(a, b, maxD)
+	a, b, pre, suf := trimCommon(a, b)
+	matched := pre + suf
+	m, n := len(a), len(b)
+	if m == 0 || n == 0 {
+		if m+n > maxD {
+			return 0, false
+		}
+		return matched, true
+	}
+	if abs(m-n) > maxD {
+		return 0, false
+	}
+	ws := wsPool.Get().(*workspace)
+	d, ok := ws.myers(a, b, maxD)
+	wsPool.Put(ws)
+	if !ok {
+		return 0, false
+	}
+	return matched + (m+n-d)/2, true
 }
 
 // AutoMaxK returns the default band budget for an m×n pair: the edit
@@ -145,26 +167,6 @@ func trimCommon(a, b []byte) (ta, tb []byte, pre, suf int) {
 	return a[:len(a)-suf], b[:len(b)-suf], pre, suf
 }
 
-// distance runs the Levenshtein BFS; maxK < 0 means unbounded.
-func distance(a, b []byte, maxK int) (int, bool) {
-	a, b, _, _ = trimCommon(a, b)
-	m, n := len(a), len(b)
-	if m == 0 || n == 0 {
-		d := m + n
-		if maxK >= 0 && d > maxK {
-			return 0, false
-		}
-		return d, true
-	}
-	if maxK >= 0 && abs(m-n) > maxK {
-		return 0, false
-	}
-	ws := wsPool.Get().(*workspace)
-	d, ok := ws.levenshtein(a, b, maxK)
-	wsPool.Put(ws)
-	return d, ok
-}
-
 // levenshtein is the Landau–Vishkin BFS proper. Frontier semantics:
 // L(e, d) is the largest row i such that ed(a[:i], b[:i−d]) ≤ e, after
 // extension along the diagonal's match run. Transitions into diagonal
@@ -174,10 +176,7 @@ func distance(a, b []byte, maxK int) (int, bool) {
 // The answer is the first e with L(e, m−n) = m.
 func (ws *workspace) levenshtein(a, b []byte, maxK int) (int, bool) {
 	m, n := len(a), len(b)
-	kmax := maxK
-	if kmax < 0 || kmax > m+n {
-		kmax = m + n // every pair is within max(m,n) ≤ m+n edits
-	}
+	kmax := min(maxK, m+n) // every pair is within max(m,n) ≤ m+n edits
 	// Diagonals d ∈ [−min(kmax,n), min(kmax,m)], with one sentinel slot
 	// on each side so transitions never bounds-check.
 	dlo, dhi := -min(kmax, n), min(kmax, m)
@@ -246,40 +245,13 @@ func unreach(v []int, i int) {
 	}
 }
 
-// lcsScore runs the indel-only BFS; maxD < 0 means unbounded. The
-// returned score already includes the trimmed common prefix/suffix.
-func lcsScore(a, b []byte, maxD int) (int, bool) {
-	a, b, pre, suf := trimCommon(a, b)
-	matched := pre + suf
-	m, n := len(a), len(b)
-	if m == 0 || n == 0 {
-		if maxD >= 0 && m+n > maxD {
-			return 0, false
-		}
-		return matched, true
-	}
-	if maxD >= 0 && abs(m-n) > maxD {
-		return 0, false
-	}
-	ws := wsPool.Get().(*workspace)
-	d, ok := ws.myers(a, b, maxD)
-	wsPool.Put(ws)
-	if !ok {
-		return 0, false
-	}
-	return matched + (m+n-d)/2, true
-}
-
 // myers is Myers' O(ND) greedy BFS with LCP snakes: only insertions and
 // deletions move between diagonals, so round D touches only diagonals
 // with d ≡ D (mod 2) and the frontier updates in place (reads are all
 // of the opposite parity, i.e. round D−1).
 func (ws *workspace) myers(a, b []byte, maxD int) (int, bool) {
 	m, n := len(a), len(b)
-	dmax := maxD
-	if dmax < 0 || dmax > m+n {
-		dmax = m + n
-	}
+	dmax := min(maxD, m+n)
 	dlo, dhi := -min(dmax, n), min(dmax, m)
 	off := 1 - dlo
 	width := dhi - dlo + 3

@@ -94,8 +94,8 @@ func TestDistanceSmall(t *testing.T) {
 		{"flaw", "lawn", 2},
 	}
 	for _, c := range cases {
-		if got := Distance([]byte(c.a), []byte(c.b)); got != c.want {
-			t.Errorf("Distance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got, ok := DistanceBounded([]byte(c.a), []byte(c.b), len(c.a)+len(c.b)); !ok || got != c.want {
+			t.Errorf("DistanceBounded(%q, %q, full) = (%d, %v), want %d", c.a, c.b, got, ok, c.want)
 		}
 	}
 }
@@ -114,8 +114,8 @@ func TestLCSScoreSmall(t *testing.T) {
 			}
 		}
 		want := dpLCS(a, b)
-		if got := LCSScore(a, b); got != want {
-			t.Errorf("LCSScore(%q, %q) = %d, want %d", a, b, got, want)
+		if got, ok := LCSScoreBounded(a, b, len(a)+len(b)); !ok || got != want {
+			t.Errorf("LCSScoreBounded(%q, %q, full) = (%d, %v), want %d", a, b, got, ok, want)
 		}
 	}
 }

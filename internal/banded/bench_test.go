@@ -56,7 +56,7 @@ func BenchmarkDistanceKScaling(b *testing.B) {
 			b.SetBytes(n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Distance(x, y)
+				DistanceBounded(x, y, len(x)+len(y))
 			}
 		})
 	}
@@ -70,7 +70,7 @@ func BenchmarkLCSScoreKScaling(b *testing.B) {
 			b.SetBytes(n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				LCSScore(x, y)
+				LCSScoreBounded(x, y, len(x)+len(y))
 			}
 		})
 	}
@@ -102,7 +102,7 @@ func BenchmarkCrossover(b *testing.B) {
 		x, y := plantedPair(n, k, int64(k))
 		b.Run(fmt.Sprintf("banded/n=65536/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Distance(x, y)
+				DistanceBounded(x, y, len(x)+len(y))
 			}
 		})
 	}

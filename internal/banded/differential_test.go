@@ -21,8 +21,9 @@ import (
 func checkAgainstEditdist(t *testing.T, name string, a, b []byte) {
 	t.Helper()
 	want := editdist.Distance(a, b)
-	if got := banded.Distance(a, b); got != want {
-		t.Errorf("%s: banded.Distance = %d, editdist.Distance = %d", name, got, want)
+	full := len(a) + len(b) // a budget no pair exceeds
+	if got, ok := banded.DistanceBounded(a, b, full); !ok || got != want {
+		t.Errorf("%s: banded.DistanceBounded(full) = (%d, %v), editdist.Distance = %d", name, got, ok, want)
 	}
 	if got, ok := banded.DistanceBounded(a, b, want); !ok || got != want {
 		t.Errorf("%s: DistanceBounded(maxK=d) = (%d, %v), want (%d, true)", name, got, ok, want)
@@ -34,7 +35,10 @@ func checkAgainstEditdist(t *testing.T, name string, a, b []byte) {
 	}
 	// The LCS/edit duality on the same pair: unit-cost distance never
 	// exceeds indel distance, and both sides are internally consistent.
-	lcs := banded.LCSScore(a, b)
+	lcs, ok := banded.LCSScoreBounded(a, b, full)
+	if !ok {
+		t.Errorf("%s: LCSScoreBounded(full) ran out of budget", name)
+	}
 	if indel := len(a) + len(b) - 2*lcs; want > indel {
 		t.Errorf("%s: edit distance %d exceeds indel distance %d", name, want, indel)
 	}

@@ -28,13 +28,14 @@ func FuzzBandedDistance(f *testing.F) {
 		if len(b) > 256 {
 			b = b[:256]
 		}
+		full := len(a) + len(b) // a budget no pair exceeds
 		wantED := oracle.EditDistance(a, b)
-		if got := banded.Distance(a, b); got != wantED {
-			t.Fatalf("Distance(%q, %q) = %d, want %d", a, b, got, wantED)
+		if got, ok := banded.DistanceBounded(a, b, full); !ok || got != wantED {
+			t.Fatalf("DistanceBounded(%q, %q, full) = (%d, %v), want %d", a, b, got, ok, wantED)
 		}
 		wantLCS := oracle.Score(a, b)
-		if got := banded.LCSScore(a, b); got != wantLCS {
-			t.Fatalf("LCSScore(%q, %q) = %d, want %d", a, b, got, wantLCS)
+		if got, ok := banded.LCSScoreBounded(a, b, full); !ok || got != wantLCS {
+			t.Fatalf("LCSScoreBounded(%q, %q, full) = (%d, %v), want %d", a, b, got, ok, wantLCS)
 		}
 		// Bounded early-exit contract under a fuzzed budget.
 		if maxK > 1024 {

@@ -80,18 +80,19 @@ func TestLCPExact(t *testing.T) {
 
 // TestPeriodicBinaryDifferential: periodic binary strings maximize
 // repeated substrings, so the longest snakes run on the most diagonals
-// at once. Distance and LCSScore must match the quadratic references.
+// at once. Both BFS move sets must match the quadratic references.
 func TestPeriodicBinaryDifferential(t *testing.T) {
 	for _, seed := range []int64{99, 100, 141, 0xdead + 99} {
 		rng := rand.New(rand.NewSource(seed))
 		for it := 0; it < 80; it++ {
 			a := bytes.Repeat(randBytes(rng, 1+rng.Intn(4), 2), 1+rng.Intn(40))
 			b := mutateLocal(rng, a, rng.Intn(5))
-			if got, want := Distance(a, b), dpEdit(a, b); got != want {
-				t.Fatalf("seed %d: Distance(%q, %q) = %d, want %d", seed, a, b, got, want)
+			full := len(a) + len(b)
+			if got, ok := DistanceBounded(a, b, full); !ok || got != dpEdit(a, b) {
+				t.Fatalf("seed %d: DistanceBounded(%q, %q, full) = (%d, %v), want %d", seed, a, b, got, ok, dpEdit(a, b))
 			}
-			if got, want := LCSScore(a, b), dpLCS(a, b); got != want {
-				t.Fatalf("seed %d: LCSScore(%q, %q) = %d, want %d", seed, a, b, got, want)
+			if got, ok := LCSScoreBounded(a, b, full); !ok || got != dpLCS(a, b) {
+				t.Fatalf("seed %d: LCSScoreBounded(%q, %q, full) = (%d, %v), want %d", seed, a, b, got, ok, dpLCS(a, b))
 			}
 		}
 	}
@@ -116,16 +117,16 @@ func TestFrontierIgnoresStaleSlots(t *testing.T) {
 		if len(a) == 0 || len(b) == 0 {
 			continue
 		}
-		for _, budget := range []int{-1, 3, 20} {
+		for _, budget := range []int{len(a) + len(b), 3, 20} {
 			name := fmt.Sprintf("(%q, %q, budget %d)", a, b, budget)
 			ws.cur, ws.nxt = poisoned(ws.cur), poisoned(ws.nxt)
 			want := dpEdit(a, b)
-			if got, ok := ws.levenshtein(a, b, budget); ok != (budget < 0 || want <= budget) || ok && got != want {
+			if got, ok := ws.levenshtein(a, b, budget); ok != (want <= budget) || ok && got != want {
 				t.Fatalf("levenshtein%s = (%d, %v), want %d", name, got, ok, want)
 			}
 			ws.cur, ws.nxt = poisoned(ws.cur), poisoned(ws.nxt)
 			wantD := len(a) + len(b) - 2*dpLCS(a, b)
-			if got, ok := ws.myers(a, b, budget); ok != (budget < 0 || wantD <= budget) || ok && got != wantD {
+			if got, ok := ws.myers(a, b, budget); ok != (wantD <= budget) || ok && got != wantD {
 				t.Fatalf("myers%s = (%d, %v), want %d", name, got, ok, wantD)
 			}
 		}

@@ -86,12 +86,13 @@ func checkPair(t *testing.T, name string, a, b []byte) {
 	if dp := editdist.Distance(a, b); dp != wantED {
 		t.Fatalf("%s: oracles disagree: oracle.EditDistance=%d editdist.Distance=%d", name, wantED, dp)
 	}
-	if got := banded.Distance(a, b); got != wantED {
-		t.Errorf("%s: Distance = %d, want %d", name, got, wantED)
+	full := len(a) + len(b) // a budget no pair exceeds
+	if got, ok := banded.DistanceBounded(a, b, full); !ok || got != wantED {
+		t.Errorf("%s: DistanceBounded(full) = (%d, %v), want %d", name, got, ok, wantED)
 	}
 	wantLCS := oracle.Score(a, b)
-	if got := banded.LCSScore(a, b); got != wantLCS {
-		t.Errorf("%s: LCSScore = %d, want %d", name, got, wantLCS)
+	if got, ok := banded.LCSScoreBounded(a, b, full); !ok || got != wantLCS {
+		t.Errorf("%s: LCSScoreBounded(full) = (%d, %v), want %d", name, got, ok, wantLCS)
 	}
 	// The budget boundary: exact at maxK = d, early exit at maxK = d−1.
 	if got, ok := banded.DistanceBounded(a, b, wantED); !ok || got != wantED {

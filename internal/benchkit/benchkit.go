@@ -7,7 +7,6 @@ package benchkit
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -28,21 +27,6 @@ func Measure(reps int, f func()) time.Duration {
 		}
 	}
 	return best
-}
-
-// MeasureMedian runs f reps times and returns the median duration.
-func MeasureMedian(reps int, f func()) time.Duration {
-	if reps < 1 {
-		reps = 1
-	}
-	ds := make([]time.Duration, reps)
-	for i := range ds {
-		start := time.Now()
-		f()
-		ds[i] = time.Since(start)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[reps/2]
 }
 
 // Seconds renders a duration as seconds with three significant decimals.

@@ -20,14 +20,6 @@ func TestMeasureRunsAtLeastOnce(t *testing.T) {
 	}
 }
 
-func TestMeasureMedian(t *testing.T) {
-	runs := 0
-	d := MeasureMedian(3, func() { runs++; time.Sleep(time.Millisecond) })
-	if runs != 3 || d < time.Millisecond/2 {
-		t.Fatalf("runs=%d d=%v", runs, d)
-	}
-}
-
 func TestRatioAndSeconds(t *testing.T) {
 	if got := Ratio(2*time.Second, time.Second); got != "2.00x" {
 		t.Fatalf("Ratio = %q", got)

@@ -72,8 +72,8 @@ const (
 	PointStore
 	// PointShard fires when the sharded serving tier routes a request to
 	// its home engine shard (latency, error). An injected error "kills"
-	// the home shard for that arrival — the router takes the healthy
-	// shard of next-highest rendezvous weight, so the tier degrades to a
+	// the home shard for that arrival — the router takes the shard of
+	// next-highest rendezvous weight, so the tier degrades to a
 	// colder cache instead of failing; injected latency models one slow
 	// shard. Answers stay bit-identical either way.
 	PointShard
@@ -212,10 +212,6 @@ type Event struct {
 	Fault Fault
 }
 
-func (e Event) String() string {
-	return fmt.Sprintf("%s#%d rule%d %s", e.Point, e.Seq, e.Rule, e.Fault)
-}
-
 // rule is a compiled Rule plus its firing budget.
 type rule struct {
 	Rule
@@ -263,9 +259,6 @@ func New(cfg Config) (*Injector, error) {
 	}
 	return in, nil
 }
-
-// Enabled reports whether the injector injects anything.
-func (in *Injector) Enabled() bool { return in != nil }
 
 // At registers one arrival at point p and returns the injection
 // decision for it. On a nil injector it returns the zero Decision
@@ -339,19 +332,6 @@ func (in *Injector) Arrivals(p Point) int64 {
 		return 0
 	}
 	return in.arrival[p].Load()
-}
-
-// Schedule returns a copy of the recorded injection schedule (empty
-// unless the injector was built with Config.Record).
-func (in *Injector) Schedule() []Event {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]Event, len(in.schedule))
-	copy(out, in.schedule)
-	return out
 }
 
 // ErrInjected is the sentinel every injected error matches through

@@ -92,17 +92,6 @@ func SizeBytes(n int) int {
 // Size returns the length of the indexed sequence.
 func (t *Tree) Size() int { return t.n }
 
-// Bytes estimates the resident size of the tree in bytes: one int32
-// rank entry per position per level plus the per-level headers. Callers
-// budgeting cache memory for query structures use this.
-func (t *Tree) Bytes() int {
-	bytes := 0
-	for i := range t.levels {
-		bytes += 4 * (len(t.levels[i].rank0) + 1)
-	}
-	return bytes
-}
-
 // CountLess returns #{p ∈ [lo, hi) : val[p] < v}. Ranges are clamped to
 // [0, n]; v outside [0, n] is clamped likewise.
 func (t *Tree) CountLess(lo, hi int, v int) int {

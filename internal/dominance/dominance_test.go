@@ -140,3 +140,14 @@ func TestSizeBytesMatchesBuiltTree(t *testing.T) {
 		}
 	}
 }
+
+// Bytes estimates the resident size of the tree in bytes: one int32
+// rank entry per position per level plus the per-level headers. Callers
+// budgeting cache memory for query structures use this.
+func (t *Tree) Bytes() int {
+	bytes := 0
+	for i := range t.levels {
+		bytes += 4 * (len(t.levels[i].rank0) + 1)
+	}
+	return bytes
+}

@@ -65,10 +65,6 @@ func blowUp(s []byte) []byte {
 	return out
 }
 
-// M returns len(a); N returns len(b).
-func (k *Kernel) M() int { return k.m }
-func (k *Kernel) N() int { return k.n }
-
 // Distance returns ed(a, b).
 func (k *Kernel) Distance() int {
 	return k.m + k.n - k.inner.Score()

@@ -6,14 +6,10 @@
 //   - prefix_antidiag branchless: the anti-diagonal order with the
 //     conditional replaced by branch-free integer selection, the portable
 //     analog of the paper's SIMD variant,
-//   - a goroutine-parallel anti-diagonal variant,
 //
-// plus a quadratic full-table scorer and Hirschberg's linear-space
-// sequence recovery, used as correctness oracles by the rest of the
-// repository.
+// plus a quadratic full-table scorer, used as a correctness oracle by the
+// rest of the repository.
 package lcs
-
-import "semilocal/internal/parallel"
 
 // ScoreFull computes LCS(a, b) with the full O(mn) table. It is the
 // reference oracle; use the prefix variants for long inputs.
@@ -79,20 +75,14 @@ func diagCells(d, m, n int) (lo, hi int) {
 // conditional branching in the cell update (the paper's prefix_antidiag
 // before SIMD conversion).
 func PrefixAntidiag(a, b []byte) int {
-	return prefixAntidiag(a, b, false, 1)
+	return prefixAntidiag(a, b, false)
 }
 
 // PrefixAntidiagBranchless is PrefixAntidiag with the cell update
 // expressed in branch-free integer arithmetic — the portable analog of
 // the paper's prefix_antidiag_SIMD.
 func PrefixAntidiagBranchless(a, b []byte) int {
-	return prefixAntidiag(a, b, true, 1)
-}
-
-// PrefixAntidiagParallel processes each anti-diagonal with the given
-// number of goroutine workers, with a barrier between diagonals.
-func PrefixAntidiagParallel(a, b []byte, workers int) int {
-	return prefixAntidiag(a, b, true, workers)
+	return prefixAntidiag(a, b, true)
 }
 
 // prefixAntidiag runs the anti-diagonal DP. Cells on a diagonal are
@@ -101,7 +91,7 @@ func PrefixAntidiagParallel(a, b []byte, workers int) int {
 //
 // Buffer convention: buffer index r holds dp values for cells of one
 // diagonal, indexed by row i.
-func prefixAntidiag(a, b []byte, branchless bool, workers int) int {
+func prefixAntidiag(a, b []byte, branchless bool) int {
 	m, n := len(a), len(b)
 	if m == 0 || n == 0 {
 		return 0
@@ -111,54 +101,42 @@ func prefixAntidiag(a, b []byte, branchless bool, workers int) int {
 	prev1 := make([]int32, m) // diagonal d-1
 	cur := make([]int32, m)   // diagonal d
 	last := int32(0)
-	var pool *parallel.Pool
-	if workers > 1 {
-		pool = parallel.NewPool(workers)
-		defer pool.Close()
-	}
 	for d := 0; d < m+n-1; d++ {
 		lo, hi := diagCells(d, m, n)
-		body := func(start, end int) {
-			for i := start; i < end; i++ {
-				j := d - i
-				// Neighbors: up (i-1, j) on diag d-1 at row i-1;
-				// left (i, j-1) on diag d-1 at row i;
-				// up-left (i-1, j-1) on diag d-2 at row i-1.
-				var up, left, ul int32
-				if i > 0 {
-					up = prev1[i-1]
-					if j > 0 {
-						ul = prev2[i-1]
-					}
-				}
+		for i := lo; i <= hi; i++ {
+			j := d - i
+			// Neighbors: up (i-1, j) on diag d-1 at row i-1;
+			// left (i, j-1) on diag d-1 at row i;
+			// up-left (i-1, j-1) on diag d-2 at row i-1.
+			var up, left, ul int32
+			if i > 0 {
+				up = prev1[i-1]
 				if j > 0 {
-					left = prev1[i]
-				}
-				if branchless {
-					eq := int32(0)
-					if a[i] == b[j] {
-						eq = 1
-					}
-					v := ul + eq
-					v = maxBranchless(v, up)
-					v = maxBranchless(v, left)
-					cur[i] = v
-				} else {
-					v := up
-					if left > v {
-						v = left
-					}
-					if a[i] == b[j] && ul+1 > v {
-						v = ul + 1
-					}
-					cur[i] = v
+					ul = prev2[i-1]
 				}
 			}
-		}
-		if pool != nil && hi-lo+1 >= 2048 {
-			pool.For(lo, hi+1, body)
-		} else {
-			body(lo, hi+1)
+			if j > 0 {
+				left = prev1[i]
+			}
+			if branchless {
+				eq := int32(0)
+				if a[i] == b[j] {
+					eq = 1
+				}
+				v := ul + eq
+				v = maxBranchless(v, up)
+				v = maxBranchless(v, left)
+				cur[i] = v
+			} else {
+				v := up
+				if left > v {
+					v = left
+				}
+				if a[i] == b[j] && ul+1 > v {
+					v = ul + 1
+				}
+				cur[i] = v
+			}
 		}
 		last = cur[m-1]
 		prev2, prev1, cur = prev1, cur, prev2
@@ -172,64 +150,4 @@ func prefixAntidiag(a, b []byte, branchless bool, workers int) int {
 func maxBranchless(x, y int32) int32 {
 	d := x - y
 	return x - (d & (d >> 31))
-}
-
-// Sequence returns one longest common subsequence of a and b using
-// Hirschberg's linear-space divide-and-conquer.
-func Sequence(a, b []byte) []byte {
-	out := make([]byte, 0, min(len(a), len(b)))
-	return hirschberg(a, b, out)
-}
-
-// lastRow returns the final DP row of LCS(a, b) in O(n) space.
-func lastRow(a, b []byte) []int32 {
-	row := make([]int32, len(b)+1)
-	for i := 0; i < len(a); i++ {
-		var diag int32
-		ai := a[i]
-		for j := 1; j <= len(b); j++ {
-			up := row[j]
-			if ai == b[j-1] {
-				row[j] = diag + 1
-			} else if up < row[j-1] {
-				row[j] = row[j-1]
-			}
-			diag = up
-		}
-	}
-	return row
-}
-
-func reverseBytes(s []byte) []byte {
-	r := make([]byte, len(s))
-	for i, c := range s {
-		r[len(s)-1-i] = c
-	}
-	return r
-}
-
-func hirschberg(a, b []byte, out []byte) []byte {
-	m := len(a)
-	switch {
-	case m == 0:
-		return out
-	case m == 1:
-		for _, c := range b {
-			if c == a[0] {
-				return append(out, c)
-			}
-		}
-		return out
-	}
-	mid := m / 2
-	top := lastRow(a[:mid], b)
-	bot := lastRow(reverseBytes(a[mid:]), reverseBytes(b))
-	split, best := 0, int32(-1)
-	for j := 0; j <= len(b); j++ {
-		if v := top[j] + bot[len(b)-j]; v > best {
-			best, split = v, j
-		}
-	}
-	out = hirschberg(a[:mid], b[:split], out)
-	return hirschberg(a[mid:], b[split:], out)
 }

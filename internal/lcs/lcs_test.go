@@ -45,8 +45,6 @@ func TestScorersAgree(t *testing.T) {
 		"PrefixRowMajor":           PrefixRowMajor,
 		"PrefixAntidiag":           PrefixAntidiag,
 		"PrefixAntidiagBranchless": PrefixAntidiagBranchless,
-		"PrefixAntidiagParallel2":  func(a, b []byte) int { return PrefixAntidiagParallel(a, b, 2) },
-		"PrefixAntidiagParallel4":  func(a, b []byte) int { return PrefixAntidiagParallel(a, b, 4) },
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 120; trial++ {
@@ -62,12 +60,12 @@ func TestScorersAgree(t *testing.T) {
 	}
 }
 
-func TestScorersAgreeLargeParallel(t *testing.T) {
+func TestScorersAgreeLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a, b := randString(rng, 3000, 4), randString(rng, 2500, 4)
 	want := PrefixRowMajor(a, b)
-	if got := PrefixAntidiagParallel(a, b, 4); got != want {
-		t.Fatalf("parallel = %d, want %d", got, want)
+	if got := PrefixAntidiag(a, b); got != want {
+		t.Fatalf("antidiag = %d, want %d", got, want)
 	}
 	if got := PrefixAntidiagBranchless(a, b); got != want {
 		t.Fatalf("branchless = %d, want %d", got, want)
@@ -115,42 +113,6 @@ func TestMaxBranchless(t *testing.T) {
 		if got := maxBranchless(c[0], c[1]); got != c[2] {
 			t.Errorf("maxBranchless(%d,%d) = %d, want %d", c[0], c[1], got, c[2])
 		}
-	}
-}
-
-func isSubsequence(sub, s []byte) bool {
-	i := 0
-	for _, c := range s {
-		if i < len(sub) && sub[i] == c {
-			i++
-		}
-	}
-	return i == len(sub)
-}
-
-func TestSequenceIsValidLCS(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 80; trial++ {
-		m, n := rng.Intn(50), rng.Intn(50)
-		sigma := 1 + rng.Intn(4)
-		a, b := randString(rng, m, sigma), randString(rng, n, sigma)
-		seq := Sequence(a, b)
-		if len(seq) != ScoreFull(a, b) {
-			t.Fatalf("Sequence length %d, want %d (a=%v b=%v)", len(seq), ScoreFull(a, b), a, b)
-		}
-		if !isSubsequence(seq, a) || !isSubsequence(seq, b) {
-			t.Fatalf("Sequence %v is not a common subsequence of %v and %v", seq, a, b)
-		}
-	}
-}
-
-func TestSequenceKnown(t *testing.T) {
-	got := string(Sequence([]byte("XMJYAUZ"), []byte("MZJAWXU")))
-	if len(got) != 4 {
-		t.Fatalf("got %q, want length 4", got)
-	}
-	if !isSubsequence([]byte(got), []byte("XMJYAUZ")) || !isSubsequence([]byte(got), []byte("MZJAWXU")) {
-		t.Fatalf("%q is not common", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -138,10 +137,4 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 		}
 	}
 	return BucketUpper(NumBuckets - 1)
-}
-
-// String renders a compact summary for logs.
-func (s HistSnapshot) String() string {
-	return fmt.Sprintf("count=%d total=%v mean=%v p50=%v p99=%v max=%v",
-		s.Count, s.Total(), s.Mean(), s.Quantile(0.5), s.Quantile(0.99), time.Duration(s.Max))
 }

@@ -176,3 +176,18 @@ func TestHistogramConcurrentExactness(t *testing.T) {
 		t.Fatalf("max = %d, want %d", s.Max, goroutines*perG-1)
 	}
 }
+
+// Merge returns the snapshot combining s and o.
+func (s Snapshot) Merge(o Snapshot) Snapshot {
+	out := s
+	for i := range out.Stages {
+		out.Stages[i] = out.Stages[i].Merge(o.Stages[i])
+	}
+	for i := range out.Counters {
+		out.Counters[i] += o.Counters[i]
+	}
+	if o.ComposeDepthMax > out.ComposeDepthMax {
+		out.ComposeDepthMax = o.ComposeDepthMax
+	}
+	return out
+}

@@ -113,8 +113,8 @@ const (
 	StageServerRequest
 	// StageServerRoute is the shard-routing step of one serving-tier
 	// request: the pair's CRC-32C placement and the pass over the shard
-	// weights that picks its home or, under a chaos kill or a down
-	// shard, the healthy shard of next-highest weight.
+	// weights that picks its home or, under a chaos kill, the shard of
+	// next-highest weight.
 	StageServerRoute
 	// StageStreamGroupAppend is one multi-pattern group mutation end to
 	// end: the shared text-side pass (chunk scan, canonical relabeling
@@ -223,8 +223,8 @@ const (
 	// serving tier's network API (batch requests and stream ops alike).
 	CounterServerRequests
 	// CounterServerReroutes counts requests routed away from their home
-	// shard because it was killed by chaos or marked unhealthy — the
-	// degraded-not-failed path of the tier.
+	// shard because chaos killed it — the degraded-not-failed path of
+	// the tier.
 	CounterServerReroutes
 	// CounterTenantRejects counts requests rejected by per-tenant quota
 	// admission before touching any shard.

@@ -20,21 +20,6 @@ type Snapshot struct {
 	ComposeDepthMax int64
 }
 
-// Merge returns the snapshot combining s and o.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := s
-	for i := range out.Stages {
-		out.Stages[i] = out.Stages[i].Merge(o.Stages[i])
-	}
-	for i := range out.Counters {
-		out.Counters[i] += o.Counters[i]
-	}
-	if o.ComposeDepthMax > out.ComposeDepthMax {
-		out.ComposeDepthMax = o.ComposeDepthMax
-	}
-	return out
-}
-
 // SolveCoverage returns the fraction of total solve wall time accounted
 // for by the non-overlapping leaf stages nested inside solves
 // (combing passes, kernel relabeling, braid multiplications, bit-block

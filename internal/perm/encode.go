@@ -27,25 +27,6 @@ func Pack(p Permutation) uint32 {
 	return w
 }
 
-// Unpack decodes a word produced by Pack back into a permutation of the
-// given order.
-func Unpack(w uint32, n int) Permutation {
-	if n > MaxPackedOrder {
-		panic(fmt.Sprintf("perm: cannot unpack order %d > %d", n, MaxPackedOrder))
-	}
-	r := make([]int32, n)
-	for i := 0; i < n; i++ {
-		r[i] = int32((w >> (4 * i)) & 0xf)
-	}
-	return Permutation{rowToCol: r}
-}
-
-// PackPair combines two packed permutations into a single 64-bit lookup
-// key for the precalc product table.
-func PackPair(p, q Permutation) uint64 {
-	return uint64(Pack(p))<<32 | uint64(Pack(q))
-}
-
 // All enumerates every permutation of order n in lexicographic order of
 // the row→column array, calling fn for each. It is used to build the
 // precalc table and by exhaustive tests. n must be small (n! calls).

@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -71,4 +72,23 @@ func TestPackPanicsOnLarge(t *testing.T) {
 		}
 	}()
 	Pack(Identity(9))
+}
+
+// Unpack decodes a word produced by Pack back into a permutation of the
+// given order.
+func Unpack(w uint32, n int) Permutation {
+	if n > MaxPackedOrder {
+		panic(fmt.Sprintf("perm: cannot unpack order %d > %d", n, MaxPackedOrder))
+	}
+	r := make([]int32, n)
+	for i := 0; i < n; i++ {
+		r[i] = int32((w >> (4 * i)) & 0xf)
+	}
+	return Permutation{rowToCol: r}
+}
+
+// PackPair combines two packed permutations into a single 64-bit lookup
+// key for the precalc product table.
+func PackPair(p, q Permutation) uint64 {
+	return uint64(Pack(p))<<32 | uint64(Pack(q))
 }

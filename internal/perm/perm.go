@@ -30,17 +30,6 @@ type Permutation struct {
 	rowToCol []int32
 }
 
-// New wraps a row→column index array as a Permutation. It panics if the
-// array is not a permutation of {0 … len-1}; use FromRowToCol for
-// non-validating construction of trusted data.
-func New(rowToCol []int32) Permutation {
-	p := Permutation{rowToCol: rowToCol}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // FromRowToCol wraps a row→column index array without validation.
 func FromRowToCol(rowToCol []int32) Permutation {
 	return Permutation{rowToCol: rowToCol}
@@ -97,13 +86,6 @@ func (p Permutation) Inverse() Permutation {
 
 // ColToRow returns a freshly allocated column→row index array.
 func (p Permutation) ColToRow() []int32 { return p.Inverse().rowToCol }
-
-// Clone returns a deep copy.
-func (p Permutation) Clone() Permutation {
-	r := make([]int32, len(p.rowToCol))
-	copy(r, p.rowToCol)
-	return Permutation{rowToCol: r}
-}
 
 // Equal reports whether p and q are the same permutation.
 func (p Permutation) Equal(q Permutation) bool {

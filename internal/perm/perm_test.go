@@ -154,3 +154,21 @@ func TestStringSmall(t *testing.T) {
 		t.Fatal("large String format changed")
 	}
 }
+
+// New wraps a row→column index array as a Permutation. It panics if the
+// array is not a permutation of {0 … len-1}; use FromRowToCol for
+// non-validating construction of trusted data.
+func New(rowToCol []int32) Permutation {
+	p := Permutation{rowToCol: rowToCol}
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Clone returns a deep copy.
+func (p Permutation) Clone() Permutation {
+	r := make([]int32, len(p.rowToCol))
+	copy(r, p.rowToCol)
+	return Permutation{rowToCol: r}
+}

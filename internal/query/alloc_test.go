@@ -197,7 +197,7 @@ func TestStreamSessionIsPublishedKernel(t *testing.T) {
 	}
 	for i := 0; i < sg.Patterns(); i++ {
 		k := sg.Session(i)
-		if k != sg.State(i).Kernel {
+		if k != sg.g.Snapshot(i).Kernel {
 			t.Fatalf("pattern %d: Session is not the published kernel", i)
 		}
 		if !k.Prepared() {

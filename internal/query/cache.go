@@ -201,10 +201,3 @@ func (c *cache) evict(el *list.Element) {
 	c.ctr.Add(obs.CounterCacheBytes, -int64(e.k.MemoryBytes()))
 	c.ctr.Add(obs.CounterCacheEvictions, 1)
 }
-
-// len reports the number of resident kernels.
-func (c *cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}

@@ -159,10 +159,6 @@ func NewEngine(opts Options) *Engine {
 	}
 }
 
-// Recorder returns the engine's stage recorder (nil when tracing is
-// disabled). Snapshot it for breakdowns or metrics exposition.
-func (e *Engine) Recorder() *obs.Recorder { return e.rec }
-
 // Close stops the engine's workers and drains the persistent-store
 // append queue (every kernel published before Close is durable when it
 // returns). The engine must not be used afterwards; BatchSolve and
@@ -186,7 +182,11 @@ func (e *Engine) Stats() map[string]int64 { return e.ctr.Snapshot() }
 func (e *Engine) StatsLine() string { return obs.StatsLine(e.Stats()) }
 
 // CachedKernels reports the number of resident cached kernels.
-func (e *Engine) CachedKernels() int { return e.cache.len() }
+func (e *Engine) CachedKernels() int {
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	return e.cache.lru.Len()
+}
 
 // Acquire returns the cached kernel for (a, b), solving it with the
 // engine's configuration only if no resident or in-flight kernel

@@ -139,15 +139,6 @@ func (sg *StreamGroup) Patterns() int { return sg.g.Patterns() }
 // maintains (exact duplicate patterns share one).
 func (sg *StreamGroup) DistinctPatterns() int { return sg.g.DistinctPatterns() }
 
-// M returns the length of pattern i.
-func (sg *StreamGroup) M(i int) int { return sg.g.M(i) }
-
-// State returns pattern i's latest published generation.
-func (sg *StreamGroup) State(i int) stream.State { return sg.g.Snapshot(i) }
-
-// GroupState returns the latest published group-wide generation.
-func (sg *StreamGroup) GroupState() stream.GroupState { return sg.g.Current() }
-
 // Generation returns the latest published group generation number.
 func (sg *StreamGroup) Generation() uint64 { return sg.g.Generation() }
 
@@ -185,15 +176,6 @@ func (e *Engine) OpenStream(a []byte) (*Stream, error) {
 	return &Stream{sg}, nil
 }
 
-// Session returns the latest published generation's kernel, prepared.
-func (st *Stream) Session() *Session { return st.StreamGroup.Session(0) }
-
 // Query answers one request kind against the latest published
 // generation.
 func (st *Stream) Query(req Request) Result { return st.StreamGroup.Query(0, req) }
-
-// State returns the latest published generation.
-func (st *Stream) State() stream.State { return st.StreamGroup.State(0) }
-
-// M returns the pattern length.
-func (st *Stream) M() int { return st.StreamGroup.M(0) }

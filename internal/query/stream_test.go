@@ -38,7 +38,7 @@ func TestStreamWrapperMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Session().Permutation().Equal(scratch.Permutation()) {
+		if !st.Session(0).Permutation().Equal(scratch.Permutation()) {
 			t.Fatalf("after %q: streamed kernel differs from from-scratch solve", c)
 		}
 	}
@@ -84,14 +84,14 @@ func TestStreamSessionCachedPerGeneration(t *testing.T) {
 	if err := st.Append(ctx, []byte("cachemiss")); err != nil {
 		t.Fatal(err)
 	}
-	s1, s2 := st.Session(), st.Session()
+	s1, s2 := st.Session(0), st.Session(0)
 	if s1 != s2 {
 		t.Fatal("same generation must reuse the cached session")
 	}
 	if err := st.Append(ctx, []byte("hit")); err != nil {
 		t.Fatal(err)
 	}
-	if s3 := st.Session(); s3 == s1 {
+	if s3 := st.Session(0); s3 == s1 {
 		t.Fatal("a new generation must build a new session")
 	}
 }
@@ -259,7 +259,7 @@ func TestStreamChaosMetamorphicThroughWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := stream.New(a, stream.Config{})
+	clean, err := stream.NewGroup([][]byte{a}, stream.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestStreamChaosMetamorphicThroughWrapper(t *testing.T) {
 	if err := clean.Slide(3); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Session().Permutation().Equal(clean.Kernel().Permutation()) {
+	if !st.Session(0).Permutation().Equal(clean.Snapshot(0).Kernel.Permutation()) {
 		t.Fatal("faulted stream must publish a kernel bit-identical to the fault-free run")
 	}
 	if st.Generation() != clean.Generation() {

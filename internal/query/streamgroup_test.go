@@ -162,7 +162,7 @@ func TestStreamGroupRetryAndDeadline(t *testing.T) {
 	if !strings.Contains(err.Error(), "stream group mutation attempts failed") {
 		t.Fatalf("error must carry the retry context: %v", err)
 	}
-	if sg2.Generation() != gen || sg2.State(0).Gen != gen || sg2.State(1).Gen != gen {
+	if sg2.Generation() != gen || sg2.g.Snapshot(0).Gen != gen || sg2.g.Snapshot(1).Gen != gen {
 		t.Fatal("a failed append must leave every spine on its previous generation")
 	}
 
@@ -228,9 +228,9 @@ func TestStreamGroupChaosMetamorphicThroughWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := make([]*stream.Session, len(patterns))
+	clean := make([]*stream.Group, len(patterns))
 	for i := range clean {
-		if clean[i], err = stream.New(patterns[i], stream.Config{}); err != nil {
+		if clean[i], err = stream.NewGroup([][]byte{patterns[i]}, stream.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,11 +253,11 @@ func TestStreamGroupChaosMetamorphicThroughWrapper(t *testing.T) {
 		if err := clean[i].Slide(3); err != nil {
 			t.Fatal(err)
 		}
-		if !sg.Session(i).Permutation().Equal(clean[i].Kernel().Permutation()) {
+		if !sg.Session(i).Permutation().Equal(clean[i].Snapshot(0).Kernel.Permutation()) {
 			t.Fatalf("pattern %d: faulted group must publish kernels bit-identical to the fault-free run", i)
 		}
-		if sg.State(i).Gen != clean[i].Generation() {
-			t.Fatalf("pattern %d generation drift: faulted %d vs clean %d", i, sg.State(i).Gen, clean[i].Generation())
+		if sg.g.Snapshot(i).Gen != clean[i].Generation() {
+			t.Fatalf("pattern %d generation drift: faulted %d vs clean %d", i, sg.g.Snapshot(i).Gen, clean[i].Generation())
 		}
 	}
 	if sg.LeafSolves()+sg.LeafShares() == 0 {

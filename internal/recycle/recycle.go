@@ -64,9 +64,6 @@ func (p *Pool[T]) Put(b []T) {
 	p.free = append(p.free, b)
 }
 
-// Retained reports the number of retired buffers currently held.
-func (p *Pool[T]) Retained() int { return len(p.free) }
-
 // Shared is a Pool safe for concurrent use from any goroutine. The
 // zero value is ready to use.
 type Shared[T any] struct {
@@ -87,12 +84,4 @@ func (s *Shared[T]) Put(b []T) {
 	s.mu.Lock()
 	s.p.Put(b)
 	s.mu.Unlock()
-}
-
-// Retained reports the number of retired buffers currently held.
-func (s *Shared[T]) Retained() int {
-	s.mu.Lock()
-	n := s.p.Retained()
-	s.mu.Unlock()
-	return n
 }

@@ -155,3 +155,14 @@ func TestSharedConcurrent(t *testing.T) {
 		t.Fatalf("retention bound exceeded: %d", s.Retained())
 	}
 }
+
+// Retained reports the number of retired buffers currently held.
+func (p *Pool[T]) Retained() int { return len(p.free) }
+
+// Retained reports the number of retired buffers currently held.
+func (s *Shared[T]) Retained() int {
+	s.mu.Lock()
+	n := s.p.Retained()
+	s.mu.Unlock()
+	return n
+}

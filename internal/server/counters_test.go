@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/obs"
 	"semilocal/internal/query"
@@ -35,16 +36,24 @@ func serveJSON(t *testing.T, s *Server, path string, v, out any) {
 
 // TestServerCountersReconcile runs a mixed load through a 2-shard tier
 // sharing one recorder — misses, hits, a shed, a banded score, a
-// degraded solve, a health reroute and a stream script — and checks at
-// quiescence that every engine and server counter reads the same in
-// the recorder, in Server.Stats and (for engine counters) summed over
-// ShardStats, that the gauges are back to zero, and that cache_bytes
-// is exactly the resident sessions' bytes.
+// degraded solve, chaos shard-kill reroutes and a stream script — and
+// checks at quiescence that every engine and server counter reads the
+// same in the recorder, in Server.Stats and (for engine counters)
+// summed over the shards' own Stats, that the gauges are back to zero,
+// and that cache_bytes is exactly the resident sessions' bytes.
 func TestServerCountersReconcile(t *testing.T) {
 	rec := obs.New()
+	// The first three route calls find their home killed and reroute.
+	inj, err := chaos.New(chaos.Config{Rules: []chaos.Rule{
+		{Point: chaos.PointShard, Fault: chaos.FaultError, PerMille: 1000, MaxCount: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(Config{Shards: 2, Engine: query.Options{
 		Config:       core.Config{Algorithm: core.AntidiagBranchless, Workers: 2},
 		Obs:          rec,
+		Chaos:        inj,
 		MaxQueue:     4,
 		DegradeBelow: time.Hour,
 		Banded:       query.BandedConfig{Enabled: true},
@@ -84,7 +93,7 @@ func TestServerCountersReconcile(t *testing.T) {
 		}
 		return reqs
 	}
-	batch(windows(pairs[:3])) // misses
+	batch(windows(pairs[:3])) // misses, each rerouted off its killed home
 	batch(windows(pairs[:3])) // hits
 	shed := make([]WireRequest, 8)
 	for i := range shed {
@@ -96,9 +105,6 @@ func TestServerCountersReconcile(t *testing.T) {
 	degraded := windows(pairs[3:4])
 	degraded[0].TimeoutMS = 60000 // within DegradeBelow: solved sequentially
 	batch(degraded)
-	s.SetShardHealth(0, false)
-	batch(windows(pairs)) // pairs homed on shard 0 reroute to shard 1
-	s.SetShardHealth(0, true)
 	var sresp StreamResponse
 	serveJSON(t, s, "/v1/stream", StreamRequest{Pattern: "stream pattern", Ops: []WireOp{
 		{Op: "append", Chunk: "a stream of text"},
@@ -114,7 +120,7 @@ func TestServerCountersReconcile(t *testing.T) {
 		case obs.ScopeEngine:
 			var sum int64
 			for i := 0; i < s.Shards(); i++ {
-				sum += s.ShardStats(i)[c.String()]
+				sum += s.shards[i].Stats()[c.String()]
 			}
 			if sum != agg[c.String()] {
 				t.Errorf("%s: shards sum to %d, Stats = %d", c, sum, agg[c.String()])

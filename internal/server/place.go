@@ -1,9 +1,6 @@
 package server
 
-import (
-	"hash/crc32"
-	"sync/atomic"
-)
+import "hash/crc32"
 
 // Placement is rendezvous (highest-random-weight) hashing over the
 // fixed shard set 0..n-1 (Thaler & Ravishankar, "Using name-based
@@ -43,23 +40,19 @@ func weight(pos uint64, i int) uint64 {
 	return splitmix64(pos ^ uint64(i)*0x9e3779b97f4a7c15)
 }
 
-// pick ranks the shards 0..len(down)-1 for placement pos in one pass:
-// home is the shard of highest weight, best the highest-weight shard
-// that is neither skip nor marked down (-1 when there is none). Failing
-// over in descending weight offers every shard once, home first.
-func pick(pos uint64, down []atomic.Bool, skip int) (home, best int) {
-	home, best = -1, -1
-	var homeW, bestW uint64
-	for i := range down {
-		w := weight(pos, i)
-		if home < 0 || w > homeW {
-			home, homeW = i, w
-		}
-		if i != skip && !down[i].Load() && (best < 0 || w > bestW) {
+// pick returns the shard of highest weight for placement pos among
+// 0..n-1 other than skip, or -1 when skip is the only shard. With skip
+// -1 that is the pair's home; with skip set to the home it is the shard
+// the pair fails over to when its home is killed.
+func pick(pos uint64, n, skip int) int {
+	best := -1
+	var bestW uint64
+	for i := 0; i < n; i++ {
+		if w := weight(pos, i); i != skip && (best < 0 || w > bestW) {
 			best, bestW = i, w
 		}
 	}
-	return home, best
+	return best
 }
 
 // splitmix64 is the standard 64-bit finalizing mixer (Vigna) — the

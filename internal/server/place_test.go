@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
+	"sort"
 	"testing"
 
 	"semilocal/internal/chaos"
@@ -34,16 +34,12 @@ func randPlacements(rng *rand.Rand, n int) []uint64 {
 	return pos
 }
 
-// homes routes each placement over shards 0..n-1 with the listed shards
-// marked down: the highest-weight shard that is up, as pick returns it.
-func homes(pos []uint64, n int, down ...int) []int {
-	d := make([]atomic.Bool, n)
-	for _, i := range down {
-		d[i].Store(true)
-	}
+// homes routes each placement over shards 0..n-1 other than skip (-1
+// for none): the highest-weight such shard, as pick returns it.
+func homes(pos []uint64, n, skip int) []int {
 	out := make([]int, len(pos))
 	for j, p := range pos {
-		_, out[j] = pick(p, d, -1)
+		out[j] = pick(p, n, skip)
 	}
 	return out
 }
@@ -57,7 +53,7 @@ func TestRingBalance(t *testing.T) {
 	pos := randPlacements(rng, 20000)
 	for _, shards := range []int{2, 4, 8, 16} {
 		counts := make([]int, shards)
-		for _, h := range homes(pos, shards) {
+		for _, h := range homes(pos, shards, -1) {
 			counts[h]++
 		}
 		fair := len(pos) / shards
@@ -76,7 +72,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingMinimalMovementOnAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11a7))
 	pos := randPlacements(rng, 10000)
-	before, after := homes(pos, 4), homes(pos, 5)
+	before, after := homes(pos, 4, -1), homes(pos, 5, -1)
 	moved := 0
 	for i := range pos {
 		was, is := before[i], after[i]
@@ -93,25 +89,25 @@ func TestRingMinimalMovementOnAdd(t *testing.T) {
 	}
 }
 
-// TestRingMinimalMovementOnRemove is the inverse contract: marking a
-// shard down only moves that shard's placements, each to a survivor,
+// TestRingMinimalMovementOnRemove is the inverse contract: skipping a
+// shard (as a chaos kill of it does) only moves that shard's placements, each to a survivor,
 // and spreads them over every survivor.
 func TestRingMinimalMovementOnRemove(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11a8))
 	pos := randPlacements(rng, 10000)
-	before, after := homes(pos, 5), homes(pos, 5, 2)
+	before, after := homes(pos, 5, -1), homes(pos, 5, 2)
 	received := make([]int, 5)
 	moved := 0
 	for i := range pos {
 		was, is := before[i], after[i]
 		if was != 2 {
 			if is != was {
-				t.Fatalf("placement on surviving shard moved %d → %d when shard 2 went down", was, is)
+				t.Fatalf("placement on surviving shard moved %d → %d when shard 2 was skipped", was, is)
 			}
 			continue
 		}
 		if is == 2 || is < 0 {
-			t.Fatalf("placement of the down shard went to %d, not to a survivor", is)
+			t.Fatalf("placement of the skipped shard went to %d, not to a survivor", is)
 		}
 		received[is]++
 		moved++
@@ -123,59 +119,48 @@ func TestRingMinimalMovementOnRemove(t *testing.T) {
 	}
 }
 
-// TestRingAddRemoveRoundTrip: placement keeps no history. A shard
-// marked down routes exactly as if it were absent, so n+1 shards with
-// one down assign like n, and marking a shard down and up again
-// restores the exact original assignment.
+// TestRingAddRemoveRoundTrip: placement keeps no history. A skipped
+// shard routes exactly as if it were absent, so n+1 shards skipping
+// shard n assign like n shards.
 func TestRingAddRemoveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11a9))
 	pos := randPlacements(rng, 2000)
-	orig := homes(pos, 3)
-	d := make([]atomic.Bool, 4)
-	d[3].Store(true)
-	d[1].Store(true)
-	d[1].Store(false)
-	for i, p := range pos {
-		if _, is := pick(p, d, -1); is != orig[i] {
-			t.Fatalf("placement %#x: home %d after the round trip, was %d", p, is, orig[i])
+	three := homes(pos, 3, -1)
+	for i, is := range homes(pos, 4, 3) {
+		if is != three[i] {
+			t.Fatalf("placement %#x: home %d with shard 3 skipped, %d at 3 shards", pos[i], is, three[i])
 		}
 	}
 }
 
-// TestRingWalkOrder pins the failover contract: downing shards one at
-// a time in the order pick offers them visits the home shard first and
-// every shard exactly once, after which none is offered; skipping the
-// home (a chaos kill) offers the second shard of that order. The home
-// itself does not depend on health.
+// TestRingWalkOrder pins the failover contract against an independent
+// ranking of the weights: the home is the shard of highest weight,
+// skipping the home (a chaos kill) offers the shard of second-highest
+// weight, and skipping any other shard leaves the home in place.
 func TestRingWalkOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x11aa))
 	const n = 6
 	for _, p := range randPlacements(rng, 200) {
-		d := make([]atomic.Bool, n)
-		home, _ := pick(p, d, -1)
-		var offered []int
-		seen := map[int]bool{}
-		for {
-			h, best := pick(p, d, -1)
-			if h != home {
-				t.Fatalf("home moved %d → %d as shards went down", home, h)
-			}
-			if best < 0 {
-				break
-			}
-			if seen[best] {
-				t.Fatalf("shard %d offered twice: %v", best, offered)
-			}
-			seen[best] = true
-			offered = append(offered, best)
-			d[best].Store(true)
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
 		}
-		if len(offered) != n || offered[0] != home {
-			t.Fatalf("offered %v, want all %d shards once, home %d first", offered, n, home)
+		sort.Slice(order, func(x, y int) bool { return weight(p, order[x]) > weight(p, order[y]) })
+		home := pick(p, n, -1)
+		if home != order[0] {
+			t.Fatalf("home %d, want the highest-weight shard %d", home, order[0])
 		}
-		if _, best := pick(p, make([]atomic.Bool, n), home); best != offered[1] {
-			t.Fatalf("skipping the home offered %d, want %d", best, offered[1])
+		if next := pick(p, n, home); next != order[1] {
+			t.Fatalf("skipping the home offered %d, want %d", next, order[1])
 		}
+		for skip := 0; skip < n; skip++ {
+			if got := pick(p, n, skip); skip != home && got != home {
+				t.Fatalf("skipping shard %d moved the home %d → %d", skip, home, got)
+			}
+		}
+	}
+	if got := pick(1, 1, 0); got != -1 {
+		t.Fatalf("skipping the only shard offered %d, want -1", got)
 	}
 }
 
@@ -213,7 +198,7 @@ func TestRingDeterministic(t *testing.T) {
 	} {
 		pos := []uint64{place([]byte(c.a), []byte(c.b))}
 		for j, n := range []int{2, 4, 7, 64} {
-			if got := homes(pos, n)[0]; got != c.homes[j] {
+			if got := homes(pos, n, -1)[0]; got != c.homes[j] {
 				t.Errorf("home of (%q, %q) at %d shards = %d, want %d", c.a, c.b, n, got, c.homes[j])
 			}
 		}
@@ -221,7 +206,7 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 // TestRouteAllocs pins that routing allocates nothing, both when the
-// home is healthy and when a chaos kill sends the pair to the
+// home serves and when a chaos kill sends the pair to the
 // next-highest shard.
 func TestRouteAllocs(t *testing.T) {
 	a, b := []byte("near-identical inputs take the band"), []byte("near-identical input take the band")
@@ -230,9 +215,9 @@ func TestRouteAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	home, _ := pick(place(a, b), s.down, -1)
+	home := pick(place(a, b), s.Shards(), -1)
 	if allocs := testing.AllocsPerRun(100, func() { s.route(a, b) }); allocs != 0 {
-		t.Errorf("route with a healthy home allocates %v per call, want 0", allocs)
+		t.Errorf("route to the home allocates %v per call, want 0", allocs)
 	}
 
 	inj, err := chaos.New(chaos.Config{Rules: []chaos.Rule{{Point: chaos.PointShard, Fault: chaos.FaultError, PerMille: 1000}}})

@@ -19,12 +19,11 @@
 // protects tenants from each other.
 //
 // The tier degrades rather than fails: a shard killed by chaos
-// (chaos.PointShard) or marked unhealthy is routed around to the
-// healthy shard of next-highest rendezvous weight (place.go) — answers
-// stay bit-identical (every shard solves the same kernels), only cache
-// locality suffers. Requests fail typed (shed, quota, deadline,
-// canceled, injected, unavailable) and only when there is genuinely no
-// way to answer.
+// (chaos.PointShard) is routed around to the shard of next-highest
+// rendezvous weight (place.go) — answers stay bit-identical (every
+// shard solves the same kernels), only cache locality suffers.
+// Requests fail typed (shed, quota, deadline, canceled, injected,
+// unavailable) and only when there is genuinely no way to answer.
 package server
 
 import (
@@ -54,8 +53,8 @@ type Config struct {
 	// is Shards × MaxKernels — the horizontal-scaling knob.
 	Shards int
 	// Engine is the per-shard engine template. Every shard engine keeps
-	// its own counters (see ShardStats); Obs and Chaos are shared across
-	// shards and consulted by the router itself.
+	// its own counters (semilocal_shard_counter on /metrics); Obs and
+	// Chaos are shared across shards and consulted by the router itself.
 	Engine query.Options
 	// TenantQuota bounds each tenant's outstanding requests across the
 	// whole tier; 0 disables per-tenant admission.
@@ -82,7 +81,6 @@ type Server struct {
 	inj     *chaos.Injector
 	ctr     *obs.CounterSet // tier-level counters (obs.ScopeServer)
 	mux     *http.ServeMux
-	down    []atomic.Bool
 	closed  atomic.Bool
 
 	maxBody  int64
@@ -117,7 +115,6 @@ func New(cfg Config) (*Server, error) {
 		rec:      cfg.Engine.Obs,
 		inj:      cfg.Engine.Chaos,
 		ctr:      obs.NewCounterSet(obs.ScopeServer, cfg.Engine.Obs),
-		down:     make([]atomic.Bool, n),
 		maxBody:  maxBody,
 		maxBatch: maxBatch,
 		maxPair:  maxPair,
@@ -150,27 +147,6 @@ func (s *Server) Close() {
 // Shards reports the shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// SetShardHealth marks shard i up or down operationally. A down shard
-// is routed around exactly like a chaos-killed one; marking every
-// shard down makes requests fail typed ("unavailable") instead of
-// wrong.
-func (s *Server) SetShardHealth(i int, healthy bool) {
-	if i >= 0 && i < len(s.down) {
-		s.down[i].Store(!healthy)
-	}
-}
-
-// healthyShards counts shards not marked down.
-func (s *Server) healthyShards() int {
-	n := 0
-	for i := range s.down {
-		if !s.down[i].Load() {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats aggregates the tier's counters: the sum of every shard's
 // engine counters plus the tier-level server_requests /
 // server_reroutes / tenant_rejects.
@@ -184,39 +160,28 @@ func (s *Server) Stats() map[string]int64 {
 	return out
 }
 
-// ShardStats returns a snapshot of one shard's private engine counters
-// (hit/miss/shed split per shard); nil for an out-of-range shard.
-func (s *Server) ShardStats(i int) map[string]int64 {
-	if i < 0 || i >= len(s.shards) {
-		return nil
-	}
-	return s.shards[i].Stats()
-}
-
 // StatsLine renders the aggregate counters as a stable one-line
 // summary (sorted names), mirroring Engine.StatsLine.
 func (s *Server) StatsLine() string { return obs.StatsLine(s.Stats()) }
 
 // route picks the shard for the ordered pair (a, b): the home of its
-// placement, or — when chaos killed the home for this arrival or it is
-// marked down — the healthy shard of next-highest weight. The reroute
-// is the tier's degraded mode: colder cache, identical answers. The
-// route span includes the placement hash.
+// placement, or — when chaos killed the home for this arrival — the
+// shard of next-highest weight. The reroute is the tier's degraded
+// mode: colder cache, identical answers. The route span includes the
+// placement hash.
 func (s *Server) route(a, b []byte) (int, error) {
 	rsp := s.rec.Start(obs.StageServerRoute)
 	defer rsp.End()
 	pos := place(a, b)
-	killed := s.inj.Fire(chaos.PointShard) == chaos.FaultError
-	home, id := pick(pos, s.down, -1)
-	if killed && id == home {
-		_, id = pick(pos, s.down, home)
+	home := pick(pos, len(s.shards), -1)
+	if s.inj.Fire(chaos.PointShard) != chaos.FaultError {
+		return home, nil
 	}
+	id := pick(pos, len(s.shards), home)
 	if id < 0 {
 		return -1, errNoHealthyShard
 	}
-	if id != home {
-		s.ctr.Add(obs.CounterServerReroutes, 1)
-	}
+	s.ctr.Add(obs.CounterServerReroutes, 1)
 	return id, nil
 }
 
@@ -497,26 +462,16 @@ func (s *Server) WriteMetrics(w io.Writer) {
 			fmt.Fprintf(w, "semilocal_shard_counter{shard=\"%d\",name=%q} %d\n", i, name, snap[name])
 		}
 	}
-	fmt.Fprintf(w, "# HELP semilocal_shard_healthy Shard health (1 = routable).\n")
-	fmt.Fprintf(w, "# TYPE semilocal_shard_healthy gauge\n")
-	for i := range s.down {
-		up := 1
-		if s.down[i].Load() {
-			up = 0
-		}
-		fmt.Fprintf(w, "semilocal_shard_healthy{shard=\"%d\"} %d\n", i, up)
-	}
 }
 
-// handleHealthz serves liveness: 200 with shard counts while any shard
-// is routable, 503 when none is.
+// handleHealthz serves liveness: 200 with the shard count while the
+// tier is open, 503 after Close.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	healthy := s.healthyShards()
 	code := http.StatusOK
-	if healthy == 0 || s.closed.Load() {
+	if s.closed.Load() {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]int{"shards": len(s.shards), "healthy": healthy})
+	writeJSON(w, code, map[string]int{"shards": len(s.shards)})
 }
 
 // readRequest reads one request body whole under the configured limits

@@ -148,7 +148,7 @@ func TestServerSoakCounterExactness(t *testing.T) {
 	// it, so its kernel was cached once, not once per shard.
 	shardsWithTraffic := 0
 	for i := 0; i < s.Shards(); i++ {
-		if s.ShardStats(i)["requests"] > 0 {
+		if s.shards[i].Stats()["requests"] > 0 {
 			shardsWithTraffic++
 		}
 	}

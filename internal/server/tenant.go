@@ -90,14 +90,3 @@ func (t *tenantTable) release(tenant string, n int) {
 		delete(t.out, tenant)
 	}
 }
-
-// outstanding reports tenant's current in-flight count (0 for unknown
-// tenants); the quiescent-exactness soak asserts it drains to zero.
-func (t *tenantTable) outstanding(tenant string) int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.out[tenant]
-}

@@ -758,9 +758,9 @@ func toEngineRequest(w callRequest, maxPair int) (query.Request, error) {
 // "too_large"); the pair never reaches a shard.
 var errPairTooLarge = errors.New("server: input pair too large")
 
-// errNoHealthyShard is returned when every shard was killed or marked
-// down — the only way the tier answers worse than
-// "degraded".
+// errNoHealthyShard is returned when a chaos kill leaves no other shard
+// to fail over to (a one-shard tier) — the only way the tier answers
+// worse than "degraded".
 var errNoHealthyShard = errors.New("server: no healthy shard")
 
 // errorKind maps an error to its stable wire classification. The chaos

@@ -155,8 +155,8 @@ func TestRank5(t *testing.T) {
 }
 
 func TestDirectSum(t *testing.T) {
-	a := perm.New([]int32{1, 0})
-	b := perm.New([]int32{2, 0, 1})
+	a := perm.FromRowToCol([]int32{1, 0})
+	b := perm.FromRowToCol([]int32{2, 0, 1})
 	s := DirectSum(a, b)
 	want := []int32{1, 0, 4, 2, 3}
 	for i, w := range want {

@@ -84,17 +84,3 @@ func (w *Workspace) MultiplyInto(p, q, dst []int32) {
 	w.ar.rec(&w.blkA, &w.blkB, 0, 0, n)
 	copy(dst, w.blkA.p)
 }
-
-// Warm grows the workspace to order n and builds the precalc table, so
-// a later timed or alloc-audited multiplication at order ≤ n pays no
-// one-time costs.
-func (w *Workspace) Warm(n int) {
-	WarmPrecalc()
-	w.grow(n)
-	// Touch every depth's mapping buffer the way the recursion will:
-	// the first multiplication at each size otherwise still appends to
-	// the per-depth maps slice.
-	for depth, size := 0, n; size > precalcOrder; depth, size = depth+1, (size+1)/2 {
-		w.ar.mapsAt(depth, size)
-	}
-}

@@ -418,17 +418,6 @@ func (st *Store) MaybeCompact() (bool, error) {
 	return true, st.compactLocked()
 }
 
-// Compact unconditionally rewrites the live records into a fresh log,
-// dropping all dead bytes.
-func (st *Store) Compact() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	return st.compactLocked()
-}
-
 func (st *Store) compactLocked() error {
 	tmpPath := filepath.Join(st.dir, compactName)
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -502,50 +491,12 @@ func (st *Store) Len() int {
 	return st.index.count()
 }
 
-// LogBytes returns the current log length in bytes. The crash-recovery
-// property tests use successive values as record boundaries.
-func (st *Store) LogBytes() int64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.size
-}
-
-// DeadBytes returns the bytes owned by superseded or corrupt records.
-func (st *Store) DeadBytes() int64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.dead
-}
-
 // CorruptRecords returns the number of checksum/decode failures seen —
 // at the open scan and on reads — since Open.
 func (st *Store) CorruptRecords() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.corrupt
-}
-
-// Compactions returns the number of compaction passes run since Open.
-func (st *Store) Compactions() int64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.compactions
-}
-
-// Keys returns the live keys in unspecified order, read from the
-// record headers (the index holds only fingerprints). A record whose
-// header cannot be read is left out.
-func (st *Store) Keys() []Key {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]Key, 0, st.index.count())
-	var key Key
-	for _, sl := range st.index.slots() {
-		if _, err := st.f.ReadAt(key[:], sl.e.off+keyOff); err == nil {
-			out = append(out, key)
-		}
-	}
-	return out
 }
 
 // Close releases the store. Further calls return ErrClosed; Close is

@@ -35,7 +35,7 @@ func TestStreamLeafMergeZeroAllocs(t *testing.T) {
 	k1 := sp.leaves[len(sp.leaves)-2].kern
 	k2 := sp.leaves[len(sp.leaves)-1].kern
 	dst := make([]int32, len(a)+2*chunkLen)
-	sp.comp.warm(len(a))
+	sp.comp.composeB(k1, k2, len(a), chunkLen, chunkLen, dst) // grow to order m
 	// The raw fused composition.
 	benchkit.AssertMaxAllocs(t, "composer.composeB", 0, 100, func() {
 		sp.comp.composeB(k1, k2, len(a), chunkLen, chunkLen, dst)

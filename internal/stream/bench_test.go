@@ -52,7 +52,7 @@ func BenchmarkStreamedFill(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if s.Window() != *streamN {
+		if s.g.Window() != *streamN {
 			b.Fatal("window size mismatch")
 		}
 	}

@@ -33,7 +33,7 @@ func TestStreamChaosErrorMetamorphic(t *testing.T) {
 	)
 	script := []string{"ab", "cde", "f", "abcd", "ef", "a", "bb", "cdc", "de", "fa", "bc", "ddd"}
 	for i, c := range script {
-		genBefore := s.Generation()
+		genBefore := s.g.Generation()
 		err := s.Append([]byte(c))
 		if err != nil {
 			if !errors.Is(err, chaos.ErrInjected) {
@@ -43,7 +43,7 @@ func TestStreamChaosErrorMetamorphic(t *testing.T) {
 			if !errors.As(err, &tr) || !tr.Transient() {
 				t.Fatalf("append %d: injected error is not transient", i)
 			}
-			if s.Generation() != genBefore {
+			if s.g.Generation() != genBefore {
 				t.Fatalf("append %d: failed mutation published a generation", i)
 			}
 			injected++
@@ -124,8 +124,8 @@ func TestStreamChaosLatency(t *testing.T) {
 	if rec.Counter(obs.CounterStreamGroupAppends) != 6 {
 		t.Fatalf("stream_group_appends = %d, want 6", rec.Counter(obs.CounterStreamGroupAppends))
 	}
-	if rec.Counter(obs.CounterStreamComposes) != s.Compositions() {
+	if rec.Counter(obs.CounterStreamComposes) != s.g.Compositions() {
 		t.Fatalf("compositions_total = %d, session says %d",
-			rec.Counter(obs.CounterStreamComposes), s.Compositions())
+			rec.Counter(obs.CounterStreamComposes), s.g.Compositions())
 	}
 }

@@ -36,13 +36,6 @@ type composer struct {
 	p, q []int32 // the order-m operands; p receives the product
 }
 
-// warm pre-grows every retained buffer for patterns up to length m,
-// so steady-state compositions at or below it allocate nothing.
-func (c *composer) warm(m int) {
-	c.grow(m)
-	c.w.Warm(m)
-}
-
 // grow ensures the interface scratch fits order m.
 func (c *composer) grow(m int) {
 	if cap(c.rows) >= m {

@@ -158,8 +158,8 @@ func BenchmarkComposeB(b *testing.B) {
 		r1, r2 := k1.RowToCol(), k2.RowToCol()
 		b.Run(fmt.Sprintf("m=%d/order-m", m), func(b *testing.B) {
 			var c composer
-			c.warm(m)
 			dst := make([]int32, m+n1+n2)
+			c.composeB(r1, r2, m, n1, n2, dst) // grow to order m
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

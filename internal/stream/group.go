@@ -176,20 +176,11 @@ func (g *Group) Patterns() int { return len(g.pats) }
 // of spines the group actually maintains.
 func (g *Group) DistinctPatterns() int { return len(g.states) }
 
-// Pattern returns a copy of pattern i.
-func (g *Group) Pattern(i int) []byte { return append([]byte(nil), g.pats[i]...) }
-
-// M returns the length of pattern i.
-func (g *Group) M(i int) int { return len(g.pats[i]) }
-
 // Snapshot returns pattern i's latest published generation — the
 // kernel of P(pattern_i, window). It never blocks, even while a group
 // mutation is in progress. Duplicate patterns share a spine and return
 // the same snapshot.
 func (g *Group) Snapshot(i int) State { return *g.states[g.idx[i]].cur.Load() }
-
-// Current returns the latest published group generation.
-func (g *Group) Current() GroupState { return *g.cur.Load() }
 
 // Generation returns the latest published group generation number.
 func (g *Group) Generation() uint64 { return g.cur.Load().Gen }
@@ -218,11 +209,6 @@ func (g *Group) Compositions() int64 {
 	}
 	return total
 }
-
-// CompositionsOf returns the compositions performed by pattern i's
-// spine. The differential suite bounds this by 2·log₂(leaves) amortized
-// per append.
-func (g *Group) CompositionsOf(i int) int64 { return g.states[g.idx[i]].comps.Load() }
 
 // Append extends the shared window with one chunk: one chunk scan, one
 // leaf solve per relabeling class, and a lockstep spine append across

@@ -20,7 +20,7 @@ import (
 // window, all spines in lockstep with the group's published shape.
 func checkGroup(t *testing.T, g *Group, mirrors []*Session, window []byte, label string) {
 	t.Helper()
-	gst := g.Current()
+	gst := *g.cur.Load()
 	if gst.Window != len(window) {
 		t.Fatalf("%s: group window %d bytes, want %d", label, gst.Window, len(window))
 	}
@@ -36,10 +36,10 @@ func checkGroup(t *testing.T, g *Group, mirrors []*Session, window []byte, label
 		want := fromScratch(t, g.pats[i], window)
 		if !st.Kernel.Permutation().Equal(want.Permutation()) {
 			t.Fatalf("%s: pattern %d kernel differs from from-scratch solve (m=%d window=%d)",
-				label, i, g.M(i), len(window))
+				label, i, len(g.pats[i]), len(window))
 		}
 		if mirrors != nil {
-			mst := mirrors[i].Current()
+			mst := mirrors[i].g.Snapshot(0)
 			if !st.Kernel.Permutation().Equal(mst.Kernel.Permutation()) {
 				t.Fatalf("%s: pattern %d kernel differs from the independent session", label, i)
 			}
@@ -175,7 +175,7 @@ func TestGroupCompositionBound(t *testing.T) {
 		}
 		lim := 2 * math.Log2(float64(L))
 		for i := range patterns {
-			perAppend := float64(g.CompositionsOf(i)) / float64(L)
+			perAppend := float64(g.states[g.idx[i]].comps.Load()) / float64(L)
 			if perAppend > lim {
 				t.Fatalf("L=%d pattern %d: %.2f compositions per append exceed 2·log2(L) = %.2f",
 					L, i, perAppend, lim)
@@ -402,11 +402,11 @@ func TestGroupEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGroup(t, g, nil, []byte("fresh"), "refill")
-	// Accessors.
-	if string(g.Pattern(1)) != "ed" || g.M(0) != 4 {
-		t.Fatal("pattern accessors disagree")
+	// Stored patterns and per-spine composition counts.
+	if string(g.pats[1]) != "ed" || len(g.pats[0]) != 4 {
+		t.Fatal("group holds the wrong patterns")
 	}
-	if g.Compositions() != g.CompositionsOf(0)+g.CompositionsOf(1) {
+	if g.Compositions() != g.states[g.idx[0]].comps.Load()+g.states[g.idx[1]].comps.Load() {
 		t.Fatal("Compositions must sum the member spines")
 	}
 }

@@ -26,7 +26,7 @@ func fromScratch(t *testing.T, a, window []byte) *core.Kernel {
 // the published metadata matches.
 func checkIdentical(t *testing.T, s *Session, a, window []byte, label string) {
 	t.Helper()
-	st := s.Current()
+	st := s.g.Snapshot(0)
 	if st.Window != len(window) {
 		t.Fatalf("%s: published window %d bytes, want %d", label, st.Window, len(window))
 	}
@@ -117,7 +117,7 @@ func TestStreamMatchesFromScratchRandomized(t *testing.T) {
 		// Cross-check the final window against the quadratic DP: every
 		// H entry of the streamed kernel must match the oracle matrix.
 		window := windowOf()
-		st := s.Current()
+		st := s.g.Snapshot(0)
 		want := oracle.HMatrix(a, window)
 		for i := range want {
 			for j := range want[i] {
@@ -177,10 +177,10 @@ func TestStreamCompositionBound(t *testing.T) {
 			}
 		}
 		bound := int64(math.Ceil(2 * float64(L) * math.Log2(float64(L))))
-		if comps := s.Compositions(); comps > bound {
+		if comps := s.g.Compositions(); comps > bound {
 			t.Fatalf("L=%d: %d compositions exceed the amortized bound 2·L·log2(L) = %d", L, comps, bound)
 		}
-		if perAppend, lim := float64(s.Compositions())/float64(L), 2*math.Log2(float64(L)); perAppend > lim {
+		if perAppend, lim := float64(s.g.Compositions())/float64(L), 2*math.Log2(float64(L)); perAppend > lim {
 			t.Fatalf("L=%d: %.2f compositions per append exceed 2·log2(L) = %.2f", L, perAppend, lim)
 		}
 	}
@@ -238,11 +238,11 @@ func TestStreamSlideEdges(t *testing.T) {
 	if err := s.Slide(6); err == nil {
 		t.Fatal("sliding past the window should fail")
 	}
-	gen := s.Generation()
+	gen := s.g.Generation()
 	if err := s.Slide(5); err != nil {
 		t.Fatalf("slide to empty: %v", err)
 	}
-	if s.Generation() <= gen {
+	if s.g.Generation() <= gen {
 		t.Fatal("slide to empty must publish a new generation")
 	}
 	checkIdentical(t, s, a, nil, "empty window")
@@ -254,11 +254,11 @@ func TestStreamSlideEdges(t *testing.T) {
 	}
 	checkIdentical(t, s, a, []byte("fresh"), "refill")
 	// Empty appends are no-ops: no generation bump, same kernel.
-	gen = s.Generation()
+	gen = s.g.Generation()
 	if err := s.Append(nil); err != nil {
 		t.Fatal(err)
 	}
-	if s.Generation() != gen {
+	if s.g.Generation() != gen {
 		t.Fatal("empty append must not publish")
 	}
 }

@@ -73,7 +73,7 @@ func TestStreamConcurrentQuerySoak(t *testing.T) {
 					return
 				default:
 				}
-				st := s.Current()
+				st := s.g.Snapshot(0)
 				if int(st.Gen) >= len(expected) {
 					t.Errorf("reader saw generation %d beyond the schedule", st.Gen)
 					return
@@ -107,7 +107,7 @@ func TestStreamConcurrentQuerySoak(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if got := s.Generation(); int(got) != numOps {
+	if got := s.g.Generation(); int(got) != numOps {
 		t.Fatalf("final generation %d, want %d", got, numOps)
 	}
 	if got := s.Kernel().Score(); got != expected[numOps] {
@@ -140,7 +140,7 @@ func TestStreamConcurrentAppenders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := s.Current()
+	st := s.g.Snapshot(0)
 	if st.Leaves != 100 || st.Window != 200 {
 		t.Fatalf("published %d leaves / %d bytes, want 100 / 200", st.Leaves, st.Window)
 	}

@@ -80,9 +80,8 @@ type State struct {
 // Session maintains the kernel of a fixed pattern a against a chunked,
 // sliding window of text. It is a Group of one pattern: every mutation
 // runs the group's path. Append and Slide may be called from any
-// goroutine (they serialize on the group's mutex); Current and the
-// other read accessors are lock-free and safe concurrently with
-// mutations.
+// goroutine (they serialize on the group's mutex); Kernel is lock-free
+// and safe concurrently with mutations.
 type Session struct{ g *Group }
 
 // New opens a streaming session for pattern a. The pattern is copied;
@@ -101,33 +100,9 @@ func (s *Session) Append(chunk []byte) error { return s.g.Append(chunk) }
 // Slide drops the drop oldest chunks from the window; see Group.Slide.
 func (s *Session) Slide(drop int) error { return s.g.Slide(drop) }
 
-// M returns the pattern length.
-func (s *Session) M() int { return s.g.M(0) }
-
-// Pattern returns a copy of the pattern.
-func (s *Session) Pattern() []byte { return s.g.Pattern(0) }
-
-// Current returns the latest published generation. It never blocks,
+// Kernel returns the latest published window kernel. It never blocks,
 // even while a mutation is in progress.
-func (s *Session) Current() State { return s.g.Snapshot(0) }
-
-// Kernel returns the latest published window kernel.
 func (s *Session) Kernel() *core.Kernel { return s.g.Snapshot(0).Kernel }
-
-// Generation returns the latest published generation number.
-func (s *Session) Generation() uint64 { return s.g.Generation() }
-
-// Window returns the published window length in bytes.
-func (s *Session) Window() int { return s.g.Window() }
-
-// Leaves returns the published number of chunks in the window.
-func (s *Session) Leaves() int { return s.g.Leaves() }
-
-// Compositions returns the total number of steady-ant compositions the
-// session has performed (spine merges, publish folds, slide rebuilds).
-// The differential suite bounds this by 2·log₂(leaves) amortized per
-// append.
-func (s *Session) Compositions() int64 { return s.g.Compositions() }
 
 // leaf is one appended chunk's kernel. Leaf kernels are retained for
 // the window's lifetime: a slide that cuts through a spine node

@@ -28,7 +28,6 @@ import (
 	"semilocal/internal/chaos"
 	"semilocal/internal/core"
 	"semilocal/internal/editdist"
-	"semilocal/internal/lcs"
 	"semilocal/internal/obs"
 	"semilocal/internal/query"
 	"semilocal/internal/server"
@@ -112,14 +111,6 @@ func NewStageRecorder() *StageRecorder { return obs.New() }
 // rec; rec == nil behaves exactly like Solve.
 func SolveObserved(a, b []byte, cfg Config, rec *StageRecorder) (*Kernel, error) {
 	return core.SolveWith(a, b, cfg, rec, nil)
-}
-
-// LCS returns the (global) LCS score of a and b using plain linear-space
-// dynamic programming — the right tool when only one score is needed.
-// Use Solve when substring scores are wanted, or BinaryLCS for long
-// binary strings.
-func LCS(a, b []byte) int {
-	return lcs.PrefixRowMajor(a, b)
 }
 
 // BinaryLCS returns the LCS score of two strings over the alphabet
@@ -326,12 +317,6 @@ func NewStreamGroup(patterns [][]byte, cfg StreamGroupConfig) (*StreamGroup, err
 // pattern's latest published kernel, which builds its query index once
 // per generation. Open one with Engine.OpenStreamGroup.
 type EngineStreamGroup = query.StreamGroup
-
-// UnmarshalKernel decodes a kernel previously encoded with
-// Kernel.MarshalBinary, allowing substring queries without re-solving.
-func UnmarshalKernel(data []byte) (*Kernel, error) {
-	return core.UnmarshalKernel(data)
-}
 
 // EditKernel answers semi-local unit-cost edit-distance queries (see the
 // methods of editdist.Kernel: Distance, SubstringDistance,

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"semilocal"
+	"semilocal/internal/core"
+	"semilocal/internal/lcs"
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
@@ -17,7 +19,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := k.Score(), semilocal.LCS(a, b); got != want {
+	if got, want := k.Score(), lcs.PrefixRowMajor(a, b); got != want {
 		t.Fatalf("kernel score %d, want %d", got, want)
 	}
 	scores := k.WindowScores(len(a))
@@ -44,7 +46,7 @@ func TestBinaryLCSMatchesGeneric(t *testing.T) {
 			b[i] = byte(rng.Intn(2))
 		}
 		for _, workers := range []int{1, 4} {
-			if got, want := semilocal.BinaryLCS(a, b, workers), semilocal.LCS(a, b); got != want {
+			if got, want := semilocal.BinaryLCS(a, b, workers), lcs.PrefixRowMajor(a, b); got != want {
 				t.Fatalf("BinaryLCS(workers=%d) = %d, want %d", workers, got, want)
 			}
 		}
@@ -54,7 +56,7 @@ func TestBinaryLCSMatchesGeneric(t *testing.T) {
 func TestAllPublicAlgorithms(t *testing.T) {
 	a := []byte("GATTACA")
 	b := []byte("TACGATTA")
-	want := semilocal.LCS(a, b)
+	want := lcs.PrefixRowMajor(a, b)
 	for _, alg := range []semilocal.Algorithm{
 		semilocal.RowMajor, semilocal.Antidiag, semilocal.AntidiagBranchless,
 		semilocal.LoadBalanced, semilocal.Recursive, semilocal.Hybrid, semilocal.GridReduction,
@@ -81,7 +83,7 @@ func TestGeneralBitLCSMatches(t *testing.T) {
 		for i := range b {
 			b[i] = byte(rng.Intn(sigma))
 		}
-		if got, want := semilocal.GeneralBitLCS(a, b, 2), semilocal.LCS(a, b); got != want {
+		if got, want := semilocal.GeneralBitLCS(a, b, 2), lcs.PrefixRowMajor(a, b); got != want {
 			t.Fatalf("GeneralBitLCS = %d, want %d", got, want)
 		}
 	}
@@ -118,7 +120,7 @@ func TestSolveErrorPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := k.Score(), semilocal.LCS(tc.a, tc.b); got != want {
+			if got, want := k.Score(), lcs.PrefixRowMajor(tc.a, tc.b); got != want {
 				t.Fatalf("score %d, want %d", got, want)
 			}
 			// Degenerate kernels must answer boundary queries too.
@@ -129,7 +131,8 @@ func TestSolveErrorPaths(t *testing.T) {
 	}
 }
 
-// TestUnmarshalKernelErrorPaths covers the public decode surface with
+// TestUnmarshalKernelErrorPaths covers kernel decoding (the store's read
+// path, and the inverse of the public Kernel.MarshalBinary) with
 // hostile payloads. The oversized cases pin the validation order: a
 // header claiming huge dimensions over a tiny body must be rejected by
 // the length check before any allocation is attempted (a regression
@@ -158,7 +161,7 @@ func TestUnmarshalKernelErrorPaths(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := semilocal.UnmarshalKernel(data)
+			_, err := core.UnmarshalKernel(data)
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("accepted")
@@ -180,7 +183,7 @@ func TestUnmarshalKernelErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := semilocal.UnmarshalKernel(data)
+	back, err := core.UnmarshalKernel(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,7 @@ func TestEnginePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sess.Score(), semilocal.LCS(a, b); got != want {
+	if got, want := sess.Score(), lcs.PrefixRowMajor(a, b); got != want {
 		t.Fatalf("session score %d, want %d", got, want)
 	}
 	if sess.StringSubstring(0, len(b)) != sess.Score() {

@@ -2,6 +2,7 @@ package semilocal_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,6 +87,31 @@ func TestPaperShapes(t *testing.T) {
 			t.Errorf("lookup base 5 (%v) slower than base 1 (%v)", b5, b1)
 		}
 	})
+}
+
+// TestCombinedBraidMultCountedWork is the counted-work half of Figure
+// 4a, beside the wall-clock TestPaperShapes/CombinedBraidMultBeatsBase:
+// at one fixed order the combined steady ant (lookup base, arena
+// storage) allocates fewer objects and fewer bytes than the base
+// variant, which allocates at every node of its recursion.
+func TestCombinedBraidMultCountedWork(t *testing.T) {
+	steadyant.WarmPrecalc()
+	rng := rand.New(rand.NewSource(4))
+	p, q := perm.Random(4096, rng), perm.Random(4096, rng)
+	counted := func(v steadyant.Variant) (objects, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		steadyant.MultiplyVariant(p, q, v)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	baseObjects, baseBytes := counted(steadyant.Base)
+	combObjects, combBytes := counted(steadyant.Combined)
+	if combObjects >= baseObjects || combBytes >= baseBytes {
+		t.Errorf("combined allocates %d objects / %d B, base %d / %d B; combined must allocate fewer of both",
+			combObjects, combBytes, baseObjects, baseBytes)
+	}
+	t.Logf("order 4096: combined %d objects / %d B, base %d objects / %d B", combObjects, combBytes, baseObjects, baseBytes)
 }
 
 // TestDeepHybridCountedWork is the counted-work half of Figure 6, beside
